@@ -136,9 +136,8 @@ def assemble_toy(
     Kinds are drawn uniformly with repetition unless `kinds` pins them
     (used for single-primitive categories). Draw order per part is fixed:
     kind, dimensions, anchor part, anchor point, rotation; the color is
-    drawn last. errors.PlacementFailure is reserved for placement
-    strategies that can reject candidates; the centroid construction
-    always succeeds, so max_placement_attempts is currently only validated.
+    drawn last. The centroid construction always succeeds, so
+    max_placement_attempts is currently only validated.
     """
     if not 1 <= n_parts <= 5:
         raise ValueError(f"n_parts must be 1-5, got {n_parts}")

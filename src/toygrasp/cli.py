@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis as analysis_mod
@@ -23,15 +22,18 @@ from . import evalharness
 from .assembler import connectivity_check, generate_set
 from .checks import run_detpool_checks
 from .config import CliConfig, load_config
-from .errors import ConfigError, IoFailure, SchemaViolation, ToygraspError
+from .errors import ConfigError, SchemaViolation, ToygraspError
 from .io import (
-    build_manifest,
+    MANIFEST_FORMAT_VERSION,
+    Manifest,
+    manifest_config,
     manifest_json_bytes,
     obj_bytes,
     read_manifest,
     read_pgm,
     record_to_toy,
     stl_bytes,
+    toy_record,
 )
 from .mesh import mesh_toy
 
@@ -57,35 +59,33 @@ def _resolve_out(args_out: str | None, config: CliConfig) -> Path:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args.out, config)
-    mesh_dir = out_dir / "meshes"
-    mesh_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "meshes").mkdir(parents=True, exist_ok=True)
 
     toys = generate_set(config.generation)
     failures = sum(not connectivity_check(toy) for toy in toys)
 
-    manifest = build_manifest(
-        toys, config.generation, config.tessellation, config.n_directions
+    # Mesh each toy once: its record, STL and OBJ all come from that mesh.
+    records, digest_lines = [], []
+    for toy in toys:
+        mesh = mesh_toy(toy, config.tessellation)
+        records.append(toy_record(toy, mesh, config.n_directions))
+        for name, data in (
+            (f"meshes/{toy.id}.stl", stl_bytes(mesh)),
+            (f"meshes/{toy.id}.obj", obj_bytes(mesh)),
+        ):
+            (out_dir / name).write_bytes(data)
+            digest_lines.append(f"{_sha256(data)}  {name}")
+
+    manifest = Manifest(
+        format_version=MANIFEST_FORMAT_VERSION,
+        config=manifest_config(
+            config.generation, config.tessellation, config.n_directions
+        ),
+        toys=tuple(records),
     )
     manifest_bytes = manifest_json_bytes(manifest)
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_bytes(manifest_bytes)
-
-    def toy_files(toy):
-        mesh = mesh_toy(toy, config.tessellation)
-        return toy.id, stl_bytes(mesh), obj_bytes(mesh)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rendered = list(pool.map(toy_files, toys))
-    else:
-        rendered = [toy_files(toy) for toy in toys]
-
-    digest_lines = [f"{_sha256(manifest_bytes)}  manifest.json"]
-    for toy_id, stl, obj in rendered:
-        (mesh_dir / f"{toy_id}.stl").write_bytes(stl)
-        (mesh_dir / f"{toy_id}.obj").write_bytes(obj)
-        digest_lines.append(f"{_sha256(stl)}  meshes/{toy_id}.stl")
-        digest_lines.append(f"{_sha256(obj)}  meshes/{toy_id}.obj")
+    (out_dir / "manifest.json").write_bytes(manifest_bytes)
+    digest_lines.insert(0, f"{_sha256(manifest_bytes)}  manifest.json")
     digests_text = "\n".join(digest_lines) + "\n"
     (out_dir / "digests.txt").write_text(digests_text)
 
@@ -104,7 +104,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_path = Path(args.out) if args.out else _resolve_out(None, config) / "analysis.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    def analyze_record(record):
+    rows = []
+    for record in manifest.toys:
         toy = record_to_toy(record)
         mesh = mesh_toy(toy, config.tessellation)
         report = analysis_mod.analyze_toy(
@@ -115,13 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             config.min_wall,
             config.n_directions,
         )
-        return toy.id, report
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(analyze_record, manifest.toys))
-    else:
-        rows = [analyze_record(record) for record in manifest.toys]
+        rows.append((toy.id, report))
 
     analysis_mod.write_feasibility_csv(rows, out_path)
     graspable = sum(1 for _, r in rows if r.graspable)
@@ -135,13 +130,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_detpool_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if config.precision != "float64":
-        print(
-            "toygrasp: [CONFIG] gradient verification requires float64 precision; "
-            f"config requests {config.precision}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     mask = read_pgm(args.mask) if args.mask else None
     results = run_detpool_checks(
         config.encoder,
@@ -227,14 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate the toy set, manifest, and STL/OBJ meshes")
     p.add_argument("--config", help="JSON config file (defaults are built in)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel mesh workers")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="per-toy grasp and print feasibility CSV")
     p.add_argument("--manifest", required=True, help="manifest.json from generate")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel analysis workers")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("detpool-check", help="run the encoder verification suites")
@@ -278,10 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SchemaViolation) as exc:
         print(f"toygrasp: [CONFIG] {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IoFailure as exc:
-        print(f"toygrasp: [IO] {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
+    except OSError as exc:  # IoFailure subclasses OSError
         print(f"toygrasp: [IO] {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ToygraspError) as exc:

@@ -64,7 +64,6 @@ DEFAULT_CONFIG: dict = {
         "include_cls": False,
         "debug_disable_attention_mask": False,
         "seed": 0,
-        "precision": "float64",
     },
     "policy": {
         "history_len": 4,
@@ -119,7 +118,6 @@ class CliConfig:
     n_directions: int
     encoder: EncoderConfig
     encoder_seed: int
-    precision: str
     policy: PolicyConfig
     policy_seed: int
     output_dir: str
@@ -133,9 +131,6 @@ def config_from_dict(raw: dict) -> CliConfig:
         gripper = GripperModel(**merged["gripper"])
         encoder_section = dict(merged["encoder"])
         encoder_seed = encoder_section.pop("seed")
-        precision = encoder_section.pop("precision")
-        if precision not in ("float64", "float32"):
-            raise ConfigError(f"encoder.precision must be float64 or float32, got {precision!r}")
         encoder = EncoderConfig(**encoder_section)
         policy_section = dict(merged["policy"])
         policy_seed = policy_section.pop("seed")
@@ -154,7 +149,6 @@ def config_from_dict(raw: dict) -> CliConfig:
         n_directions=int(merged["analysis"]["n_directions"]),
         encoder=encoder,
         encoder_seed=int(encoder_seed),
-        precision=precision,
         policy=policy,
         policy_seed=int(policy_seed),
         output_dir=str(merged["output_dir"]),

@@ -13,14 +13,6 @@ class InvalidComposition(ToygraspError, ValueError):
     """A set composition contains negative counts."""
 
 
-class PlacementFailure(ToygraspError, RuntimeError):
-    """Part placement exceeded the attempt budget.
-
-    Cannot occur with the centroid-sampling construction; reserved for
-    future placement strategies that reject candidates.
-    """
-
-
 class EmptyMesh(ToygraspError, ValueError):
     """An operation requires a mesh with at least one triangle/vertex."""
 

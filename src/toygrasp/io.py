@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import min_caliper_width
 from .assembler import Color, GenerationConfig, SetComposition, ToySpec
 from .errors import EmptyMesh, IoFailure, SchemaViolation
-from .mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy, mesh_volume
+from .mesh import Tessellation, TriMesh, mesh_toy, mesh_volume
 from .primitives import (
     DIM_NAMES,
     KIND_ORDER,
@@ -69,12 +69,10 @@ def export_stl(mesh: TriMesh, path: str | Path, *, allow_empty: bool = False) ->
 
 
 def obj_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
-    """ASCII OBJ with one `g part_<k>` group per part label, full float precision."""
+    """ASCII OBJ, one `g part_<k>` group per part label; coordinates round-trip exactly."""
     if mesh.n_triangles == 0 and not allow_empty:
         raise EmptyMesh("refusing to export an empty mesh (pass allow_empty=True)")
-    lines = [
-        f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
-    ]
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     labels = (
         mesh.part_labels
         if mesh.part_labels is not None
@@ -82,7 +80,7 @@ def obj_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
     )
     for label in np.unique(labels):
         lines.append(f"g part_{label}")
-        for a, b, c in mesh.triangles[labels == label] + 1:
+        for a, b, c in (mesh.triangles[labels == label] + 1).tolist():
             lines.append(f"f {a} {b} {c}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -160,11 +158,8 @@ def generation_config_from_dict(data: dict) -> GenerationConfig:
     )
 
 
-def toy_record(
-    toy: ToySpec, tess: Tessellation | None = None, n_directions: int = 256
-) -> ToyRecord:
-    """Serialize one toy plus derived mesh statistics."""
-    mesh = mesh_toy(toy, tess)
+def toy_record(toy: ToySpec, mesh: TriMesh, n_directions: int = 256) -> ToyRecord:
+    """Serialize one toy plus derived statistics of its mesh (from `mesh_toy`)."""
     lo, hi = mesh.aabb()
     volume = mesh_volume(mesh)  # per-part volumes summed; overlaps double count
     width, _ = min_caliper_width(mesh, n_directions)
@@ -191,11 +186,6 @@ def toy_record(
     )
 
 
-def mesh_from_part(part: PlacedPrimitive, tess: Tessellation | None = None) -> TriMesh:
-    m = mesh_primitive(part.spec, tess)
-    return TriMesh(part.pose.apply(m.vertices), m.triangles)
-
-
 def record_to_toy(record: ToyRecord) -> ToySpec:
     parts = tuple(
         PlacedPrimitive(
@@ -207,6 +197,19 @@ def record_to_toy(record: ToyRecord) -> ToySpec:
     return ToySpec(id=record.id, seed=record.seed, parts=parts, color=Color(record.color))
 
 
+def manifest_config(
+    config: GenerationConfig, tess: Tessellation, n_directions: int
+) -> dict:
+    """The manifest's echo of every setting its records depend on."""
+    echo = generation_config_to_dict(config)
+    echo["tessellation"] = {
+        "sphere_subdivisions": tess.sphere_subdivisions,
+        "radial_segments": tess.radial_segments,
+    }
+    echo["analysis"] = {"n_directions": n_directions}
+    return echo
+
+
 def build_manifest(
     toys: list[ToySpec],
     config: GenerationConfig,
@@ -214,16 +217,12 @@ def build_manifest(
     n_directions: int = 256,
 ) -> Manifest:
     tess = tess or Tessellation()
-    config_echo = generation_config_to_dict(config)
-    config_echo["tessellation"] = {
-        "sphere_subdivisions": tess.sphere_subdivisions,
-        "radial_segments": tess.radial_segments,
-    }
-    config_echo["analysis"] = {"n_directions": n_directions}
     return Manifest(
         format_version=MANIFEST_FORMAT_VERSION,
-        config=config_echo,
-        toys=tuple(toy_record(toy, tess, n_directions) for toy in toys),
+        config=manifest_config(config, tess, n_directions),
+        toys=tuple(
+            toy_record(toy, mesh_toy(toy, tess), n_directions) for toy in toys
+        ),
     )
 
 
@@ -357,6 +356,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if tokens[0] != b"P5":
         raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not 1 <= maxval <= 65535:
+        raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     if len(raw) - pos < count * dtype.itemsize:
@@ -401,28 +402,31 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise IoFailure(f"cannot read tensor blob {path}: {exc}") from exc
     if raw[:8] != _TENSOR_MAGIC:
         raise SchemaViolation(f"unknown tensor blob magic {raw[:8]!r}")
-    pos = 8
-    (meta_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    meta = json.loads(raw[pos : pos + meta_len].decode())
-    pos += meta_len
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode()
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f8", count=size, offset=pos)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        pos += 8 * size
+    try:
+        pos = 8
+        (meta_len,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        meta = json.loads(raw[pos : pos + meta_len].decode())
+        pos += meta_len
+        (count,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            pos += 2
+            name = raw[pos : pos + name_len].decode()
+            pos += name_len
+            (ndim,) = struct.unpack_from("<B", raw, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{ndim}I", raw, pos)
+            pos += 4 * ndim
+            size = int(np.prod(shape)) if ndim else 1
+            tensors[name] = (
+                np.frombuffer(raw, dtype="<f8", count=size, offset=pos)
+                .reshape(shape)
+                .astype(np.float64)
+            )
+            pos += 8 * size
+    except (struct.error, ValueError) as exc:
+        raise SchemaViolation(f"tensor blob {path} is truncated or corrupt: {exc}") from exc
     return tensors, meta

@@ -162,15 +162,18 @@ def _mesh_cylinder(dims: dict[str, float], n: int) -> TriMesh:
     bottom = np.column_stack([ring, np.full(n, -hz)])
     top = np.column_stack([ring, np.full(n, hz)])
     verts = np.vstack([bottom, top, [(0.0, 0.0, -hz)], [(0.0, 0.0, hz)]])
-    c_bot, c_top = 2 * n, 2 * n + 1
-
-    tris = []
-    for i in range(n):
-        j = (i + 1) % n
-        tris += [(i, j, n + j), (i, n + j, n + i)]        # side wall
-        tris += [(c_top, n + i, n + j)]                    # top cap fan
-        tris += [(c_bot, j, i)]                            # bottom cap fan
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    i = np.arange(n)
+    j = (i + 1) % n
+    c_bot, c_top = np.full(n, 2 * n), np.full(n, 2 * n + 1)
+    # Axes (triangle within segment, corner, segment i); segment-major order.
+    tris = np.array(
+        [
+            (i, j, n + j), (i, n + j, n + i),  # side wall
+            (c_top, n + i, n + j),             # top cap fan
+            (c_bot, j, i),                     # bottom cap fan
+        ]
+    )
+    return TriMesh(verts, tris.transpose(2, 0, 1).reshape(-1, 3))
 
 
 def _mesh_ring(dims: dict[str, float], n: int) -> TriMesh:
@@ -188,14 +191,18 @@ def _mesh_ring(dims: dict[str, float], n: int) -> TriMesh:
     )
     BO, TO, BI, TI = 0, n, 2 * n, 3 * n
 
-    tris = []
-    for i in range(n):
-        j = (i + 1) % n
-        tris += [(BO + i, BO + j, TO + j), (BO + i, TO + j, TO + i)]  # outer wall
-        tris += [(BI + i, TI + j, BI + j), (BI + i, TI + i, TI + j)]  # inner wall
-        tris += [(TO + i, TO + j, TI + j), (TO + i, TI + j, TI + i)]  # top cap
-        tris += [(BO + i, BI + j, BO + j), (BO + i, BI + i, BI + j)]  # bottom cap
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    i = np.arange(n)
+    j = (i + 1) % n
+    # Axes (triangle within segment, corner, segment i); segment-major order.
+    tris = np.array(
+        [
+            (BO + i, BO + j, TO + j), (BO + i, TO + j, TO + i),  # outer wall
+            (BI + i, TI + j, BI + j), (BI + i, TI + i, TI + j),  # inner wall
+            (TO + i, TO + j, TI + j), (TO + i, TI + j, TI + i),  # top cap
+            (BO + i, BI + j, BO + j), (BO + i, BI + i, BI + j),  # bottom cap
+        ]
+    )
+    return TriMesh(verts, tris.transpose(2, 0, 1).reshape(-1, 3))
 
 
 def mesh_primitive(spec: PrimitiveSpec, tess: Tessellation | None = None) -> TriMesh:
@@ -234,15 +241,15 @@ def is_watertight(mesh: TriMesh) -> bool:
     """Every undirected edge borders exactly two consistently oriented triangles."""
     if mesh.n_triangles == 0:
         return False
-    tris = mesh.triangles
-    directed = np.vstack(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-    )
-    _, directed_counts = np.unique(directed, axis=0, return_counts=True)
-    if (directed_counts != 1).any():
+    # Edge (a, b) is the 1-D key a * n + b, unique for 0 <= a, b < n.
+    n = mesh.n_vertices
+    starts = mesh.triangles.reshape(-1)
+    ends = mesh.triangles[:, [1, 2, 0]].reshape(-1)
+    directed = starts * n + ends
+    if len(np.unique(directed)) != len(directed):
         return False
-    undirected = np.sort(directed, axis=1)
-    _, undirected_counts = np.unique(undirected, axis=0, return_counts=True)
+    undirected = np.minimum(starts, ends) * n + np.maximum(starts, ends)
+    _, undirected_counts = np.unique(undirected, return_counts=True)
     return bool((undirected_counts == 2).all())
 
 

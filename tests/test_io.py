@@ -130,7 +130,7 @@ class TestManifest:
         # A record reconstructs the exact toy that produced it.
         toys, config = small_set()
         for toy in toys:
-            record = toy_record(toy, n_directions=64)
+            record = toy_record(toy, mesh_toy(toy), n_directions=64)
             rebuilt = record_to_toy(record)
             assert rebuilt.id == toy.id and rebuilt.seed == toy.seed
             assert rebuilt.color == toy.color
@@ -167,7 +167,7 @@ class TestManifest:
                 toy_id=f"toy_{index:04d}",
                 seed=seed,
             )
-            assert toy_record(toy, n_directions=64) == manifest.toys[index]
+            assert toy_record(toy, mesh_toy(toy), n_directions=64) == manifest.toys[index]
 
     def test_deterministic_bytes(self):
         toys, config = small_set()
@@ -217,6 +217,13 @@ class TestPgm:
         with pytest.raises(SchemaViolation):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_maxval_out_of_range(self, tmp_path, maxval):
+        path = tmp_path / "maxval.pgm"
+        path.write_bytes(b"P5\n2 2\n%d\n" % maxval + b"\x00" * 8)
+        with pytest.raises(SchemaViolation, match="maxval"):
+            read_pgm(path)
+
 
 class TestTensorBlob:
     def test_roundtrip(self, tmp_path):
@@ -240,6 +247,17 @@ class TestTensorBlob:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(SchemaViolation):
             load_tensors(path)
+
+    def test_truncated_blob(self, tmp_path):
+        blob = tensor_blob_bytes(
+            {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)}, {"kind": "test"}
+        )
+        path = tmp_path / "short.bin"
+        # Cut inside a length field, the metadata, a name, a shape, and data.
+        for length in (10, 14, 34, 40, 60, len(blob) - 1):
+            path.write_bytes(blob[:length])
+            with pytest.raises(SchemaViolation):
+                load_tensors(path)
 
     def test_deterministic_bytes(self):
         tensors = {"w": np.arange(6.0).reshape(2, 3)}

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spec
 from toygrasp.assembler import GenerationConfig, assemble_toy
@@ -10,6 +13,8 @@ from toygrasp.io import stl_bytes
 from toygrasp.mesh import (
     Tessellation,
     TriMesh,
+    _mesh_cylinder,
+    _mesh_ring,
     is_watertight,
     mesh_primitive,
     mesh_toy,
@@ -114,6 +119,45 @@ class TestMeshPrimitive:
             assert volumes[0] < volumes[1] < volumes[2] < analytic_volume(spec)
 
 
+def loop_cylinder_triangles(n: int) -> np.ndarray:
+    """Reference: the cylinder index builder written as a per-segment loop."""
+    c_bot, c_top = 2 * n, 2 * n + 1
+    tris = []
+    for i in range(n):
+        j = (i + 1) % n
+        tris += [(i, j, n + j), (i, n + j, n + i)]
+        tris += [(c_top, n + i, n + j)]
+        tris += [(c_bot, j, i)]
+    return np.array(tris, dtype=np.int64)
+
+
+def loop_ring_triangles(n: int) -> np.ndarray:
+    """Reference: the ring index builder written as a per-segment loop."""
+    BO, TO, BI, TI = 0, n, 2 * n, 3 * n
+    tris = []
+    for i in range(n):
+        j = (i + 1) % n
+        tris += [(BO + i, BO + j, TO + j), (BO + i, TO + j, TO + i)]
+        tris += [(BI + i, TI + j, BI + j), (BI + i, TI + i, TI + j)]
+        tris += [(TO + i, TO + j, TI + j), (TO + i, TI + j, TI + i)]
+        tris += [(BO + i, BI + j, BO + j), (BO + i, BI + i, BI + j)]
+    return np.array(tris, dtype=np.int64)
+
+
+class TestIndexBuilders:
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    def test_cylinder_matches_loop_order(self, n):
+        mesh = _mesh_cylinder({"diameter": 0.06, "height": 0.10}, n)
+        np.testing.assert_array_equal(mesh.triangles, loop_cylinder_triangles(n))
+
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    def test_ring_matches_loop_order(self, n):
+        mesh = _mesh_ring(
+            {"outer_diameter": 0.10, "wall_thickness": 0.01, "height": 0.04}, n
+        )
+        np.testing.assert_array_equal(mesh.triangles, loop_ring_triangles(n))
+
+
 class TestMeshToy:
     def test_single_part_equals_transformed_primitive(self):
         toy = assemble_toy(1, GenerationConfig(), np.random.default_rng(2))
@@ -168,6 +212,88 @@ class TestMeshVolume:
         broken = TriMesh(mesh.vertices, mesh.triangles[:-1])
         with pytest.raises(NotWatertight):
             mesh_volume(broken)
+
+
+def watertight_oracle(triangles: np.ndarray) -> bool:
+    """Reference: each directed edge occurs once, each undirected edge twice."""
+    edges = [(t[k], t[(k + 1) % 3]) for t in triangles.tolist() for k in range(3)]
+    directed = Counter(edges)
+    undirected = Counter(tuple(sorted(edge)) for edge in edges)
+    return bool(edges) and max(directed.values()) == 1 and set(undirected.values()) == {2}
+
+
+CLOSED_TRIANGLES = [
+    mesh_primitive(spec, Tessellation(sphere_subdivisions=1, radial_segments=8)).triangles
+    for spec in (
+        PrimitiveSpec(PrimitiveKind.CUBOID, {"width": 0.02, "length": 0.03, "height": 0.04}),
+        PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.05}),
+        PrimitiveSpec(PrimitiveKind.CYLINDER, {"diameter": 0.06, "height": 0.10}),
+        PrimitiveSpec(
+            PrimitiveKind.RING,
+            {"outer_diameter": 0.10, "wall_thickness": 0.01, "height": 0.04},
+        ),
+    )
+]
+LARGE_N_VERTICES = 3_000_000  # edge keys a * n + b exceed 2**32
+
+
+def mesh_over(triangles: np.ndarray, n_vertices: int) -> TriMesh:
+    return TriMesh(np.zeros((n_vertices, 3)), triangles)
+
+
+class TestIsWatertight:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_closed_mesh_matches_oracle(self, data):
+        triangles = data.draw(st.sampled_from(CLOSED_TRIANGLES)).copy()
+        index = data.draw(st.integers(0, len(triangles) - 1))
+        mutation = data.draw(st.sampled_from(["none", "flip", "duplicate", "delete"]))
+        if mutation == "flip":
+            triangles[index] = triangles[index, ::-1]
+        elif mutation == "duplicate":
+            triangles = np.vstack([triangles, triangles[index : index + 1]])
+        elif mutation == "delete":
+            triangles = np.delete(triangles, index, axis=0)
+        # Relabel the vertices into a large index space.
+        n_used = int(triangles.max()) + 1
+        labels = data.draw(
+            st.lists(
+                st.integers(0, LARGE_N_VERTICES - 1),
+                min_size=n_used,
+                max_size=n_used,
+                unique=True,
+            )
+        )
+        triangles = np.array(labels)[triangles]
+        expected = watertight_oracle(triangles)
+        assert expected == (mutation == "none")
+        assert is_watertight(mesh_over(triangles, LARGE_N_VERTICES)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_vertices=st.integers(3, LARGE_N_VERTICES),
+        data=st.data(),
+    )
+    def test_random_indices_match_oracle(self, n_vertices, data):
+        triangles = np.array(
+            data.draw(
+                st.lists(
+                    st.tuples(*[st.integers(0, n_vertices - 1)] * 3),
+                    min_size=1,
+                    max_size=12,
+                )
+            )
+        )
+        assert is_watertight(mesh_over(triangles, n_vertices)) == watertight_oracle(triangles)
+
+    def test_edge_shared_by_four_triangles(self):
+        # Two closed tetrahedra glued along the edge (0, 1) only.
+        tetra = np.array([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
+        relabel = np.array([0, 1, 4, 5])
+        triangles = np.vstack([tetra, relabel[tetra]])
+        assert is_watertight(mesh_over(tetra, 4))
+        assert not watertight_oracle(triangles)
+        assert not is_watertight(mesh_over(triangles, 6))
 
 
 class TestTriMeshValidation:
