@@ -1,8 +1,10 @@
 """Graspability and print-feasibility analysis of toy meshes.
 
 Widths are support-function (caliper) widths: the extent of the vertex set
-along a direction. This is exact for the convex hull and is the closure
-width a parallel-jaw gripper sees when spanning the whole object.
+along a direction, which is the closure width a parallel-jaw gripper sees
+when spanning the whole object. `min_caliper_width` is the exact minimum of
+that width over all directions, taken on the Qhull convex hull (Barber,
+Dobkin & Huhdanpaa 1996) from its antipodal face-vertex and edge-edge pairs.
 """
 
 from __future__ import annotations
@@ -64,107 +66,119 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation; axis must be unit length.
-    c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * (axis @ v) * (1.0 - c)
+# Gauss arcs with half-angles up to this (rad) are paired through a KD-tree
+# on their midpoints; longer ones go through a dense straddle test. Only
+# speed depends on it: default-set widths are bit-identical from 0.05 to 0.4.
+_SHORT_ARC = 0.1
+# Directions scored per projection block, so memory stays O(hull vertices).
+_BLOCK = 128
 
 
-def _golden_section(f, lo: float, hi: float, iters: int = 80):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
+    """Exact minimum width of the mesh's convex hull, and its unit direction.
 
-
-def min_caliper_width(mesh: TriMesh, n_directions: int = 256) -> tuple[float, np.ndarray]:
-    """Minimum support width over a Fibonacci direction set, locally refined.
-
-    Refinement re-samples a shrinking spherical-cap patch around the best
-    direction (width minima of polyhedra sit in |.|-shaped grooves where
-    plain coordinate descent can stall), then polishes with golden-section
-    searches on two tangent rotation angles. The result is never above any
-    sampled width.
+    The minimum lies along a hull facet normal (a face-vertex pair) or along
+    the cross product of an antipodal edge pair (Houle & Toussaint 1988).
+    Every candidate is scored by projecting the hull vertices, and the width
+    returned is `directional_width(mesh, direction)` exactly. Flat input
+    (fewer than four points, or all coplanar) is measured along the smallest
+    right-singular vector of the centred vertices.
     """
-    if n_directions < 32:
-        raise ValueError("n_directions must be >= 32")
     if mesh.n_vertices == 0:
         raise EmptyMesh("min caliper width of an empty mesh")
+    # Imported here: scipy.spatial costs ~11 MB RSS that other commands never use.
+    from scipy.spatial import ConvexHull, QhullError
 
-    dirs = fibonacci_directions(n_directions)
-    verts = mesh.vertices
-    proj = verts @ dirs.T
-    widths = proj.max(axis=0) - proj.min(axis=0)
-    best_index = int(np.argmin(widths))
-    best_width = float(widths[best_index])
-    best_dir = dirs[best_index]
+    try:
+        hull = ConvexHull(mesh.vertices)
+    except QhullError:
+        centred = mesh.vertices - mesh.vertices.mean(axis=0)
+        direction = np.linalg.svd(centred, full_matrices=False)[2][-1]
+        return directional_width(mesh, direction), direction
 
-    def width_of(d: np.ndarray) -> float:
-        p = verts @ d
-        return float(p.max() - p.min())
+    candidates = np.concatenate(
+        [hull.equations[:, :3], _antipodal_edge_directions(hull)]
+    )
+    points = hull.points[hull.vertices]
+    best_width, best_direction = math.inf, candidates[0]
+    for start in range(0, len(candidates), _BLOCK):
+        block = candidates[start : start + _BLOCK]
+        proj = points @ block.T
+        widths = proj.max(axis=0) - proj.min(axis=0)
+        k = int(np.argmin(widths))
+        if widths[k] < best_width:
+            best_width, best_direction = float(widths[k]), block[k]
+    return directional_width(mesh, best_direction), best_direction
 
-    # Zoom: evaluate a 64-point disc patch of tangent offsets, keep the best,
-    # shrink. Patch resolution (~0.25 radius) stays below the next radius, so
-    # the running best never escapes the shrinking cap.
-    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
-    i = np.arange(64)
-    rho_unit = np.sqrt((i + 0.5) / len(i))
-    phi = i * golden_angle
-    radius = 1.5 * math.sqrt(4.0 * math.pi / n_directions)
-    for _ in range(12):
-        u, v = _tangent_axes(best_dir)
-        offsets = (radius * rho_unit)[:, None] * (
-            np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
+
+def _antipodal_edge_directions(hull) -> np.ndarray:
+    """Unit directions u1 x u2 of hull edge pairs with antipodal Gauss arcs.
+
+    An edge's Gauss arc runs between the normals of its two facets; a pair
+    counts when d lies on edge 1's arc and -d on edge 2's. Near-parallel
+    edges can give a direction that is rounding noise. Projection scoring
+    makes that harmless, since no direction is narrower than the minimum.
+    """
+    from scipy.spatial import cKDTree
+
+    normals = hull.equations[:, :3]
+    # The edge opposite corner k of facet f is shared with facet neighbors[f, k].
+    f = np.repeat(np.arange(len(hull.simplices)), 3)
+    g = hull.neighbors.reshape(-1)
+    a = hull.simplices[:, [1, 2, 0]].reshape(-1)
+    b = hull.simplices[:, [2, 0, 1]].reshape(-1)
+    # Each edge once; an edge inside a triangulated planar facet has no arc.
+    keep = (f < g) & np.any(normals[f] != normals[g], axis=1)
+    n1, n2 = normals[f[keep]], normals[g[keep]]
+    edges = hull.points[b[keep]] - hull.points[a[keep]]
+    mid = n1 + n2
+    half = 0.5 * np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
+
+    # Arc i meets -arc j only if each arc has its endpoints strictly on
+    # opposite sides of the other's great circle (the plane normal to its
+    # edge). Two short arcs can meet only if their midpoints are at most
+    # twice the longest short half-angle apart, so a KD-tree finds them.
+    short = np.flatnonzero(half <= _SHORT_ARC)
+    unit_mid = mid[short] / np.linalg.norm(mid[short], axis=1, keepdims=True)
+    reach = float(half[short].max()) if len(short) else 0.0
+    near = cKDTree(unit_mid).sparse_distance_matrix(
+        cKDTree(-unit_mid), 2.0 * math.sin(reach) + 1e-12, output_type="ndarray"
+    )
+    i, j = short[near["i"]], short[near["j"]]
+    i, j = i[i < j], j[i < j]
+    across = (
+        np.einsum("ij,ij->i", edges[j], n1[i]) * np.einsum("ij,ij->i", edges[j], n2[i]) < 0
+    ) & (
+        np.einsum("ij,ij->i", edges[i], n1[j]) * np.einsum("ij,ij->i", edges[i], n2[j]) < 0
+    )
+    firsts, seconds = [i[across]], [j[across]]
+    # Each long arc is tested against every edge, in row blocks of ~64k pairs.
+    long_arcs = np.flatnonzero(half > _SHORT_ARC)
+    step = max(1, 65536 // len(edges))
+    for start in range(0, len(long_arcs), step):
+        rows = long_arcs[start : start + step]
+        across = ((n1[rows] @ edges.T) * (n2[rows] @ edges.T) < 0) & (
+            (edges[rows] @ n1.T) * (edges[rows] @ n2.T) < 0
         )
-        candidates = best_dir + offsets
-        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
-        cand_proj = verts @ candidates.T
-        cand_widths = cand_proj.max(axis=0) - cand_proj.min(axis=0)
-        j = int(np.argmin(cand_widths))
-        if cand_widths[j] < best_width:
-            best_width = float(cand_widths[j])
-            best_dir = candidates[j]
-        radius *= 0.35
+        r, c = np.nonzero(across)
+        firsts.append(rows[r])
+        seconds.append(c)
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
 
-    # Golden-section polish on the two tangent angles around the best point.
-    d = best_dir
-    for axis in _tangent_axes(d):
-        angle, w = _golden_section(
-            lambda a: width_of(_rotate_about(d, axis, a)), -1e-4, 1e-4
-        )
-        if w < best_width:
-            d = _rotate_about(d, axis, angle)
-            d = d / np.linalg.norm(d)
-            best_width, best_dir = width_of(d), d
-    return best_width, best_dir
+    d = np.cross(edges[i], edges[j])
+    length = np.linalg.norm(d, axis=1)
+    ok = length > 0.0
+    d, i, j = d[ok] / length[ok, None], i[ok], j[ok]
+    # With both straddles, +-d are the arcs' only crossings: d lies on arc i
+    # and -d on arc j iff d meets the two arc midpoints with opposite signs.
+    on_arcs = np.einsum("ij,ij->i", d, mid[i]) * np.einsum("ij,ij->i", d, mid[j]) < 0
+    return d[on_arcs]
 
 
-def _tangent_axes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(d, helper)
-    u /= np.linalg.norm(u)
-    v = np.cross(d, u)
-    v /= np.linalg.norm(v)
-    return u, v
-
-
-def grasp_feasibility(
-    mesh: TriMesh, gripper: GripperModel | None = None, n_directions: int = 256
-) -> bool:
+def grasp_feasibility(mesh: TriMesh, gripper: GripperModel | None = None) -> bool:
     """True iff the minimal caliper width fits inside the gripper's stroke."""
     gripper = gripper or GripperModel()
-    width, _ = min_caliper_width(mesh, n_directions)
+    width, _ = min_caliper_width(mesh)
     return gripper.min_opening <= width <= gripper.max_opening
 
 
@@ -216,12 +230,11 @@ def analyze_toy(
     gripper: GripperModel | None = None,
     build_edge: float = 0.256,
     min_wall: float = 0.0,
-    n_directions: int = 256,
 ) -> FeasibilityReport:
     """Full report: print feasibility plus caliper width and graspability."""
     gripper = gripper or GripperModel()
     base = print_feasibility(toy, mesh, build_edge, min_wall)
-    width, _ = min_caliper_width(mesh, n_directions)
+    width, _ = min_caliper_width(mesh)
     return FeasibilityReport(
         aabb_min=base.aabb_min,
         aabb_max=base.aabb_max,

@@ -95,13 +95,10 @@ class GenerationConfig:
     composition: SetComposition = field(default_factory=SetComposition)
     palette: tuple[Color, ...] = DEFAULT_PALETTE
     master_seed: int = 0
-    max_placement_attempts: int = 32
 
     def __post_init__(self) -> None:
         if not self.palette:
             raise ValueError("palette must be nonempty")
-        if self.max_placement_attempts < 1:
-            raise ValueError("max_placement_attempts must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
@@ -136,8 +133,7 @@ def assemble_toy(
     Kinds are drawn uniformly with repetition unless `kinds` pins them
     (used for single-primitive categories). Draw order per part is fixed:
     kind, dimensions, anchor part, anchor point, rotation; the color is
-    drawn last. The centroid construction always succeeds, so
-    max_placement_attempts is currently only validated.
+    drawn last.
     """
     if not 1 <= n_parts <= 5:
         raise ValueError(f"n_parts must be 1-5, got {n_parts}")

@@ -68,7 +68,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     records, digest_lines = [], []
     for toy in toys:
         mesh = mesh_toy(toy, config.tessellation)
-        records.append(toy_record(toy, mesh, config.n_directions))
+        records.append(toy_record(toy, mesh))
         for name, data in (
             (f"meshes/{toy.id}.stl", stl_bytes(mesh)),
             (f"meshes/{toy.id}.obj", obj_bytes(mesh)),
@@ -78,9 +78,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     manifest = Manifest(
         format_version=MANIFEST_FORMAT_VERSION,
-        config=manifest_config(
-            config.generation, config.tessellation, config.n_directions
-        ),
+        config=manifest_config(config.generation, config.tessellation),
         toys=tuple(records),
     )
     manifest_bytes = manifest_json_bytes(manifest)
@@ -109,12 +107,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         toy = record_to_toy(record)
         mesh = mesh_toy(toy, config.tessellation)
         report = analysis_mod.analyze_toy(
-            toy,
-            mesh,
-            config.gripper,
-            config.build_edge,
-            config.min_wall,
-            config.n_directions,
+            toy, mesh, config.gripper, config.build_edge, config.min_wall
         )
         rows.append((toy.id, report))
 

@@ -47,12 +47,10 @@ DEFAULT_CONFIG: dict = {
         },
         "palette": ["blue", "red", "green", "yellow"],
         "master_seed": 0,
-        "max_placement_attempts": 32,
     },
     "tessellation": {"sphere_subdivisions": 3, "radial_segments": 64},
     "gripper": {"max_opening": 0.085, "min_opening": 0.0},
     "print": {"build_edge": 0.256, "min_wall": 0.008},
-    "analysis": {"n_directions": 256},
     "encoder": {
         "image_height": 32,
         "image_width": 32,
@@ -115,7 +113,6 @@ class CliConfig:
     gripper: GripperModel
     build_edge: float
     min_wall: float
-    n_directions: int
     encoder: EncoderConfig
     encoder_seed: int
     policy: PolicyConfig
@@ -146,7 +143,6 @@ def config_from_dict(raw: dict) -> CliConfig:
         gripper=gripper,
         build_edge=float(merged["print"]["build_edge"]),
         min_wall=float(merged["print"]["min_wall"]),
-        n_directions=int(merged["analysis"]["n_directions"]),
         encoder=encoder,
         encoder_seed=int(encoder_seed),
         policy=policy,

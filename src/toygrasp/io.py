@@ -27,7 +27,7 @@ from .primitives import (
     PrimitiveSpec,
 )
 
-MANIFEST_FORMAT_VERSION = "1"
+MANIFEST_FORMAT_VERSION = "2"
 _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
 _TENSOR_MAGIC = b"TGTENS01"
 
@@ -138,7 +138,6 @@ def generation_config_to_dict(config: GenerationConfig) -> dict:
         "composition": config.composition.counts(),
         "palette": [c.value for c in config.palette],
         "master_seed": config.master_seed,
-        "max_placement_attempts": config.max_placement_attempts,
     }
 
 
@@ -154,15 +153,14 @@ def generation_config_from_dict(data: dict) -> GenerationConfig:
         composition=SetComposition(**data["composition"]),
         palette=tuple(Color(c) for c in data["palette"]),
         master_seed=data["master_seed"],
-        max_placement_attempts=data["max_placement_attempts"],
     )
 
 
-def toy_record(toy: ToySpec, mesh: TriMesh, n_directions: int = 256) -> ToyRecord:
+def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
     """Serialize one toy plus derived statistics of its mesh (from `mesh_toy`)."""
     lo, hi = mesh.aabb()
     volume = mesh_volume(mesh)  # per-part volumes summed; overlaps double count
-    width, _ = min_caliper_width(mesh, n_directions)
+    width, _ = min_caliper_width(mesh)
     parts = tuple(
         PartRecord(
             kind=p.spec.kind.value,
@@ -197,16 +195,13 @@ def record_to_toy(record: ToyRecord) -> ToySpec:
     return ToySpec(id=record.id, seed=record.seed, parts=parts, color=Color(record.color))
 
 
-def manifest_config(
-    config: GenerationConfig, tess: Tessellation, n_directions: int
-) -> dict:
+def manifest_config(config: GenerationConfig, tess: Tessellation) -> dict:
     """The manifest's echo of every setting its records depend on."""
     echo = generation_config_to_dict(config)
     echo["tessellation"] = {
         "sphere_subdivisions": tess.sphere_subdivisions,
         "radial_segments": tess.radial_segments,
     }
-    echo["analysis"] = {"n_directions": n_directions}
     return echo
 
 
@@ -214,15 +209,12 @@ def build_manifest(
     toys: list[ToySpec],
     config: GenerationConfig,
     tess: Tessellation | None = None,
-    n_directions: int = 256,
 ) -> Manifest:
     tess = tess or Tessellation()
     return Manifest(
         format_version=MANIFEST_FORMAT_VERSION,
-        config=manifest_config(config, tess, n_directions),
-        toys=tuple(
-            toy_record(toy, mesh_toy(toy, tess), n_directions) for toy in toys
-        ),
+        config=manifest_config(config, tess),
+        toys=tuple(toy_record(toy, mesh_toy(toy, tess)) for toy in toys),
     )
 
 
@@ -263,9 +255,8 @@ def write_manifest(
     path: str | Path,
     *,
     tess: Tessellation | None = None,
-    n_directions: int = 256,
 ) -> Manifest:
-    manifest = build_manifest(toys, config, tess, n_directions)
+    manifest = build_manifest(toys, config, tess)
     try:
         Path(path).write_bytes(manifest_json_bytes(manifest))
     except OSError as exc:
@@ -273,10 +264,35 @@ def write_manifest(
     return manifest
 
 
-def _require(doc: dict, key: str, context: str):
+_JSON_TYPES = {
+    "an object": dict,
+    "a list": list,
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+}
+
+
+def _typed(value, path: str, kind: str):
+    # bool is an int subclass in Python, but never a valid manifest value.
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise SchemaViolation(f"{path} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def _field(doc: dict, key: str, context: str, kind: str):
+    """doc[key], present and of the named JSON type; errors name its path."""
     if key not in doc:
-        raise SchemaViolation(f"{context}: missing field '{key}'")
-    return doc[key]
+        raise SchemaViolation(f"{context or 'manifest'}: missing field '{key}'")
+    return _typed(doc[key], f"{context}.{key}" if context else key, kind)
+
+
+def _numbers(doc: dict, key: str, context: str, length: int) -> tuple:
+    path = f"{context}.{key}"
+    values = _field(doc, key, context, "a list")
+    if len(values) != length:
+        raise SchemaViolation(f"{path} must have {length} entries, got {len(values)}")
+    return tuple(_typed(v, f"{path}[{k}]", "a number") for k, v in enumerate(values))
 
 
 def read_manifest(path: str | Path) -> Manifest:
@@ -289,36 +305,46 @@ def read_manifest(path: str | Path) -> Manifest:
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"manifest is not valid JSON: {exc}") from exc
 
-    version = _require(doc, "format_version", "manifest")
+    _typed(doc, "manifest", "an object")
+    version = _field(doc, "format_version", "", "a string")
     if version != MANIFEST_FORMAT_VERSION:
         raise SchemaViolation(f"unknown manifest format_version {version!r}")
-    config = _require(doc, "config", "manifest")
+    config = _field(doc, "config", "", "an object")
     toys = []
-    for i, t in enumerate(_require(doc, "toys", "manifest")):
+    for i, t in enumerate(_field(doc, "toys", "", "a list")):
         ctx = f"toys[{i}]"
-        derived = _require(t, "derived", ctx)
+        _typed(t, ctx, "an object")
+        parts = []
+        for j, p in enumerate(_field(t, "parts", ctx, "a list")):
+            part_ctx = f"{ctx}.parts[{j}]"
+            _typed(p, part_ctx, "an object")
+            dims = _field(p, "dims", part_ctx, "an object")
+            parts.append(
+                PartRecord(
+                    kind=_field(p, "kind", part_ctx, "a string"),
+                    dims=tuple(
+                        (name, float(_typed(value, f"{part_ctx}.dims.{name}", "a number")))
+                        for name, value in dims.items()
+                    ),
+                    quaternion=_numbers(p, "quaternion", part_ctx, 4),
+                    translation=_numbers(p, "translation", part_ctx, 3),
+                )
+            )
+        derived = _field(t, "derived", ctx, "an object")
+        derived_ctx = f"{ctx}.derived"
         toys.append(
             ToyRecord(
-                id=_require(t, "id", ctx),
-                seed=_require(t, "seed", ctx),
-                color=_require(t, "color", ctx),
-                parts=tuple(
-                    PartRecord(
-                        kind=_require(p, "kind", f"{ctx}.parts[{j}]"),
-                        dims=tuple(
-                            (name, float(value))
-                            for name, value in _require(p, "dims", f"{ctx}.parts[{j}]").items()
-                        ),
-                        quaternion=tuple(_require(p, "quaternion", f"{ctx}.parts[{j}]")),
-                        translation=tuple(_require(p, "translation", f"{ctx}.parts[{j}]")),
-                    )
-                    for j, p in enumerate(_require(t, "parts", ctx))
-                ),
+                id=_field(t, "id", ctx, "a string"),
+                seed=_field(t, "seed", ctx, "an integer"),
+                color=_field(t, "color", ctx, "a string"),
+                parts=tuple(parts),
                 derived=DerivedStats(
-                    aabb_min=tuple(_require(derived, "aabb_min", ctx)),
-                    aabb_max=tuple(_require(derived, "aabb_max", ctx)),
-                    volume=_require(derived, "volume", ctx),
-                    min_caliper_width=_require(derived, "min_caliper_width", ctx),
+                    aabb_min=_numbers(derived, "aabb_min", derived_ctx, 3),
+                    aabb_max=_numbers(derived, "aabb_max", derived_ctx, 3),
+                    volume=_field(derived, "volume", derived_ctx, "a number"),
+                    min_caliper_width=_field(
+                        derived, "min_caliper_width", derived_ctx, "a number"
+                    ),
                 ),
             )
         )

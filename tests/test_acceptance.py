@@ -116,7 +116,7 @@ def test_04_determinism():
         config = GenerationConfig(master_seed=7)
         toys = generate_set(config)
         manifest = manifest_json_bytes(
-            build_manifest(toys, config, Tessellation(), n_directions=256)
+            build_manifest(toys, config, Tessellation())
         )
         stl_digests = [
             hashlib.sha256(stl_bytes(mesh_toy(toy))).hexdigest() for toy in toys
@@ -184,7 +184,7 @@ def test_06_caliper_oracle():
             rotated = base.vertices @ quat_to_matrix(sample_rotation(rng)).T
             from toygrasp.mesh import TriMesh
 
-            width, _ = min_caliper_width(TriMesh(rotated, base.triangles), 1024)
+            width, _ = min_caliper_width(TriMesh(rotated, base.triangles))
             expected = analytic_min_width(spec)
             rel = abs(width - expected) / expected
             worst_rel = max(worst_rel, rel)

@@ -113,7 +113,7 @@ class TestDirectionalWidth:
 class TestMinCaliperWidth:
     def test_sphere_isotropic(self):
         mesh = mesh_primitive(PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.05}))
-        width, _ = min_caliper_width(mesh, 32)
+        width, _ = min_caliper_width(mesh)
         assert width == pytest.approx(0.05, rel=0.01)
 
     def test_cuboid_min_extent_high_precision(self):
@@ -122,7 +122,7 @@ class TestMinCaliperWidth:
                 PrimitiveKind.CUBOID, {"width": 0.02, "length": 0.10, "height": 0.28}
             )
         )
-        width, direction = min_caliper_width(mesh, 256)
+        width, direction = min_caliper_width(mesh)
         assert width == pytest.approx(0.02, abs=1e-6)
         assert abs(abs(direction[0]) - 1.0) < 1e-3
 
@@ -130,7 +130,7 @@ class TestMinCaliperWidth:
         mesh = mesh_primitive(
             PrimitiveSpec(PrimitiveKind.CYLINDER, {"diameter": 0.06, "height": 0.04})
         )
-        width, _ = min_caliper_width(mesh, 256)
+        width, _ = min_caliper_width(mesh)
         assert width == pytest.approx(0.04, rel=0.01)
 
     def test_never_above_sampled_widths(self):
@@ -138,7 +138,7 @@ class TestMinCaliperWidth:
         for _ in range(5):
             mesh = mesh_toy(assemble_toy(int(rng.integers(1, 6)), GenerationConfig(), rng))
             n = 64
-            width, _ = min_caliper_width(mesh, n)
+            width, _ = min_caliper_width(mesh)
             proj = mesh.vertices @ fibonacci_directions(n).T
             sampled = (proj.max(axis=0) - proj.min(axis=0)).min()
             assert width <= sampled + 1e-15
@@ -153,14 +153,116 @@ class TestMinCaliperWidth:
             rotated = TriMesh(
                 mesh.vertices @ quat_to_matrix(sample_rotation(rng)).T, mesh.triangles
             )
-            width, _ = min_caliper_width(rotated, 1024)
+            width, _ = min_caliper_width(rotated)
             assert width == pytest.approx(analytic_min_width(spec), rel=0.01)
 
-    def test_rejects_small_direction_sets(self):
-        mesh = mesh_primitive(PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.05}))
-        with pytest.raises(ValueError):
-            min_caliper_width(mesh, 16)
 
+def all_edge_pairs_width(mesh):
+    # Oracle: score every hull facet normal and the cross product of every
+    # pair of hull edges, antipodal or not. No direction is narrower than the
+    # minimum, and the minimising direction is among these candidates.
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(mesh.vertices)
+    simplices = hull.simplices
+    edges = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    vectors = hull.points[edges[:, 1]] - hull.points[edges[:, 0]]
+    first, second = np.triu_indices(len(vectors), 1)
+    crosses = np.cross(vectors[first], vectors[second])
+    lengths = np.linalg.norm(crosses, axis=1)
+    crosses = crosses[lengths > 0] / lengths[lengths > 0, None]
+    candidates = np.concatenate([hull.equations[:, :3], crosses])
+    points = hull.points[hull.vertices]
+    best = math.inf
+    for start in range(0, len(candidates), 4096):
+        proj = points @ candidates[start : start + 4096].T
+        best = min(best, float((proj.max(axis=0) - proj.min(axis=0)).min()))
+    return best
+
+
+def tessellated_min_width(spec, mesh, n):
+    # Closed forms of the tessellated primitives (n radial segments, even).
+    d = spec.dims
+    if spec.kind is PrimitiveKind.CUBOID:
+        return min(d["width"], d["length"], d["height"])
+    if spec.kind is PrimitiveKind.CYLINDER:
+        return min(d["height"], d["diameter"] * math.cos(math.pi / n))
+    if spec.kind is PrimitiveKind.RING:
+        return min(d["height"], d["outer_diameter"] * math.cos(math.pi / n))
+    # The centred icosphere is centrally symmetric: twice its inradius.
+    v0, v1, v2 = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    normals = np.cross(v1 - v0, v2 - v0)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return 2.0 * float(np.abs(np.einsum("ij,ij->i", normals, v0)).min())
+
+
+class TestExactMinWidth:
+    @pytest.mark.parametrize(
+        "tess, stride",
+        [(Tessellation(1, 16), 2), (Tessellation(2, 64), 10)],
+        ids=["coarse", "fine"],
+    )
+    def test_matches_all_edge_pairs_oracle(self, tess, stride):
+        # Default toys, incl. single cylinders such as toy_0066 whose parallel
+        # side edges give near-zero cross products. Coarse Gauss arcs are
+        # mostly long, fine ones mostly short: both pairing routes run.
+        from toygrasp.assembler import generate_set
+
+        toys = generate_set(GenerationConfig())[::stride]
+        assert sum(
+            len(t.parts) == 1 and t.parts[0].spec.kind is PrimitiveKind.CYLINDER
+            for t in toys
+        ) >= 2
+        for toy in toys:
+            mesh = mesh_toy(toy, tess)
+            width, direction = min_caliper_width(mesh)
+            assert abs(width - all_edge_pairs_width(mesh)) <= 1e-12, toy.id
+            assert width == directional_width(mesh, direction)
+            assert abs(float(np.linalg.norm(direction)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KIND_ORDER)
+    @pytest.mark.parametrize(
+        "tess", [Tessellation(), Tessellation(1, 16)], ids=["default", "coarse"]
+    )
+    def test_closed_forms_under_rotation(self, kind, tess):
+        rng = np.random.default_rng(600 + KIND_ORDER.index(kind))
+        for _ in range(30):
+            spec = random_spec(kind, rng)
+            base = mesh_primitive(spec, tess)
+            rotated = TriMesh(
+                base.vertices @ quat_to_matrix(sample_rotation(rng)).T, base.triangles
+            )
+            width, direction = min_caliper_width(rotated)
+            expected = tessellated_min_width(spec, base, tess.radial_segments)
+            assert abs(width - expected) <= 1e-12
+            assert width == directional_width(rotated, direction)
+
+    def test_default_toy_0073_is_its_cylinder_height(self):
+        # The sampled search overstated this single cylinder by 4.4 mm.
+        from toygrasp.assembler import generate_set
+
+        toy = generate_set(GenerationConfig())[73]
+        (part,) = toy.parts
+        assert part.spec.kind is PrimitiveKind.CYLINDER
+        width, _ = min_caliper_width(mesh_toy(toy))
+        assert abs(width - part.spec.dims["height"]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[0.1, -0.2, 0.3]],
+            [[0.0, 0.0, 0.0], [0.01, 0.02, 0.03], [0.02, 0.04, 0.06]],
+            [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, 0.03, 0.01]],
+        ],
+        ids=["point", "collinear", "triangle"],
+    )
+    def test_flat_input_has_zero_width(self, vertices):
+        triangles = [[0, 1, 2]] if len(vertices) == 3 else []
+        mesh = TriMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+        width, direction = min_caliper_width(mesh)
+        assert width <= 1e-12
+        assert abs(float(np.linalg.norm(direction)) - 1.0) <= 1e-12
 
 class TestGraspFeasibility:
     def test_small_sphere_graspable(self):
@@ -179,7 +281,7 @@ class TestGraspFeasibility:
                 assemble_toy(int(rng.integers(1, 6)), GenerationConfig(), rng),
                 Tessellation(sphere_subdivisions=2, radial_segments=32),
             )
-            fast = grasp_feasibility(mesh, gripper, 256)
+            fast = grasp_feasibility(mesh, gripper)
             proj = mesh.vertices @ fibonacci_directions(10**4).T
             dense = float((proj.max(axis=0) - proj.min(axis=0)).min())
             expected = gripper.min_opening <= dense <= gripper.max_opening
@@ -203,7 +305,7 @@ class TestGraspFeasibility:
         boundary_cases = 0
         for toy in generate_set(GenerationConfig()):
             mesh = mesh_toy(toy, tess)
-            fast_width, _ = min_caliper_width(mesh, 256)
+            fast_width, _ = min_caliper_width(mesh)
             proj = mesh.vertices @ dense_dirs.T
             dense = float((proj.max(axis=0) - proj.min(axis=0)).min())
             # Both routes upper-bound the true minimum; they may land in
@@ -226,7 +328,7 @@ class TestGraspFeasibility:
         gripper = GripperModel(max_opening=0.085)
         for _ in range(20):
             spec = random_spec(PrimitiveKind.SPHERE, rng)
-            assert grasp_feasibility(mesh_primitive(spec), gripper, 64)
+            assert grasp_feasibility(mesh_primitive(spec), gripper)
 
     def test_gripper_validation(self):
         with pytest.raises(ValueError):
@@ -283,7 +385,7 @@ class TestReportsAndCsv:
         rng = np.random.default_rng(406)
         toy = assemble_toy(2, GenerationConfig(), rng)
         mesh = mesh_toy(toy)
-        report = analyze_toy(toy, mesh, GripperModel(), 0.256, 0.008, 64)
+        report = analyze_toy(toy, mesh, GripperModel(), 0.256, 0.008)
         assert report.min_caliper_width is not None
         assert report.graspable == (0.0 <= report.min_caliper_width <= 0.085)
         assert report.suggested_scale <= 1.0

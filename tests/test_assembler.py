@@ -187,7 +187,3 @@ class TestGenerationConfigValidation:
     def test_empty_palette_rejected(self):
         with pytest.raises(ValueError):
             GenerationConfig(palette=())
-
-    def test_attempts_validated(self):
-        with pytest.raises(ValueError):
-            GenerationConfig(max_placement_attempts=0)

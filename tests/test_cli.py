@@ -15,7 +15,6 @@ def write_config(tmp_path, name="config.json", **overrides):
     config = {
         "generation": {"composition": SMALL_COMPOSITION, "master_seed": 5},
         "tessellation": {"sphere_subdivisions": 1, "radial_segments": 16},
-        "analysis": {"n_directions": 64},
         "output_dir": str(tmp_path / "out"),
     }
     for key, value in overrides.items():
@@ -83,7 +82,6 @@ class TestGenerate:
             json.dumps(
                 {
                     "tessellation": {"sphere_subdivisions": 1, "radial_segments": 16},
-                    "analysis": {"n_directions": 64},
                     "output_dir": str(tmp_path / "full_out"),
                 }
             )
@@ -103,6 +101,15 @@ class TestGenerate:
         path.write_text(json.dumps({"generaton": {}}))
         assert main(["generate", "--config", str(path)]) == 2
         assert "[CONFIG]" in capsys.readouterr().err
+
+    def test_removed_config_keys_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, analysis={"n_directions": 64})
+        assert main(["generate", "--config", str(config)]) == 2
+        assert "unknown config key 'analysis'" in capsys.readouterr().err
+        config = write_config(tmp_path, generation={"max_placement_attempts": 32})
+        assert main(["generate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'generation.max_placement_attempts'" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 3
@@ -133,6 +140,55 @@ class TestAnalyze:
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["analyze", "--manifest", str(tmp_path / "none.json")]) == 3
+
+    def _analyze_edited(self, tmp_path, capsys, edit):
+        # Generate a small manifest, apply `edit` to its JSON, then analyze it.
+        config = write_config(tmp_path)
+        assert main(["generate", "--config", str(config)]) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(
+            ["analyze", "--manifest", str(manifest), "--config", str(config),
+             "--out", str(tmp_path / "analysis.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "[CONFIG]" in err and "Traceback" not in err
+        return err
+
+    def test_toys_not_a_list(self, tmp_path, capsys):
+        err = self._analyze_edited(tmp_path, capsys, lambda doc: doc.update(toys=5))
+        assert "toys must be a list" in err
+
+    def test_dims_not_an_object(self, tmp_path, capsys):
+        def edit(doc):
+            doc["toys"][0]["parts"][0]["dims"] = [1, 2]
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[0].parts[0].dims must be an object" in err
+
+    def test_toy_not_an_object(self, tmp_path, capsys):
+        def edit(doc):
+            doc["toys"][0] = 7
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[0] must be an object" in err
+
+    def test_quaternion_not_a_list(self, tmp_path, capsys):
+        def edit(doc):
+            doc["toys"][0]["parts"][0]["quaternion"] = 3
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[0].parts[0].quaternion must be a list" in err
+
+    def test_format_version_1_rejected(self, tmp_path, capsys):
+        err = self._analyze_edited(
+            tmp_path, capsys, lambda doc: doc.update(format_version="1")
+        )
+        assert "unknown manifest format_version '1'" in err
 
 
 class TestDetpoolCheck:

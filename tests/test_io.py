@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -96,14 +97,14 @@ class TestManifest:
     def test_roundtrip_structural_equality(self, tmp_path):
         toys, config = small_set()
         path = tmp_path / "manifest.json"
-        written = write_manifest(toys, config, path, n_directions=64)
+        written = write_manifest(toys, config, path)
         loaded = read_manifest(path)
         assert loaded == written
 
     def test_unknown_version_rejected(self, tmp_path):
         toys, config = small_set()
         path = tmp_path / "manifest.json"
-        write_manifest(toys, config, path, n_directions=64)
+        write_manifest(toys, config, path)
         doc = json.loads(path.read_text())
         doc["format_version"] = "999"
         path.write_text(json.dumps(doc))
@@ -113,7 +114,7 @@ class TestManifest:
     def test_missing_field_rejected(self, tmp_path):
         toys, config = small_set()
         path = tmp_path / "manifest.json"
-        write_manifest(toys, config, path, n_directions=64)
+        write_manifest(toys, config, path)
         doc = json.loads(path.read_text())
         del doc["toys"][0]["seed"]
         path.write_text(json.dumps(doc))
@@ -126,11 +127,32 @@ class TestManifest:
         with pytest.raises(SchemaViolation):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda t: t["parts"][0]["quaternion"].__setitem__(1, "x"),
+             "toys[0].parts[0].quaternion[1] must be a number"),
+            (lambda t: t["parts"][0]["translation"].pop(), "translation must have 3 entries"),
+            (lambda t: t.update(seed=True), "toys[0].seed must be an integer"),
+            (lambda t: t["derived"].update(volume=None), "toys[0].derived.volume must be a number"),
+            (lambda t: t["parts"][0]["dims"].update(width="1"), "dims.width must be a number"),
+        ],
+    )
+    def test_wrong_json_type_names_field(self, tmp_path, edit, field):
+        toys, config = small_set()
+        path = tmp_path / "manifest.json"
+        write_manifest(toys, config, path)
+        doc = json.loads(path.read_text())
+        edit(doc["toys"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolation, match=re.escape(field)):
+            read_manifest(path)
+
     def test_records_regenerable(self):
         # A record reconstructs the exact toy that produced it.
         toys, config = small_set()
         for toy in toys:
-            record = toy_record(toy, mesh_toy(toy), n_directions=64)
+            record = toy_record(toy, mesh_toy(toy))
             rebuilt = record_to_toy(record)
             assert rebuilt.id == toy.id and rebuilt.seed == toy.seed
             assert rebuilt.color == toy.color
@@ -152,7 +174,7 @@ class TestManifest:
 
         toys, config, = small_set()
         path = tmp_path / "manifest.json"
-        write_manifest(toys, config, path, n_directions=64)
+        write_manifest(toys, config, path)
         manifest = read_manifest(path)
         rebuilt_config = generation_config_from_dict(manifest.config)
         plan = category_plan(rebuilt_config.composition)
@@ -167,18 +189,18 @@ class TestManifest:
                 toy_id=f"toy_{index:04d}",
                 seed=seed,
             )
-            assert toy_record(toy, mesh_toy(toy), n_directions=64) == manifest.toys[index]
+            assert toy_record(toy, mesh_toy(toy)) == manifest.toys[index]
 
     def test_deterministic_bytes(self):
         toys, config = small_set()
-        a = manifest_json_bytes(build_manifest(toys, config, n_directions=64))
+        a = manifest_json_bytes(build_manifest(toys, config))
         toys2, config2 = small_set()
-        b = manifest_json_bytes(build_manifest(toys2, config2, n_directions=64))
+        b = manifest_json_bytes(build_manifest(toys2, config2))
         assert a == b
 
     def test_derived_stats_present(self):
         toys, config = small_set()
-        manifest = build_manifest(toys, config, n_directions=64)
+        manifest = build_manifest(toys, config)
         assert len(manifest.toys) == 6
         for record in manifest.toys:
             assert record.derived.volume > 0
