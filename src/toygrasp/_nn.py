@@ -1,10 +1,14 @@
 """Float64 transformer building blocks with hand-derived backward passes.
 
 Forward functions return (output, cache); backward functions consume the
-cache and upstream gradient. Attention supports a boolean allowed-pair
-matrix: disallowed logits are replaced by the most negative finite float
-before the softmax, so their weights underflow to exactly zero and no
-gradient crosses a disallowed pair.
+cache and upstream gradient. Activations have shape (..., T, d): any number
+of leading batch axes, T tokens, d channels; a single sequence is (T, d).
+Parameters are never batched, and a backward pass returns each parameter
+gradient summed over every leading axis. Attention supports a boolean
+(T, T) allowed-pair matrix, shared by every sequence in a batch: disallowed
+logits are replaced by the most negative finite float before the softmax,
+so their weights underflow to exactly zero and no gradient crosses a
+disallowed pair.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ def linear_fwd(x, w, b):
 
 def linear_bwd(dy, cache):
     x, w = cache
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
 
 
 def layernorm_fwd(x, gamma, beta):
@@ -45,8 +51,9 @@ def layernorm_fwd(x, gamma, beta):
 
 def layernorm_bwd(dy, cache):
     xhat, inv, gamma = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    d = dy.shape[-1]
+    dgamma = (dy * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -78,41 +85,45 @@ def softmax_bwd(da, a):
     return a * (da - inner)
 
 
+def _split_heads(x, heads):
+    """(..., T, d) -> (..., heads, T, d / heads)."""
+    *lead, T, d = x.shape
+    return x.reshape(*lead, T, heads, d // heads).swapaxes(-2, -3)
+
+
+def _merge_heads(xh):
+    """(..., heads, T, dh) -> (..., T, heads * dh)."""
+    *lead, heads, T, dh = xh.shape
+    return xh.swapaxes(-2, -3).reshape(*lead, T, heads * dh)
+
+
 def mha_fwd(x, params, prefix, heads, allowed):
-    T, d = x.shape
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(x.shape[-1] // heads)
     q, cq = linear_fwd(x, params[prefix + "w_q"], params[prefix + "b_q"])
     k, ck = linear_fwd(x, params[prefix + "w_k"], params[prefix + "b_k"])
     v, cv = linear_fwd(x, params[prefix + "w_v"], params[prefix + "b_v"])
-    qh = q.reshape(T, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(T, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(T, heads, dh).transpose(1, 0, 2)
-    logits = (qh @ kh.transpose(0, 2, 1)) * scale
+    qh = _split_heads(q, heads)
+    kh = _split_heads(k, heads)
+    vh = _split_heads(v, heads)
+    logits = (qh @ kh.swapaxes(-1, -2)) * scale
     attn = masked_softmax(logits, allowed)
-    oh = attn @ vh
-    o = oh.transpose(1, 0, 2).reshape(T, d)
+    o = _merge_heads(attn @ vh)
     y, co = linear_fwd(o, params[prefix + "w_o"], params[prefix + "b_o"])
     return y, (cq, ck, cv, co, qh, kh, vh, attn, scale, heads)
 
 
 def mha_bwd(dy, cache, prefix, grads):
     cq, ck, cv, co, qh, kh, vh, attn, scale, heads = cache
-    _, T, dh = qh.shape
-    d = heads * dh
     do, grads[prefix + "w_o"], grads[prefix + "b_o"] = linear_bwd(dy, co)
-    doh = do.reshape(T, heads, dh).transpose(1, 0, 2)
-    dattn = doh @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ doh
+    doh = _split_heads(do, heads)
+    dattn = doh @ vh.swapaxes(-1, -2)
+    dvh = attn.swapaxes(-1, -2) @ doh
     dlogits = softmax_bwd(dattn, attn) * scale
     dqh = dlogits @ kh
-    dkh = dlogits.transpose(0, 2, 1) @ qh
-    dq = dqh.transpose(1, 0, 2).reshape(T, d)
-    dk = dkh.transpose(1, 0, 2).reshape(T, d)
-    dv = dvh.transpose(1, 0, 2).reshape(T, d)
-    dx_q, grads[prefix + "w_q"], grads[prefix + "b_q"] = linear_bwd(dq, cq)
-    dx_k, grads[prefix + "w_k"], grads[prefix + "b_k"] = linear_bwd(dk, ck)
-    dx_v, grads[prefix + "w_v"], grads[prefix + "b_v"] = linear_bwd(dv, cv)
+    dkh = dlogits.swapaxes(-1, -2) @ qh
+    dx_q, grads[prefix + "w_q"], grads[prefix + "b_q"] = linear_bwd(_merge_heads(dqh), cq)
+    dx_k, grads[prefix + "w_k"], grads[prefix + "b_k"] = linear_bwd(_merge_heads(dkh), ck)
+    dx_v, grads[prefix + "w_v"], grads[prefix + "b_v"] = linear_bwd(_merge_heads(dvh), cv)
     return dx_q + dx_k + dx_v
 
 
@@ -198,11 +209,6 @@ def zero_grads(params):
     return {name: np.zeros_like(value) for name, value in params.items()}
 
 
-def accumulate(total, part):
-    for name, value in part.items():
-        total[name] += value
-
-
 # ---------------------------------------------------------------------------
 # finite-difference gradient verification
 # ---------------------------------------------------------------------------
@@ -223,12 +229,15 @@ def finite_difference_check(
     perturbed in place and restored. An entry passes when
     |fd - analytic| <= max(rel_tol * max(|fd|, |analytic|), abs_floor).
 
-    Returns (entries_checked, worst_excess, failures): worst_excess is the
-    largest ratio of |fd - analytic| to its allowed tolerance (< 1 passes),
-    and failures lists (name, flat_index, analytic, fd).
+    Returns (entries_checked, worst_excess, failures, worst_entry):
+    worst_excess is the largest ratio of |fd - analytic| to its allowed
+    tolerance (< 1 passes), failures lists (name, flat_index, analytic, fd),
+    and worst_entry is the (name, flat_index) of the worst ratio, or None
+    when no entry was checked.
     """
     failures = []
     worst = 0.0
+    worst_entry = None
     checked = 0
     for name, arr in arrays.items():
         flat = arr.reshape(-1)
@@ -249,8 +258,9 @@ def finite_difference_check(
             g_an = float(grad_flat[i])
             err = abs(g_fd - g_an)
             tolerance = max(rel_tol * max(abs(g_fd), abs(g_an)), abs_floor)
-            worst = max(worst, err / tolerance)
+            if worst_entry is None or err / tolerance > worst:
+                worst, worst_entry = err / tolerance, (name, int(i))
             checked += 1
             if err > tolerance:
                 failures.append((name, int(i), g_an, g_fd))
-    return checked, worst, failures
+    return checked, worst, failures, worst_entry

@@ -171,7 +171,8 @@ def check_gradients(
     base = config or GRADIENT_CHECK_CONFIG
     rng = np.random.default_rng(seed)
     worst = 0.0
-    checked = 0
+    worst_at = ""
+    checked: dict[str, int] = {}
     failures: list[str] = []
 
     for mode in PoolingMode:
@@ -195,7 +196,7 @@ def check_gradients(
         def loss() -> float:
             return float(upstream @ encode(image, state, mode, flags))
 
-        n, w, fails = _nn.finite_difference_check(
+        n, w, fails, w_entry = _nn.finite_difference_check(
             loss,
             arrays,
             analytic,
@@ -205,8 +206,9 @@ def check_gradients(
             max_entries_per_tensor=max_entries_per_tensor,
             rng=rng,
         )
-        checked += n
-        worst = max(worst, w)
+        checked[mode.value] = n
+        if w_entry is not None and (not worst_at or w > worst):
+            worst, worst_at = w, f"{mode.value}:{w_entry[0]}[{w_entry[1]}]"
         failures += [f"{mode.value}:{name}[{i}]" for name, i, _, _ in fails]
 
         if mode is PoolingMode.DET:
@@ -215,8 +217,10 @@ def check_gradients(
                 failures.append("det background-pixel gradient is not exactly 0")
 
     passed = not failures
+    per_mode = ", ".join(f"{mode} {n}" for mode, n in checked.items())
     detail = (
-        f"{checked} entries checked, worst error at {worst:.3f} of tolerance"
+        f"{sum(checked.values())} entries checked ({per_mode}), "
+        f"worst error at {worst:.3f} of tolerance at {worst_at}"
         if passed
         else f"failures: {failures[:5]} ({len(failures)} total)"
     )

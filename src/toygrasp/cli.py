@@ -2,9 +2,11 @@
 
 Subcommands: generate | analyze | detpool-check | schedule | aggregate | report.
 Exit codes: 0 success, 1 property-check failure, 2 config/input error,
-3 I/O error. SHA-256 digests of outputs are printed so determinism is
-auditable from the shell. The TOYGRASP_OUT environment variable overrides
-the configured output directory (the --out flag wins over both).
+3 I/O error, 4 internal error (an exception the CLI does not expect; it
+prints one `[INTERNAL] <type>: <message>` line and no traceback). SHA-256
+digests of outputs are printed so determinism is auditable from the shell.
+The TOYGRASP_OUT environment variable overrides the configured output
+directory (the --out flag wins over both).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _sha256(data: bytes) -> str:
@@ -103,12 +106,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for record in manifest.toys:
-        toy = record_to_toy(record)
-        mesh = mesh_toy(toy, config.tessellation)
-        report = analysis_mod.analyze_toy(
-            toy, mesh, config.gripper, config.build_edge, config.min_wall
-        )
+    for i, record in enumerate(manifest.toys):
+        try:
+            toy = record_to_toy(record)
+            mesh = mesh_toy(toy, config.tessellation)
+            report = analysis_mod.analyze_toy(
+                toy, mesh, config.gripper, config.build_edge, config.min_wall
+            )
+        except ValueError as exc:
+            raise SchemaViolation(f"toys[{i}] ({record.id!r}): {exc}") from exc
         rows.append((toy.id, report))
 
     analysis_mod.write_feasibility_csv(rows, out_path)
@@ -263,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ToygraspError) as exc:
         print(f"toygrasp: [CONFIG] {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"toygrasp: [INTERNAL] {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ are comparable across runs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -273,11 +274,29 @@ _JSON_TYPES = {
 }
 
 
+#: Largest magnitude, in meters, accepted for a part dimension or
+#: translation. A float64 coordinate of magnitude L rounds by about
+#: L * 1e-16 m: translating a five-toy coarse set by 1 km moved its exact
+#: hull widths by at most 1.5e-13 m, by 1000 km up to 2.3e-10 m, and near
+#: 1e306 m the geometry overflows.
+LENGTH_LIMIT = 1e3
+
+
 def _typed(value, path: str, kind: str):
     # bool is an int subclass in Python, but never a valid manifest value.
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise SchemaViolation(f"{path} must be {kind}, got {type(value).__name__}")
+    if kind == "a number" and not _finite(value):
+        raise SchemaViolation(f"{path} must be a finite number, got {value!r}")
     return value
+
+
+def _finite(value) -> bool:
+    # json accepts NaN, Infinity and integers too large for a float.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _field(doc: dict, key: str, context: str, kind: str):
@@ -314,27 +333,37 @@ def read_manifest(path: str | Path) -> Manifest:
     for i, t in enumerate(_field(doc, "toys", "", "a list")):
         ctx = f"toys[{i}]"
         _typed(t, ctx, "an object")
+        toy_id = _field(t, "id", ctx, "a string")
         parts = []
         for j, p in enumerate(_field(t, "parts", ctx, "a list")):
             part_ctx = f"{ctx}.parts[{j}]"
             _typed(p, part_ctx, "an object")
-            dims = _field(p, "dims", part_ctx, "an object")
+            dims = tuple(
+                (name, float(_typed(value, f"{part_ctx}.dims.{name}", "a number")))
+                for name, value in _field(p, "dims", part_ctx, "an object").items()
+            )
+            quaternion = _numbers(p, "quaternion", part_ctx, 4)
+            translation = _numbers(p, "translation", part_ctx, 3)
+            lengths = [(f"{part_ctx}.dims.{name}", v) for name, v in dims]
+            lengths += [(f"{part_ctx}.translation[{k}]", v) for k, v in enumerate(translation)]
+            for path, value in lengths:
+                if abs(value) > LENGTH_LIMIT:
+                    raise SchemaViolation(
+                        f"{path} = {value!r} is outside +-{LENGTH_LIMIT:g} m (toy {toy_id!r})"
+                    )
             parts.append(
                 PartRecord(
                     kind=_field(p, "kind", part_ctx, "a string"),
-                    dims=tuple(
-                        (name, float(_typed(value, f"{part_ctx}.dims.{name}", "a number")))
-                        for name, value in dims.items()
-                    ),
-                    quaternion=_numbers(p, "quaternion", part_ctx, 4),
-                    translation=_numbers(p, "translation", part_ctx, 3),
+                    dims=dims,
+                    quaternion=quaternion,
+                    translation=translation,
                 )
             )
         derived = _field(t, "derived", ctx, "an object")
         derived_ctx = f"{ctx}.derived"
         toys.append(
             ToyRecord(
-                id=_field(t, "id", ctx, "a string"),
+                id=toy_id,
                 seed=_field(t, "seed", ctx, "an integer"),
                 color=_field(t, "color", ctx, "a string"),
                 parts=tuple(parts),

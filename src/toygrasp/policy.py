@@ -180,27 +180,47 @@ def assemble_token(obs: StepObservation, state: PolicyState) -> np.ndarray:
     return out[0]
 
 
-def _forward(history, state):
-    config = state.config
+def _stack_history(history, config):
+    """One history as its (C, token_in_dim) stack of concatenated inputs."""
     if len(history) != config.history_len:
         raise ShapeMismatch(f"history must have exactly {config.history_len} steps")
-    stacked = np.stack([concat_observation(o, config) for o in history])
+    return np.stack([concat_observation(o, config) for o in history])
+
+
+def _forward(stacked, state):
+    """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim)."""
+    config = state.config
     projected, c_proj = _project(stacked, state.params)
     tokens = projected + _nn.sincos_1d(np.arange(config.history_len), config.width)
     hidden, block_caches = _nn.transformer_fwd(
         tokens, state.params, config.layers, config.heads, allowed=None
     )
-    last = hidden[-1:]
+    last = hidden[..., -1:, :]
     flat, c_head = _nn.linear_fwd(last, state.params["head.weight"], state.params["head.bias"])
-    chunk = flat.reshape(config.chunk_len, config.action_dim)
+    chunk = flat.reshape(*stacked.shape[:-2], config.chunk_len, config.action_dim)
     if not np.isfinite(chunk).all():
         raise NonFiniteActivation("policy produced non-finite values")
-    return chunk, (stacked, c_proj, block_caches, c_head)
+    return chunk, (c_proj, block_caches, c_head)
+
+
+def _backward(dchunk, cache, state):
+    """Parameter gradients of <dchunk, chunk>, summed over the leading axes."""
+    config = state.config
+    c_proj, block_caches, c_head = cache
+    lead = dchunk.shape[:-2]
+    grads = {}
+    dflat = dchunk.reshape(*lead, 1, config.chunk_len * config.action_dim)
+    dlast, grads["head.weight"], grads["head.bias"] = _nn.linear_bwd(dflat, c_head)
+    dhidden = np.zeros((*lead, config.history_len, config.width))
+    dhidden[..., -1:, :] = dlast
+    dtokens = _nn.transformer_bwd(dhidden, block_caches, config.layers, config.heads, grads)
+    _project_bwd(dtokens, c_proj, grads)
+    return grads
 
 
 def policy_forward(history: Sequence[StepObservation], state: PolicyState) -> np.ndarray:
     """Predict the next K actions (K x action_dim) from the last C steps."""
-    chunk, _ = _forward(history, state)
+    chunk, _ = _forward(_stack_history(history, state.config), state)
     return chunk
 
 
@@ -214,27 +234,8 @@ def policy_grad(
     config = state.config
     if upstream.shape != (config.chunk_len, config.action_dim):
         raise ShapeMismatch("upstream must match the chunk shape")
-    _, cache = _forward(history, state)
-    grads = _nn.zero_grads(state.params)
-    _backward(upstream, cache, state, grads)
-    return grads
-
-
-def _backward(dchunk, cache, state, grads):
-    config = state.config
-    stacked, c_proj, block_caches, c_head = cache
-    dflat = dchunk.reshape(1, config.chunk_len * config.action_dim)
-    dlast, dw, db = _nn.linear_bwd(dflat, c_head)
-    grads["head.weight"] += dw
-    grads["head.bias"] += db
-    dhidden = np.zeros((config.history_len, config.width))
-    dhidden[-1] = dlast[0]
-    local = {}
-    dtokens = _nn.transformer_bwd(dhidden, block_caches, config.layers, config.heads, local)
-    dproj = _project_bwd(dtokens, c_proj, local)
-    for name, value in local.items():
-        grads[name] += value
-    return dproj
+    _, cache = _forward(_stack_history(history, config), state)
+    return _backward(upstream, cache, state)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +258,26 @@ def train_step(
 ) -> tuple[PolicyState, float]:
     """One AdamW update on the mean batch loss; returns the pre-update loss.
 
+    Every history and target is validated first; the whole batch then runs
+    as one forward and one backward pass over a (B, C, token_in_dim) stack.
     The state is updated in place and returned for chaining.
     """
     if not batch:
         raise ValueError("train_step requires a nonempty batch")
     opt = opt or OptimizerConfig()
     config = state.config
-    grads = _nn.zero_grads(state.params)
-    total_loss = 0.0
+    chunk_shape = (config.chunk_len, config.action_dim)
+    stacked = np.stack([_stack_history(history, config) for history, _ in batch])
+    targets = [np.asarray(target, dtype=np.float64) for _, target in batch]
+    for target in targets:
+        if target.shape != chunk_shape:
+            raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk_shape}")
+    targets = np.stack(targets)
+
+    chunks, cache = _forward(stacked, state)
+    total_loss = sum(bc_l1_loss(chunk, target) for chunk, target in zip(chunks, targets))
     scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
-    for history, target in batch:
-        target = np.asarray(target, dtype=np.float64)
-        chunk, cache = _forward(history, state)
-        if target.shape != chunk.shape:
-            raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk.shape}")
-        total_loss += bc_l1_loss(chunk, target)
-        _backward(np.sign(chunk - target) * scale, cache, state, grads)
+    grads = _backward(np.sign(chunks - targets) * scale, cache, state)
 
     state.opt_step += 1
     t = state.opt_step

@@ -223,7 +223,7 @@ def test_08_gradient_exactness():
     def loss():
         return float((upstream * policy_forward(history, state)).sum())
 
-    checked, worst, failures = _nn.finite_difference_check(loss, state.params, grads)
+    checked, worst, failures, _ = _nn.finite_difference_check(loss, state.params, grads)
     assert not failures, failures[:3]
 
     # Det-mode background-pixel gradients are exactly zero.

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from toygrasp.cli import main
 
@@ -184,6 +185,31 @@ class TestAnalyze:
         err = self._analyze_edited(tmp_path, capsys, edit)
         assert "toys[0].parts[0].quaternion must be a list" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_translation_names_toy_and_field(self, tmp_path, capsys):
+        def edit(doc):
+            doc["toys"][2]["parts"][0]["translation"] = [1e308, 1e308, 1e308]
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[2].parts[0].translation[0]" in err
+        assert "toy_0002" in err
+
+    def test_invalid_part_names_toy(self, tmp_path, capsys):
+        def edit(doc):
+            dims = doc["toys"][1]["parts"][0]["dims"]
+            dims.update({name: -0.01 for name in dims})
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[1] ('toy_0001'): " in err and "must be positive" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_translation_rejected(self, tmp_path, capsys):
+        def edit(doc):
+            doc["toys"][1]["parts"][0]["translation"][1] = float("nan")
+
+        err = self._analyze_edited(tmp_path, capsys, edit)
+        assert "toys[1].parts[0].translation[1] must be a finite number" in err
+
     def test_format_version_1_rejected(self, tmp_path, capsys):
         err = self._analyze_edited(
             tmp_path, capsys, lambda doc: doc.update(format_version="1")
@@ -203,6 +229,15 @@ class TestDetpoolCheck:
         assert main(["detpool-check", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
+        fd = re.search(
+            r"(\d+) entries checked \(mean (\d+), cls (\d+), attention (\d+), det (\d+)\), "
+            r"worst error at ([\d.]+) of tolerance at (mean|cls|attention|det):[\w.]+\[\d+\]",
+            out,
+        )
+        assert fd, out
+        counts = [int(n) for n in fd.groups()[:5]]
+        assert counts[0] == sum(counts[1:]) and min(counts[1:]) > 0
+        assert float(fd.group(6)) < 1.0
         for name in (
             "background-invariance",
             "single-token-oracle",
@@ -331,3 +366,15 @@ class TestReport:
         assert main(["report", "--rows", str(tmp_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "[IO]" in err and "Traceback" not in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_without_traceback(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("toygrasp.cli.cmd_aggregate", broken)
+        assert main(["aggregate", "--outcomes", "unused.csv"]) == 4
+        err = capsys.readouterr().err
+        assert "toygrasp: [INTERNAL] RuntimeError: boom" in err
+        assert "Traceback" not in err

@@ -269,7 +269,7 @@ class TestEncodeGrad:
         def loss():
             return float(upstream @ encode(image, state, mode, flags))
 
-        checked, worst, failures = _nn.finite_difference_check(
+        checked, worst, failures, _ = _nn.finite_difference_check(
             loss, arrays, analytic, max_entries_per_tensor=5, rng=rng
         )
         assert not failures, failures[:3]

@@ -187,7 +187,7 @@ class TestPolicyGrad:
         def loss():
             return float((upstream * policy_forward(history, state)).sum())
 
-        checked, worst, failures = _nn.finite_difference_check(
+        checked, worst, failures, _ = _nn.finite_difference_check(
             loss, state.params, grads, max_entries_per_tensor=5, rng=rng
         )
         assert not failures, failures[:3]
@@ -214,18 +214,19 @@ class TestTrainStep:
 
         grads = _nn.zero_grads(state.params)
         scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
-        from toygrasp.policy import _backward, _forward
+        from toygrasp.policy import _backward, _forward, _stack_history
 
         for history, target in data:
-            chunk, cache = _forward(history, state)
-            _backward(np.sign(chunk - target) * scale, cache, state, grads)
+            chunk, cache = _forward(_stack_history(history, TINY), state)
+            for name, g in _backward(np.sign(chunk - target) * scale, cache, state).items():
+                grads[name] += g
 
         def loss():
             return float(
                 np.mean([bc_l1_loss(policy_forward(h, state), t) for h, t in data])
             )
 
-        checked, worst, failures = _nn.finite_difference_check(
+        checked, worst, failures, _ = _nn.finite_difference_check(
             loss, state.params, grads, max_entries_per_tensor=4,
             rng=np.random.default_rng(15),
         )
@@ -277,6 +278,44 @@ class TestTrainStep:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             train_step([], init_policy(TINY, 0), OptimizerConfig())
+
+    def test_batched_gradient_equals_per_sample_sum(self):
+        # With lr 0, the first step leaves (1 - beta1) * gradient in opt_m; the
+        # gradient must be the sum of per-sample policy_grad calls.
+        state = init_policy(TINY, 30)
+        data = linear_task_data(TINY, 5, 31)
+        scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
+        expected = {name: np.zeros_like(value) for name, value in state.params.items()}
+        for history, target in data:
+            upstream = np.sign(policy_forward(history, state) - target) * scale
+            for name, g in policy_grad(history, state, upstream).items():
+                expected[name] += g
+        opt = OptimizerConfig(learning_rate=0.0)
+        train_step(data, state, opt)
+        overall = max(float(np.abs(value).max()) for value in expected.values())
+        for name, value in expected.items():
+            got = state.opt_m[name] / (1.0 - opt.beta1)
+            # Key-bias gradients are exactly 0 up to rounding (softmax shift
+            # invariance), so they are held to the whole gradient's scale.
+            bound = overall if name.endswith("attn.b_k") else np.abs(value).max()
+            assert np.abs(got - value).max() <= 1e-14 * bound, name
+
+    def test_bad_target_in_last_slot_leaves_state_unchanged(self):
+        state = init_policy(TINY, 32)
+        data = linear_task_data(TINY, 4, 33)
+        train_step(data, state, OptimizerConfig())
+        snapshot = [
+            {k: v.copy() for k, v in table.items()}
+            for table in (state.params, state.opt_m, state.opt_v)
+        ]
+        history, target = data[-1]
+        bad = data[:-1] + [(history, target[:, :-1])]
+        with pytest.raises(ShapeMismatch):
+            train_step(bad, state, OptimizerConfig())
+        assert state.opt_step == 1
+        for table, before in zip((state.params, state.opt_m, state.opt_v), snapshot):
+            for name in before:
+                assert np.array_equal(table[name], before[name])
 
 
 class TestEndToEndDetPipeline:
