@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -235,13 +235,8 @@ def analyze_toy(
     gripper = gripper or GripperModel()
     base = print_feasibility(toy, mesh, build_edge, min_wall)
     width, _ = min_caliper_width(mesh)
-    return FeasibilityReport(
-        aabb_min=base.aabb_min,
-        aabb_max=base.aabb_max,
-        fits_build_volume=base.fits_build_volume,
-        suggested_scale=base.suggested_scale,
-        min_ring_wall=base.min_ring_wall,
-        thin_wall=base.thin_wall,
+    return replace(
+        base,
         min_caliper_width=width,
         graspable=gripper.min_opening <= width <= gripper.max_opening,
     )

@@ -10,7 +10,7 @@ from the master seed, so any toy can be regenerated in isolation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -73,16 +73,7 @@ class SetComposition:
                 raise InvalidComposition(f"negative count for {name}: {count}")
 
     def counts(self) -> dict[str, int]:
-        return {
-            "cuboids": self.cuboids,
-            "spheres": self.spheres,
-            "cylinders": self.cylinders,
-            "rings": self.rings,
-            "two_part": self.two_part,
-            "three_part": self.three_part,
-            "four_part": self.four_part,
-            "five_part": self.five_part,
-        }
+        return asdict(self)
 
     @property
     def total(self) -> int:

@@ -8,7 +8,7 @@ so callers can print one pass/fail line per property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,13 +49,28 @@ def flags_to_pixel_region(flags: np.ndarray, config: EncoderConfig) -> np.ndarra
     return np.kron(grid, np.ones((config.patch_size, config.patch_size), dtype=bool))
 
 
-def _perturbed_backgrounds(image, object_pixels, n, seed, scale):
+def _max_background_delta(state, mask, mode, n_perturbations, seed, perturb_scale) -> float:
+    """Largest |change| of `mode`'s embedding of one seeded image over
+    `n_perturbations` redraws of the pixels outside the mask's object patches.
+    """
+    config = state.config
+    flags = mask_to_flags(mask, config)
+    background = ~flags_to_pixel_region(flags, config)
+    if mode is not PoolingMode.DET:
+        flags = None
     rng = np.random.default_rng(seed)
-    background = ~object_pixels
-    for _ in range(n):
+    image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
+    reference = encode(image, state, mode, flags)
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(n_perturbations):
         perturbed = image.copy()
-        perturbed[background] = rng.uniform(-scale, scale, size=(int(background.sum()), 3))
-        yield perturbed
+        perturbed[background] = rng.uniform(
+            -perturb_scale, perturb_scale, size=(int(background.sum()), 3)
+        )
+        out = encode(perturbed, state, mode, flags)
+        worst = max(worst, float(np.abs(out - reference).max()))
+    return worst
 
 
 def check_background_invariance(
@@ -67,18 +82,9 @@ def check_background_invariance(
     perturb_scale: float = 50.0,
 ) -> CheckResult:
     """Det-mode output must not move when non-object-patch pixels change."""
-    config = state.config
-    flags = mask_to_flags(mask, config)
-    object_pixels = flags_to_pixel_region(flags, config)
-    rng = np.random.default_rng(seed)
-    image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
-    reference = encode(image, state, PoolingMode.DET, flags)
-    worst = 0.0
-    for perturbed in _perturbed_backgrounds(
-        image, object_pixels, n_perturbations, seed + 1, perturb_scale
-    ):
-        out = encode(perturbed, state, PoolingMode.DET, flags)
-        worst = max(worst, float(np.abs(out - reference).max()))
+    worst = _max_background_delta(
+        state, mask, PoolingMode.DET, n_perturbations, seed, perturb_scale
+    )
     passed = worst <= tol
     return CheckResult(
         "background-invariance",
@@ -96,18 +102,9 @@ def check_pooling_contrast(
     perturb_scale: float = 50.0,
 ) -> CheckResult:
     """Mean pooling must leak background: some perturbation moves the output."""
-    config = state.config
-    flags = mask_to_flags(mask, config)
-    object_pixels = flags_to_pixel_region(flags, config)
-    rng = np.random.default_rng(seed)
-    image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
-    reference = encode(image, state, PoolingMode.MEAN)
-    best = 0.0
-    for perturbed in _perturbed_backgrounds(
-        image, object_pixels, n_perturbations, seed + 1, perturb_scale
-    ):
-        out = encode(perturbed, state, PoolingMode.MEAN)
-        best = max(best, float(np.abs(out - reference).max()))
+    best = _max_background_delta(
+        state, mask, PoolingMode.MEAN, n_perturbations, seed, perturb_scale
+    )
     passed = best > threshold
     return CheckResult(
         "pooling-contrast",
@@ -178,7 +175,7 @@ def check_gradients(
     for mode in PoolingMode:
         mode_config = base
         if mode is PoolingMode.CLS:
-            mode_config = EncoderConfig(**{**base.to_dict(), "include_cls": True})
+            mode_config = replace(base, include_cls=True)
         state = init_encoder(mode_config, seed)
         image = rng.uniform(0.0, 1.0, (mode_config.image_height, mode_config.image_width, 3))
         flags = None

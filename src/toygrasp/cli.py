@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -194,9 +195,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             if not row:
                 continue
             try:
-                rows.append((row[0], int(row[1]), float(row[2])))
+                label, demos, percent = row[0], int(row[1]), float(row[2])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"line {line_number}: {exc}") from exc
+            if not math.isfinite(percent):
+                raise ValueError(
+                    f"line {line_number}: success_percent must be finite, got {row[2]!r}"
+                )
+            rows.append((label, demos, percent))
     evalharness.scaling_report(rows, args.out)
     out = Path(args.out)
     print(f"wrote {out} and {out.with_suffix('.txt')} ({len(rows)} rows)")

@@ -1,113 +1,80 @@
 """Single JSON configuration for the CLI, with production defaults baked in.
 
 Running `generate` with no overrides reproduces the default 250-toy set.
-Unknown keys are rejected so typos fail loudly instead of being ignored.
+Every default comes from the dataclass that owns the setting; only the
+CLI's print limits and output directory are set here. Unknown keys are
+rejected so typos fail loudly instead of being ignored, and every value
+must have its default's JSON type.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analysis import GripperModel
 from .assembler import GenerationConfig
 from .detpool import EncoderConfig
 from .errors import ConfigError, IoFailure
-from .io import generation_config_from_dict
+from .io import generation_config_from_dict, generation_config_to_dict, is_finite
 from .mesh import Tessellation
-from .policy import PolicyConfig
 
 DEFAULT_CONFIG: dict = {
-    "generation": {
-        "ranges": {
-            "cuboid": {
-                "width": [0.02, 0.072],
-                "height": [0.01, 0.20],
-                "length": [0.02, 0.28],
-            },
-            "sphere": {"diameter": [0.01, 0.08]},
-            "cylinder": {"diameter": [0.04, 0.07], "height": [0.04, 0.12]},
-            "ring": {
-                "outer_diameter": [0.06, 0.20],
-                "wall_thickness": [0.006, 0.018],
-                "height": [0.02, 0.06],
-            },
-        },
-        "composition": {
-            "cuboids": 46,
-            "spheres": 18,
-            "cylinders": 20,
-            "rings": 19,
-            "two_part": 27,
-            "three_part": 35,
-            "four_part": 38,
-            "five_part": 47,
-        },
-        "palette": ["blue", "red", "green", "yellow"],
-        "master_seed": 0,
-    },
-    "tessellation": {"sphere_subdivisions": 3, "radial_segments": 64},
-    "gripper": {"max_opening": 0.085, "min_opening": 0.0},
+    "generation": generation_config_to_dict(GenerationConfig()),
+    "tessellation": asdict(Tessellation()),
+    "gripper": asdict(GripperModel()),
     "print": {"build_edge": 0.256, "min_wall": 0.008},
-    "encoder": {
-        "image_height": 32,
-        "image_width": 32,
-        "patch_size": 4,
-        "embed_dim": 64,
-        "layers": 2,
-        "heads": 4,
-        "mlp_ratio": 4.0,
-        "include_cls": False,
-        "debug_disable_attention_mask": False,
-        "seed": 0,
-    },
-    "policy": {
-        "history_len": 4,
-        "chunk_len": 4,
-        "action_dim": 4,
-        "proprio_dim": 4,
-        "cameras": 1,
-        "embed_dim": 8,
-        "layers": 2,
-        "width": 32,
-        "heads": 4,
-        "mlp_ratio": 2.0,
-        "seed": 0,
-    },
+    "encoder": {**asdict(EncoderConfig()), "seed": 0},
     "output_dir": "out",
 }
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
-def _merge(defaults, override, path: str):
-    if isinstance(defaults, dict):
-        if not isinstance(override, dict):
+
+def _merge(default, value, path: str):
+    """`value` checked against the JSON type of `default`, objects key by key.
+
+    A key that `value` leaves out takes its default, copied by the same walk.
+    A list must hold items of its default's first item's type.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
             raise ConfigError(f"{path or 'config'} must be an object")
-        for key in override:
-            if key not in defaults:
-                raise ConfigError(f"unknown config key '{path}{key}'")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown config key '{prefix}{key}'")
         return {
-            key: _merge(value, override[key], f"{path}{key}.")
-            if key in override
-            else copy.deepcopy(value)
-            for key, value in defaults.items()
+            key: _merge(item, value.get(key, item), prefix + key)
+            for key, item in default.items()
         }
-    if isinstance(defaults, bool):
-        if not isinstance(override, bool):
-            raise ConfigError(f"{path[:-1]} must be a boolean")
-    elif isinstance(defaults, (int, float)):
-        if isinstance(override, bool) or not isinstance(override, (int, float)):
-            raise ConfigError(f"{path[:-1]} must be a number")
-    elif isinstance(defaults, str):
-        if not isinstance(override, str):
-            raise ConfigError(f"{path[:-1]} must be a string")
-    return copy.deepcopy(override)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        return [_merge(default[0], item, f"{path}[{k}]") for k, item in enumerate(value)]
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    # bool is an int subclass in Python, but never a valid number here.
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    if kind is float and not is_finite(value):
+        # The repr of a huge integer is long, and past 4300 digits it raises.
+        shown = repr(value) if isinstance(value, float) else "an integer too large for a float"
+        raise ConfigError(f"{path} must be a finite number, got {shown}")
+    return value
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`; a value it rejects is a ConfigError naming the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class CliConfig:
-    raw: dict
     generation: GenerationConfig
     tessellation: Tessellation
     gripper: GripperModel
@@ -115,39 +82,24 @@ class CliConfig:
     min_wall: float
     encoder: EncoderConfig
     encoder_seed: int
-    policy: PolicyConfig
-    policy_seed: int
     output_dir: str
 
 
 def config_from_dict(raw: dict) -> CliConfig:
     merged = _merge(DEFAULT_CONFIG, raw, "")
-    try:
-        generation = generation_config_from_dict(merged["generation"])
-        tessellation = Tessellation(**merged["tessellation"])
-        gripper = GripperModel(**merged["gripper"])
-        encoder_section = dict(merged["encoder"])
-        encoder_seed = encoder_section.pop("seed")
-        encoder = EncoderConfig(**encoder_section)
-        policy_section = dict(merged["policy"])
-        policy_seed = policy_section.pop("seed")
-        policy = PolicyConfig(**policy_section)
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    encoder = merged["encoder"]
+    encoder_seed = encoder.pop("seed")
+    if encoder_seed < 0:
+        raise ConfigError("encoder.seed must be >= 0")
     return CliConfig(
-        raw=merged,
-        generation=generation,
-        tessellation=tessellation,
-        gripper=gripper,
+        generation=_checked("generation", generation_config_from_dict, merged["generation"]),
+        tessellation=_checked("tessellation", Tessellation, **merged["tessellation"]),
+        gripper=_checked("gripper", GripperModel, **merged["gripper"]),
         build_edge=float(merged["print"]["build_edge"]),
         min_wall=float(merged["print"]["min_wall"]),
-        encoder=encoder,
-        encoder_seed=int(encoder_seed),
-        policy=policy,
-        policy_seed=int(policy_seed),
-        output_dir=str(merged["output_dir"]),
+        encoder=_checked("encoder", EncoderConfig, **encoder),
+        encoder_seed=encoder_seed,
+        output_dir=merged["output_dir"],
     )
 
 

@@ -11,7 +11,7 @@ reverse-mode; everything runs in float64.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,14 +42,17 @@ class EncoderConfig:
     debug_disable_attention_mask: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.mlp_ratio <= 0:
+            raise ValueError("mlp_ratio must be > 0")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image size must be divisible by patch_size")
         if self.embed_dim % self.heads:
             raise ValueError("embed_dim must be divisible by heads")
         if self.embed_dim % 4:
             raise ValueError("embed_dim must be divisible by 4 (2-D sinusoidal encoding)")
-        if self.layers < 1 or self.heads < 1 or self.mlp_ratio <= 0:
-            raise ValueError("layers, heads >= 1 and mlp_ratio > 0 required")
 
     @property
     def n_rows(self) -> int:
@@ -66,19 +69,6 @@ class EncoderConfig:
     @property
     def mlp_hidden(self) -> int:
         return int(self.embed_dim * self.mlp_ratio)
-
-    def to_dict(self) -> dict:
-        return {
-            "image_height": self.image_height,
-            "image_width": self.image_width,
-            "patch_size": self.patch_size,
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "mlp_ratio": self.mlp_ratio,
-            "include_cls": self.include_cls,
-            "debug_disable_attention_mask": self.debug_disable_attention_mask,
-        }
 
 
 class PoolingMode(enum.Enum):
@@ -312,7 +302,7 @@ def attention_weights(
 # ---------------------------------------------------------------------------
 
 def save_encoder_state(state: EncoderState, path) -> None:
-    meta = {"kind": "encoder", "seed": state.seed, "config": state.config.to_dict()}
+    meta = {"kind": "encoder", "seed": state.seed, "config": asdict(state.config)}
     save_tensors(path, state.params, meta)
 
 

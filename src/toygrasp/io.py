@@ -286,12 +286,13 @@ def _typed(value, path: str, kind: str):
     # bool is an int subclass in Python, but never a valid manifest value.
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise SchemaViolation(f"{path} must be {kind}, got {type(value).__name__}")
-    if kind == "a number" and not _finite(value):
+    if kind == "a number" and not is_finite(value):
         raise SchemaViolation(f"{path} must be a finite number, got {value!r}")
     return value
 
 
-def _finite(value) -> bool:
+def is_finite(value) -> bool:
+    """True iff a JSON number is finite as a float."""
     # json accepts NaN, Infinity and integers too large for a float.
     try:
         return math.isfinite(value)

@@ -9,7 +9,7 @@ weight decay; gradients are exact reverse-mode in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +38,10 @@ class PolicyConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self) -> None:
-        for name in ("history_len", "chunk_len", "action_dim", "proprio_dim", "cameras"):
+        for name in (
+            "history_len", "chunk_len", "action_dim", "proprio_dim", "cameras",
+            "embed_dim", "layers", "width", "heads",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.width % self.heads:
@@ -69,20 +72,6 @@ class PolicyConfig:
             heads=4,
             mlp_ratio=2.0,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "history_len": self.history_len,
-            "chunk_len": self.chunk_len,
-            "action_dim": self.action_dim,
-            "proprio_dim": self.proprio_dim,
-            "cameras": self.cameras,
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "width": self.width,
-            "heads": self.heads,
-            "mlp_ratio": self.mlp_ratio,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +298,7 @@ def save_policy_state(state: PolicyState, path) -> None:
         "kind": "policy",
         "seed": state.seed,
         "opt_step": state.opt_step,
-        "config": state.config.to_dict(),
+        "config": asdict(state.config),
     }
     save_tensors(path, tensors, meta)
 

@@ -111,6 +111,36 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "unknown config key 'generation.max_placement_attempts'" in err
+        config = write_config(tmp_path, policy={"history_len": 4})
+        assert main(["generate", "--config", str(config)]) == 2
+        assert "unknown config key 'policy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, values, path",
+        [
+            ("generation", {"ranges": {"sphere": {"diameter": 5}}},
+             "generation.ranges.sphere.diameter"),
+            ("generation", {"ranges": {"sphere": {"diameter": ["a", "b"]}}},
+             "generation.ranges.sphere.diameter[0]"),
+            ("generation", {"ranges": {"sphere": {"diameter": [0.01, float("inf")]}}},
+             "generation.ranges.sphere.diameter[1]"),
+            ("generation", {"master_seed": 1.5}, "generation.master_seed"),
+            ("generation", {"palette": "blue"}, "generation.palette"),
+            ("tessellation", {"radial_segments": 8.5}, "tessellation.radial_segments"),
+            ("print", {"build_edge": float("nan")}, "print.build_edge"),
+            ("encoder", {"layers": 1.5}, "encoder.layers"),
+            ("encoder", {"seed": 1.5}, "encoder.seed"),
+            ("encoder", {"seed": -1}, "encoder.seed"),
+            ("encoder", {"patch_size": 0}, "encoder: patch_size"),
+            ("encoder", {"heads": 0}, "encoder: heads"),
+            ("encoder", {"embed_dim": 0}, "encoder: embed_dim"),
+        ],
+    )
+    def test_malformed_config_values_rejected(self, tmp_path, capsys, section, values, path):
+        config = write_config(tmp_path, **{section: values})
+        assert main(["generate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"toygrasp: [CONFIG] {path} "), err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 3
@@ -360,6 +390,16 @@ class TestReport:
         rows.write_text("foo,bar\n1,2\n")
         out = tmp_path / "out.csv"
         assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("percent", ["inf", "1e400", "nan"])
+    def test_non_finite_percent_exit_2_with_line(self, tmp_path, capsys, percent):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"label,demos,success_percent\nmain,250,56.63\nmain,2500,{percent}\n")
+        out = tmp_path / "out.csv"
+        assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[CONFIG] line 3" in err and "success_percent" in err
+        assert not out.exists()
 
     def test_rows_directory_exit_3(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ TINY = EncoderConfig(
 
 
 def tiny_state(seed=0, **overrides):
-    config = EncoderConfig(**{**TINY.to_dict(), **overrides})
+    config = replace(TINY, **overrides)
     return init_encoder(config, seed)
 
 
@@ -252,9 +254,7 @@ class TestEncode:
 class TestEncodeGrad:
     @pytest.mark.parametrize("mode", list(PoolingMode))
     def test_finite_difference_spot_check(self, mode):
-        config = TINY if mode is not PoolingMode.CLS else EncoderConfig(
-            **{**TINY.to_dict(), "include_cls": True}
-        )
+        config = TINY if mode is not PoolingMode.CLS else replace(TINY, include_cls=True)
         state = init_encoder(config, 20)
         rng = np.random.default_rng(21)
         image = random_image(config, 22)
@@ -363,3 +363,10 @@ class TestEncoderConfigValidation:
     def test_sincos_divisibility(self):
         with pytest.raises(ValueError):
             EncoderConfig(embed_dim=6, heads=2)
+
+    @pytest.mark.parametrize(
+        "name", ["image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"]
+    )
+    def test_sizes_checked_before_modulo(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            EncoderConfig(**{name: 0})

@@ -388,3 +388,8 @@ class TestPolicyConfigValidation:
     def test_width_head_divisibility(self):
         with pytest.raises(ValueError):
             PolicyConfig(width=30, heads=4)
+
+    @pytest.mark.parametrize("name", ["width", "heads", "layers", "embed_dim"])
+    def test_sizes_checked_before_modulo(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            PolicyConfig(**{name: 0})
