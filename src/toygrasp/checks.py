@@ -2,8 +2,11 @@
 
 These are the checks behind the `detpool-check` CLI command: background
 invariance, the single-token oracle, finite-difference gradient
-verification, and the pooling contrast control. Each returns a CheckResult
-so callers can print one pass/fail line per property.
+verification, the pooling contrast control, and the equivalence of the
+compact Det pass with the masked full-sequence pass. Invariance and the
+oracle run on the masked full-sequence pass, where they test the attention
+mask; on the compact pass they would hold by construction. Each returns a
+CheckResult so callers can print one pass/fail line per property.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .detpool import (
     EncoderConfig,
     EncoderState,
     PoolingMode,
+    _forward,
     _patchify,
     encode,
     encode_grad,
@@ -49,6 +53,11 @@ def flags_to_pixel_region(flags: np.ndarray, config: EncoderConfig) -> np.ndarra
     return np.kron(grid, np.ones((config.patch_size, config.patch_size), dtype=bool))
 
 
+def _masked_encode(image, state, mode, flags=None) -> np.ndarray:
+    """`encode` through the full-sequence pass, Det under its flag mask."""
+    return _forward(image, state, mode, flags, masked_reference=True)[0]
+
+
 def _max_background_delta(state, mask, mode, n_perturbations, seed, perturb_scale) -> float:
     """Largest |change| of `mode`'s embedding of one seeded image over
     `n_perturbations` redraws of the pixels outside the mask's object patches.
@@ -60,7 +69,7 @@ def _max_background_delta(state, mask, mode, n_perturbations, seed, perturb_scal
         flags = None
     rng = np.random.default_rng(seed)
     image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
-    reference = encode(image, state, mode, flags)
+    reference = _masked_encode(image, state, mode, flags)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     for _ in range(n_perturbations):
@@ -68,7 +77,7 @@ def _max_background_delta(state, mask, mode, n_perturbations, seed, perturb_scal
         perturbed[background] = rng.uniform(
             -perturb_scale, perturb_scale, size=(int(background.sum()), 3)
         )
-        out = encode(perturbed, state, mode, flags)
+        out = _masked_encode(perturbed, state, mode, flags)
         worst = max(worst, float(np.abs(out - reference).max()))
     return worst
 
@@ -129,7 +138,7 @@ def check_single_token_oracle(
     index = config.n_cols + 1 if config.n_patches > config.n_cols + 1 else 0
     flags = np.zeros(config.n_patches, dtype=bool)
     flags[index] = True
-    full = encode(image, state, PoolingMode.DET, flags)
+    full = _masked_encode(image, state, PoolingMode.DET, flags)
 
     patches = _patchify(image, config)
     tokens0, _ = _nn.linear_fwd(
@@ -145,6 +154,38 @@ def check_single_token_oracle(
         "single-token-oracle",
         deviation <= tol,
         f"max |delta| = {deviation:.3e} vs length-1 run (tol {tol:.0e})",
+    )
+
+
+def check_det_compact_equivalence(
+    state: EncoderState, n_patterns: int = 8, tol: float = 1e-12, seed: int = 4
+) -> CheckResult:
+    """Det `encode`, which runs the object tokens alone, must equal the
+    masked full-sequence pass: `n_patterns` seeded flag sets without CLS and
+    as many with it, each flagging a random number of patches.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for include_cls in (False, True):
+        # Both variants share the state's tensors; only the CLS token differs.
+        config = replace(state.config, include_cls=include_cls)
+        params = {k: v for k, v in state.params.items() if k != "cls_token"}
+        if include_cls:
+            params["cls_token"] = state.params.get("cls_token", rng.normal(size=config.embed_dim))
+        variant = EncoderState(config, state.seed, params)
+        for _ in range(n_patterns):
+            image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
+            flags = np.zeros(config.n_patches, dtype=bool)
+            count = int(rng.integers(1, config.n_patches + 1))
+            flags[rng.choice(config.n_patches, count, replace=False)] = True
+            compact = encode(image, variant, PoolingMode.DET, flags)
+            reference = _masked_encode(image, variant, PoolingMode.DET, flags)
+            worst = max(worst, float(np.abs(compact - reference).max()))
+    return CheckResult(
+        "det-compact-equivalence",
+        worst <= tol,
+        f"max |delta| = {worst:.3e} vs masked full sequence over {2 * n_patterns} "
+        f"flag patterns, with and without CLS (tol {tol:.0e})",
     )
 
 
@@ -230,11 +271,12 @@ def run_detpool_checks(
     mask: np.ndarray | None = None,
     fd_entries_per_tensor: int | None = 8,
 ) -> list[CheckResult]:
-    """The four suites in a stable order.
+    """The five suites in a stable order.
 
-    Invariance, oracle, and contrast run at the given configuration; the
-    finite-difference gradient suite always runs at the small pinned
-    GRADIENT_CHECK_CONFIG, where sweeping every parameter is tractable.
+    Invariance, oracle, contrast and compact equivalence run at the given
+    configuration; the finite-difference gradient suite always runs at the
+    small pinned GRADIENT_CHECK_CONFIG, where sweeping every parameter is
+    tractable.
     """
     config = config or EncoderConfig()
     state = init_encoder(config, seed)
@@ -245,5 +287,6 @@ def run_detpool_checks(
         check_single_token_oracle(state),
         check_gradients(max_entries_per_tensor=fd_entries_per_tensor, seed=seed + 3),
         check_pooling_contrast(state, mask),
+        check_det_compact_equivalence(state),
     ]
     return results

@@ -144,13 +144,27 @@ def cmd_detpool_check(args: argparse.Namespace) -> int:
 
 
 def _read_objects(path: str) -> list[str]:
+    """Object ids, one per non-blank line or as a JSON array; each id once."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".json"):
         data = json.loads(text)
         if not isinstance(data, list):
             raise SchemaViolation("objects JSON must be an array of ids")
-        return [str(item) for item in data]
-    return [line.strip() for line in text.splitlines() if line.strip()]
+        entries = [(f"item {k}", str(item)) for k, item in enumerate(data)]
+    else:
+        entries = [
+            (f"line {n}", line.strip())
+            for n, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+    first: dict[str, str] = {}
+    for where, object_id in entries:
+        if object_id in first:
+            raise SchemaViolation(
+                f"{where}: duplicate object id {object_id!r}, first on {first[object_id]}"
+            )
+        first[object_id] = where
+    return [object_id for _, object_id in entries]
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -178,26 +192,30 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+REPORT_COLUMNS = ("label", "demos", "success_percent")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     with open(args.rows, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != [
-            "label",
-            "demos",
-            "success_percent",
-        ]:
+        if header is None or [h.strip() for h in header[:3]] != list(REPORT_COLUMNS):
             raise SchemaViolation(
                 "rows file must start with header 'label,demos,success_percent'"
             )
         for line_number, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 3:
+                missing = ", ".join(REPORT_COLUMNS[len(row) :])
+                raise ValueError(f"line {line_number}: missing {missing}")
             try:
                 label, demos, percent = row[0], int(row[1]), float(row[2])
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {line_number}: {exc}") from exc
+            if demos < 0:
+                raise ValueError(f"line {line_number}: demos must be >= 0, got {demos}")
             if not math.isfinite(percent):
                 raise ValueError(
                     f"line {line_number}: success_percent must be finite, got {row[2]!r}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +266,7 @@ def write_manifest(
 
 
 _JSON_TYPES = {
+    "a boolean": bool,
     "an object": dict,
     "a list": list,
     "a string": str,
@@ -283,8 +284,10 @@ LENGTH_LIMIT = 1e3
 
 
 def _typed(value, path: str, kind: str):
-    # bool is an int subclass in Python, but never a valid manifest value.
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    # bool is an int subclass in Python, but never a valid number.
+    if isinstance(value, bool) is not (kind == "a boolean") or not isinstance(
+        value, _JSON_TYPES[kind]
+    ):
         raise SchemaViolation(f"{path} must be {kind}, got {type(value).__name__}")
     if kind == "a number" and not is_finite(value):
         raise SchemaViolation(f"{path} must be a finite number, got {value!r}")
@@ -463,6 +466,8 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         (meta_len,) = struct.unpack_from("<I", raw, pos)
         pos += 4
         meta = json.loads(raw[pos : pos + meta_len].decode())
+        if not isinstance(meta, dict):
+            raise ValueError("metadata is not a JSON object")
         pos += meta_len
         (count,) = struct.unpack_from("<I", raw, pos)
         pos += 4
@@ -486,3 +491,38 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     except (struct.error, ValueError) as exc:
         raise SchemaViolation(f"tensor blob {path} is truncated or corrupt: {exc}") from exc
     return tensors, meta
+
+
+_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def state_meta(meta: dict, config_type, counts: tuple[str, ...]) -> tuple:
+    """A saved state's checked metadata: `(config, *counts)`.
+
+    The `config` object must give every field of the `config_type`
+    dataclass, each with its default's JSON type, and nothing else; each
+    name in `counts` must be a non-negative integer. Errors name the field.
+    """
+    for key in ("config", *counts):
+        if key not in meta:
+            raise SchemaViolation(f"state metadata: missing field '{key}'")
+    doc = _typed(meta["config"], "config", "an object")
+    names = [f.name for f in fields(config_type)]
+    for key in doc:
+        if key not in names:
+            raise SchemaViolation(f"config: unknown field '{key}'")
+    values = {
+        f.name: _field(doc, f.name, "config", _FIELD_KINDS[type(f.default)])
+        for f in fields(config_type)
+    }
+    try:
+        config = config_type(**values)
+    except ValueError as exc:
+        raise SchemaViolation(f"config: {exc}") from exc
+    numbers = []
+    for key in counts:
+        value = _typed(meta[key], key, "an integer")
+        if value < 0:
+            raise SchemaViolation(f"{key} must be >= 0, got {value}")
+        numbers.append(value)
+    return (config, *numbers)

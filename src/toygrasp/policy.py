@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _nn
 from .errors import NonFiniteActivation, SchemaViolation, ShapeMismatch
-from .io import load_tensors, save_tensors
+from .io import load_tensors, save_tensors, state_meta
 
 #: An action chunk is a (chunk_len, action_dim) float64 array of absolute
 #: joint targets.
@@ -307,17 +307,17 @@ def load_policy_state(path) -> PolicyState:
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "policy":
         raise SchemaViolation(f"blob is not a policy state: kind={meta.get('kind')!r}")
-    config = PolicyConfig(**meta["config"])
+    config, seed, opt_step = state_meta(meta, PolicyConfig, ("seed", "opt_step"))
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
     opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}
     return PolicyState(
         config=config,
-        seed=meta["seed"],
+        seed=seed,
         params=params,
         opt_m=opt_m,
         opt_v=opt_v,
-        opt_step=meta["opt_step"],
+        opt_step=opt_step,
     )
 
 

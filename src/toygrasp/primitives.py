@@ -144,7 +144,13 @@ class DimensionRanges:
                 raise InvalidRanges(
                     f"{kind.value} ranges must have dims {sorted(expected)}, got {sorted(dims)}"
                 )
-            for name, (lo, hi) in dims.items():
+            for name, interval in dims.items():
+                if len(interval) != 2:
+                    raise InvalidRanges(
+                        f"{kind.value}.{name} interval must have exactly 2 entries "
+                        f"[lo, hi], got {len(interval)}"
+                    )
+                lo, hi = interval
                 if not (0.0 < lo <= hi):
                     raise InvalidRanges(
                         f"{kind.value}.{name} interval [{lo}, {hi}] must be positive and ordered"

@@ -134,6 +134,10 @@ class TestGenerate:
             ("encoder", {"patch_size": 0}, "encoder: patch_size"),
             ("encoder", {"heads": 0}, "encoder: heads"),
             ("encoder", {"embed_dim": 0}, "encoder: embed_dim"),
+            ("generation", {"ranges": {"sphere": {"diameter": [0.01, 0.02, 0.03]}}},
+             "generation: sphere.diameter interval must have exactly 2 entries"),
+            ("generation", {"ranges": {"sphere": {"diameter": []}}},
+             "generation: sphere.diameter interval must have exactly 2 entries"),
         ],
     )
     def test_malformed_config_values_rejected(self, tmp_path, capsys, section, values, path):
@@ -258,7 +262,7 @@ class TestDetpoolCheck:
         )
         assert main(["detpool-check", "--config", str(config)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         fd = re.search(
             r"(\d+) entries checked \(mean (\d+), cls (\d+), attention (\d+), det (\d+)\), "
             r"worst error at ([\d.]+) of tolerance at (mean|cls|attention|det):[\w.]+\[\d+\]",
@@ -337,6 +341,27 @@ class TestSchedule:
         assert code == 0
         assert len(json.loads(out.read_text())["trials"]) == 10
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("objects.txt", "a\nb\n\na\n", "line 4: duplicate object id 'a', first on line 1"),
+            ("objects.json", '["a", "b", "a"]', "item 2: duplicate object id 'a', first on item 0"),
+        ],
+    )
+    def test_duplicate_object_exit_2(self, tmp_path, capsys, name, text, where):
+        objects = tmp_path / name
+        objects.write_text(text)
+        out = tmp_path / "schedule.json"
+        code = main(
+            [
+                "schedule", "--protocol", "sim_maniskill",
+                "--objects", str(objects), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"[CONFIG] {where}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_objects_directory_exit_3(self, tmp_path, capsys):
         code = main(
             [
@@ -399,6 +424,22 @@ class TestReport:
         assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "[CONFIG] line 3" in err and "success_percent" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("main,-3,50", "line 3: demos must be >= 0, got -3"),
+            ("main,3", "line 3: missing success_percent"),
+            ("main", "line 3: missing demos, success_percent"),
+        ],
+    )
+    def test_bad_row_exit_2_naming_the_column(self, tmp_path, capsys, row, message):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"label,demos,success_percent\nmain,250,56.63\n{row}\n")
+        out = tmp_path / "out.csv"
+        assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
+        assert f"[CONFIG] {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rows_directory_exit_3(self, tmp_path, capsys):

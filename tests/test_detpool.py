@@ -1,7 +1,11 @@
+import re
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toygrasp import _nn
 from toygrasp.checks import (
@@ -16,6 +20,8 @@ from toygrasp.checks import (
 from toygrasp.detpool import (
     EncoderConfig,
     PoolingMode,
+    _backward,
+    _forward,
     attention_weights,
     build_attention_mask,
     encode,
@@ -29,7 +35,9 @@ from toygrasp.errors import (
     DimensionMismatch,
     EmptyObject,
     NonFiniteActivation,
+    SchemaViolation,
 )
+from toygrasp.io import load_tensors, save_tensors
 
 TINY = EncoderConfig(
     image_height=16, image_width=16, patch_size=4, embed_dim=32, layers=2, heads=4,
@@ -305,6 +313,20 @@ class TestEncodeGrad:
         assert (image_grad[background] == 0.0).all()
         assert np.abs(image_grad[~background]).max() > 0.0
 
+    def test_det_cls_token_grad_exactly_zero(self):
+        state = tiny_state(seed=40, include_cls=True)
+        config = state.config
+        rng = np.random.default_rng(41)
+        grads, _ = encode_grad(
+            random_image(config, 42),
+            state,
+            PoolingMode.DET,
+            mixed_flags(config, 43),
+            rng.normal(size=config.embed_dim),
+        )
+        assert (grads["cls_token"] == 0.0).all()
+        assert np.abs(grads["patch_embed.weight"]).max() > 0.0
+
     def test_grad_shapes_mirror_params(self):
         state = tiny_state()
         grads, image_grad = encode_grad(
@@ -320,6 +342,53 @@ class TestEncodeGrad:
         assert image_grad.shape == (16, 16, 3)
 
 
+@cache
+def _det_state(size, include_cls):
+    config = TINY if size == "tiny" else EncoderConfig()
+    return init_encoder(replace(config, include_cls=include_cls), seed=50)
+
+
+class TestCompactDet:
+    """Det mode runs the blocks on the flagged tokens alone; it must agree
+    with the masked full-sequence pass it replaces."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.sampled_from(["tiny", "default"]),
+        include_cls=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_masked_reference(self, size, include_cls, seed, data):
+        state = _det_state(size, include_cls)
+        config = state.config
+        flags = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(), min_size=config.n_patches, max_size=config.n_patches
+                ).filter(any),
+                label="flags",
+            )
+        )
+        rng = np.random.default_rng(seed)
+        image = random_image(config, seed)
+        upstream = rng.normal(size=config.embed_dim)
+
+        compact = encode(image, state, PoolingMode.DET, flags)
+        reference, ref_cache = _forward(
+            image, state, PoolingMode.DET, flags, masked_reference=True
+        )
+        np.testing.assert_allclose(compact, reference, rtol=0, atol=1e-12)
+
+        grads, image_grad = encode_grad(image, state, PoolingMode.DET, flags, upstream)
+        ref_grads, ref_image_grad = _backward(ref_cache, state, upstream)
+        np.testing.assert_allclose(image_grad, ref_image_grad, rtol=0, atol=1e-12)
+        assert set(grads) == set(ref_grads)
+        for name, value in grads.items():
+            np.testing.assert_allclose(value, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+        assert (image_grad[~flags_to_pixel_region(flags, config)] == 0.0).all()
+
+
 class TestStateSerialization:
     def test_roundtrip_preserves_encoding(self, tmp_path):
         state = tiny_state(seed=30)
@@ -333,6 +402,39 @@ class TestStateSerialization:
         after = encode(image, loaded, PoolingMode.MEAN)
         assert np.array_equal(before, after)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("config"), "missing field 'config'"),
+            (lambda m: m.update(config=[1]), "config must be an object, got list"),
+            (lambda m: m["config"].update(bogus=1), "config: unknown field 'bogus'"),
+            (lambda m: m["config"].pop("layers"), "config: missing field 'layers'"),
+            (
+                lambda m: m["config"].update(patch_size="4"),
+                "config.patch_size must be an integer, got str",
+            ),
+            (
+                lambda m: m["config"].update(include_cls=1),
+                "config.include_cls must be a boolean, got int",
+            ),
+            (
+                lambda m: m["config"].update(patch_size=3),
+                "config: image size must be divisible by patch_size",
+            ),
+            (lambda m: m.update(seed="x"), "seed must be an integer, got str"),
+            (lambda m: m.update(seed=1.5), "seed must be an integer, got float"),
+            (lambda m: m.update(seed=-1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_malformed_metadata_names_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "encoder.bin"
+        save_encoder_state(tiny_state(seed=30), path)
+        tensors, meta = load_tensors(path)
+        edit(meta)
+        save_tensors(path, tensors, meta)
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_encoder_state(path)
+
 
 class TestCheckSuites:
     def test_all_pass_at_default_config(self):
@@ -344,6 +446,7 @@ class TestCheckSuites:
             "single-token-oracle",
             "gradient-exactness",
             "pooling-contrast",
+            "det-compact-equivalence",
         ]
 
     def test_gradient_check_passes_sampled(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.special import erf
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
-from toygrasp.errors import ShapeMismatch
+from toygrasp.errors import SchemaViolation, ShapeMismatch
+from toygrasp.io import load_tensors, save_tensors
 from toygrasp.policy import (
     OptimizerConfig,
     PolicyConfig,
@@ -371,6 +373,29 @@ class TestPolicySerialization:
         assert loss_a == loss_b
         for name in state.params:
             assert np.array_equal(state.params[name], loaded.params[name])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("config"), "missing field 'config'"),
+            (lambda m: m.pop("opt_step"), "missing field 'opt_step'"),
+            (lambda m: m["config"].update(bogus=1), "config: unknown field 'bogus'"),
+            (lambda m: m["config"].update(width="8"), "config.width must be an integer, got str"),
+            (lambda m: m["config"].update(mlp_ratio="2"), "config.mlp_ratio must be a number, got str"),
+            (lambda m: m["config"].update(heads=3), "config: width must be divisible by heads"),
+            (lambda m: m.update(seed="x"), "seed must be an integer, got str"),
+            (lambda m: m.update(opt_step=True), "opt_step must be an integer, got bool"),
+            (lambda m: m.update(opt_step=-2), "opt_step must be >= 0, got -2"),
+        ],
+    )
+    def test_malformed_metadata_names_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "policy.bin"
+        save_policy_state(init_policy(TINY, 29), path)
+        tensors, meta = load_tensors(path)
+        edit(meta)
+        save_tensors(path, tensors, meta)
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_policy_state(path)
 
     def test_training_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"
