@@ -19,7 +19,7 @@ import numpy as np
 from .assembler import ToySpec
 from .errors import EmptyMesh
 from .mesh import TriMesh
-from .primitives import PrimitiveKind, PrimitiveSpec
+from .primitives import PrimitiveKind
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ def directional_width(mesh: TriMesh, direction: np.ndarray) -> float:
         raise ValueError("direction must be a unit vector within 1e-9")
     proj = mesh.vertices @ d
     return float(proj.max() - proj.min())
-
-
-def fibonacci_directions(n: int) -> np.ndarray:
-    """Deterministic near-uniform unit directions (golden-angle spiral)."""
-    i = np.arange(n, dtype=np.float64)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 # Gauss arcs with half-angles up to this (rad) are paired through a KD-tree
@@ -182,23 +173,12 @@ def grasp_feasibility(mesh: TriMesh, gripper: GripperModel | None = None) -> boo
     return gripper.min_opening <= width <= gripper.max_opening
 
 
-def analytic_min_width(spec: PrimitiveSpec) -> float:
-    """Closed-form minimal caliper width of a single primitive."""
-    d = spec.dims
-    if spec.kind is PrimitiveKind.CUBOID:
-        return min(d["width"], d["height"], d["length"])
-    if spec.kind is PrimitiveKind.SPHERE:
-        return d["diameter"]
-    if spec.kind is PrimitiveKind.CYLINDER:
-        return min(d["diameter"], d["height"])
-    return min(d["outer_diameter"], d["height"])
-
-
 def print_feasibility(
     toy: ToySpec,
     mesh: TriMesh,
-    build_edge: float = 0.256,
-    min_wall: float = 0.0,
+    *,
+    build_edge: float,
+    min_wall: float,
 ) -> FeasibilityReport:
     """Build-volume fit, downscale suggestion, and thin-ring-wall flag."""
     lo, hi = mesh.aabb()
@@ -228,12 +208,13 @@ def analyze_toy(
     toy: ToySpec,
     mesh: TriMesh,
     gripper: GripperModel | None = None,
-    build_edge: float = 0.256,
-    min_wall: float = 0.0,
+    *,
+    build_edge: float,
+    min_wall: float,
 ) -> FeasibilityReport:
     """Full report: print feasibility plus caliper width and graspability."""
     gripper = gripper or GripperModel()
-    base = print_feasibility(toy, mesh, build_edge, min_wall)
+    base = print_feasibility(toy, mesh, build_edge=build_edge, min_wall=min_wall)
     width, _ = min_caliper_width(mesh)
     return replace(
         base,

@@ -112,7 +112,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             toy = record_to_toy(record)
             mesh = mesh_toy(toy, config.tessellation)
             report = analysis_mod.analyze_toy(
-                toy, mesh, config.gripper, config.build_edge, config.min_wall
+                toy,
+                mesh,
+                config.gripper,
+                build_edge=config.build_edge,
+                min_wall=config.min_wall,
             )
         except ValueError as exc:
             raise SchemaViolation(f"toys[{i}] ({record.id!r}): {exc}") from exc
@@ -150,7 +154,13 @@ def _read_objects(path: str) -> list[str]:
         data = json.loads(text)
         if not isinstance(data, list):
             raise SchemaViolation("objects JSON must be an array of ids")
-        entries = [(f"item {k}", str(item)) for k, item in enumerate(data)]
+        entries = [(f"item {k}", item) for k, item in enumerate(data)]
+        for where, item in entries:
+            if not isinstance(item, str) or not item:
+                got = repr(item) if isinstance(item, str) else type(item).__name__
+                raise SchemaViolation(
+                    f"{where}: object id must be a non-empty string, got {got}"
+                )
     else:
         entries = [
             (f"line {n}", line.strip())

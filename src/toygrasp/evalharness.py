@@ -233,9 +233,12 @@ def write_success_csv(table: SuccessTable, path: str | Path) -> None:
 def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
     """Outcomes file: header `object,trial_index,success`, success in {0, 1}.
 
-    Raises ValueError with the 1-based line number on a non-binary value.
+    Each `(object, trial_index)` pair appears once, with `trial_index` an
+    integer >= 0. Raises ValueError with the 1-based line number on a row
+    that breaks a rule.
     """
     outcomes: dict[str, list[int]] = {}
+    first: dict[tuple[str, int], int] = {}
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -253,6 +256,18 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
                     continue
                 if len(row) < 3:
                     raise ValueError(f"line {line_number}: expected 3 columns, got {len(row)}")
+                index = row[1].strip()
+                if not (index.isascii() and index.isdigit()):
+                    raise ValueError(
+                        f"line {line_number}: trial_index must be an integer >= 0, got {row[1]!r}"
+                    )
+                key = (row[0], int(index))
+                if key in first:
+                    raise ValueError(
+                        f"line {line_number}: duplicate trial_index {key[1]} for object "
+                        f"{key[0]!r}, first on line {first[key]}"
+                    )
+                first[key] = line_number
                 if row[2].strip() not in ("0", "1"):
                     raise ValueError(
                         f"line {line_number}: success must be 0 or 1, got {row[2]!r}"

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import min_caliper_width
 from .assembler import Color, GenerationConfig, SetComposition, ToySpec
 from .errors import EmptyMesh, IoFailure, SchemaViolation
 from .mesh import Tessellation, TriMesh, mesh_toy, mesh_volume
@@ -28,7 +27,7 @@ from .primitives import (
     PrimitiveSpec,
 )
 
-MANIFEST_FORMAT_VERSION = "2"
+MANIFEST_FORMAT_VERSION = "3"
 _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
 _TENSOR_MAGIC = b"TGTENS01"
 
@@ -111,7 +110,6 @@ class DerivedStats:
     aabb_min: tuple[float, float, float]
     aabb_max: tuple[float, float, float]
     volume: float
-    min_caliper_width: float
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
     """Serialize one toy plus derived statistics of its mesh (from `mesh_toy`)."""
     lo, hi = mesh.aabb()
     volume = mesh_volume(mesh)  # per-part volumes summed; overlaps double count
-    width, _ = min_caliper_width(mesh)
     parts = tuple(
         PartRecord(
             kind=p.spec.kind.value,
@@ -180,7 +177,6 @@ def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
             aabb_min=tuple(float(v) for v in lo),
             aabb_max=tuple(float(v) for v in hi),
             volume=float(volume),
-            min_caliper_width=float(width),
         ),
     )
 
@@ -241,7 +237,6 @@ def manifest_json_bytes(manifest: Manifest) -> bytes:
                     "aabb_min": list(t.derived.aabb_min),
                     "aabb_max": list(t.derived.aabb_max),
                     "volume": t.derived.volume,
-                    "min_caliper_width": t.derived.min_caliper_width,
                 },
             }
             for t in manifest.toys
@@ -375,9 +370,6 @@ def read_manifest(path: str | Path) -> Manifest:
                     aabb_min=_numbers(derived, "aabb_min", derived_ctx, 3),
                     aabb_max=_numbers(derived, "aabb_max", derived_ctx, 3),
                     volume=_field(derived, "volume", derived_ctx, "a number"),
-                    min_caliper_width=_field(
-                        derived, "min_caliper_width", derived_ctx, "a number"
-                    ),
                 ),
             )
         )

@@ -65,19 +65,6 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return -q if q[0] < 0.0 else q
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ]
-    )
-
-
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     return np.array([q[0], -q[1], -q[2], -q[3]])
@@ -252,12 +239,6 @@ class Pose:
         """Map world-frame point(s) to the local frame."""
         p = np.asarray(points, dtype=np.float64) - self.translation
         return quat_rotate(quat_conjugate(self.rotation), p)
-
-    def compose(self, inner: "Pose") -> "Pose":
-        """The pose mapping x -> self(inner(x))."""
-        q = quat_canonical(quat_normalize(quat_multiply(self.rotation, inner.rotation)))
-        t = quat_rotate(self.rotation, inner.translation) + self.translation
-        return Pose(q, t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,11 +7,12 @@ exercise two independent routes to the same answer.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from toygrasp.primitives import PrimitiveKind, PrimitiveSpec
+from toygrasp.primitives import Pose, PrimitiveKind, PrimitiveSpec, quat_normalize, quat_rotate
 
 
 def ray_parity_inside(mesh_vertices, mesh_triangles, point, direction):
@@ -55,6 +56,48 @@ def analytic_boundary_distance(spec: PrimitiveSpec, point) -> float:
     r_outer = d["outer_diameter"] / 2
     r_inner = r_outer - d["wall_thickness"]
     return min(r_outer - radial, radial - r_inner, d["height"] / 2 - abs(z))
+
+
+def analytic_min_width(spec: PrimitiveSpec) -> float:
+    """Closed-form minimal caliper width of a single primitive."""
+    d = spec.dims
+    if spec.kind is PrimitiveKind.CUBOID:
+        return min(d["width"], d["height"], d["length"])
+    if spec.kind is PrimitiveKind.SPHERE:
+        return d["diameter"]
+    if spec.kind is PrimitiveKind.CYLINDER:
+        return min(d["diameter"], d["height"])
+    return min(d["outer_diameter"], d["height"])
+
+
+def fibonacci_directions(n: int) -> np.ndarray:
+    """Deterministic near-uniform unit directions (golden-angle spiral)."""
+    i = np.arange(n, dtype=np.float64)
+    z = 1.0 - 2.0 * (i + 0.5) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of two (w, x, y, z) quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        ]
+    )
+
+
+def compose(outer: Pose, inner: Pose) -> Pose:
+    """The pose mapping x -> outer(inner(x)); `Pose` canonicalizes the sign."""
+    q = quat_normalize(quat_multiply(outer.rotation, inner.rotation))
+    t = quat_rotate(outer.rotation, inner.translation) + outer.translation
+    return Pose(q, t)
 
 
 def parse_binary_stl(data: bytes):

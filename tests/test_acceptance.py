@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import analytic_min_width
 from toygrasp import _nn
 from toygrasp.analysis import (
-    analytic_min_width,
     directional_width,
     min_caliper_width,
     print_feasibility,
@@ -311,7 +311,7 @@ def test_11_print_feasibility():
         PrimitiveKind.CUBOID, {"width": 0.30, "length": 0.10, "height": 0.10}
     )
     toy = ToySpec("toy_big", 0, (PlacedPrimitive(spec, Pose.identity()),), Color.BLUE)
-    result = print_feasibility(toy, mesh_toy(toy), build_edge=0.256)
+    result = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.0)
     assert not result.fits_build_volume
     assert result.suggested_scale == pytest.approx(0.256 / 0.30, abs=1e-4)
     report(11, f"0.30 m toy flagged oversize, suggested_scale {result.suggested_scale:.4f} (0.8533 +/- 1e-4)")

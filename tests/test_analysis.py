@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spec
+from conftest import analytic_min_width, fibonacci_directions, random_spec
 from toygrasp.analysis import (
     GripperModel,
-    analytic_min_width,
     analyze_toy,
     directional_width,
-    fibonacci_directions,
     grasp_feasibility,
     min_caliper_width,
     print_feasibility,
@@ -350,13 +348,13 @@ class TestPrintFeasibility:
 
     def test_oversize_toy_downscaled(self):
         toy, mesh = self._box_toy(0.10, 0.30, 0.10)
-        report = print_feasibility(toy, mesh, build_edge=0.256)
+        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.0)
         assert not report.fits_build_volume
         assert report.suggested_scale == pytest.approx(0.256 / 0.30, abs=1e-4)
 
     def test_fitting_toy_scale_one(self):
         toy, mesh = self._box_toy(0.10, 0.20, 0.10)
-        report = print_feasibility(toy, mesh, build_edge=0.256)
+        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.0)
         assert report.fits_build_volume
         assert report.suggested_scale == 1.0
 
@@ -369,13 +367,13 @@ class TestPrintFeasibility:
             {"outer_diameter": 0.08, "wall_thickness": 0.006, "height": 0.03},
         )
         toy = ToySpec("t", 0, (PlacedPrimitive(spec, Pose.identity()),), Color.RED)
-        report = print_feasibility(toy, mesh_toy(toy), min_wall=0.008)
+        report = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.008)
         assert report.min_ring_wall == 0.006
         assert report.thin_wall
 
     def test_no_rings_no_wall_stat(self):
         toy, mesh = self._box_toy(0.05, 0.05, 0.05)
-        report = print_feasibility(toy, mesh, min_wall=0.008)
+        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.008)
         assert report.min_ring_wall is None
         assert not report.thin_wall
 
@@ -385,7 +383,7 @@ class TestReportsAndCsv:
         rng = np.random.default_rng(406)
         toy = assemble_toy(2, GenerationConfig(), rng)
         mesh = mesh_toy(toy)
-        report = analyze_toy(toy, mesh, GripperModel(), 0.256, 0.008)
+        report = analyze_toy(toy, mesh, GripperModel(), build_edge=0.256, min_wall=0.008)
         assert report.min_caliper_width is not None
         assert report.graspable == (0.0 <= report.min_caliper_width <= 0.085)
         assert report.suggested_scale <= 1.0
@@ -396,7 +394,8 @@ class TestReportsAndCsv:
         for i in range(3):
             toy = assemble_toy(1, GenerationConfig(), rng)
             mesh = mesh_toy(toy)
-            rows.append((f"toy_{i:04d}", analyze_toy(toy, mesh, GripperModel())))
+            report = analyze_toy(toy, mesh, GripperModel(), build_edge=0.256, min_wall=0.0)
+            rows.append((f"toy_{i:04d}", report))
         path = tmp_path / "feasibility.csv"
         write_feasibility_csv(rows, path)
         lines = path.read_text().strip().splitlines()

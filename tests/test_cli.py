@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +251,36 @@ class TestAnalyze:
         )
         assert "unknown manifest format_version '1'" in err
 
+    def test_format_version_2_rejected(self, tmp_path, capsys):
+        err = self._analyze_edited(
+            tmp_path, capsys, lambda doc: doc.update(format_version="2")
+        )
+        assert "unknown manifest format_version '2'" in err
+
+    def test_one_width_per_toy(self, tmp_path, capsys, monkeypatch):
+        from toygrasp import analysis
+
+        original, calls = analysis.min_caliper_width, []
+
+        def counting(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        # Every module that bound the name counts, `from ... import` copies too.
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "min_caliper_width", None)
+            if name.startswith("toygrasp") and bound is original:
+                monkeypatch.setattr(module, "min_caliper_width", counting)
+        config = write_config(tmp_path)
+        assert main(["generate", "--config", str(config)]) == 0
+        assert len(calls) == 0
+        code = main(
+            ["analyze", "--manifest", str(tmp_path / "out" / "manifest.json"),
+             "--config", str(config), "--out", str(tmp_path / "analysis.csv")]
+        )
+        assert code == 0
+        assert len(calls) == 5
+
 
 class TestDetpoolCheck:
     def test_default_config_passes(self, tmp_path, capsys):
@@ -362,6 +393,26 @@ class TestSchedule:
         assert f"[CONFIG] {where}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "item, got",
+        [(2, "int"), (None, "NoneType"), ({"a": 1}, "dict"), ([1], "list"), ("", "''")],
+        ids=["int", "null", "object", "array", "empty"],
+    )
+    def test_non_string_json_item_exit_2(self, tmp_path, capsys, item, got):
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps(["cup", item]))
+        out = tmp_path / "schedule.json"
+        code = main(
+            [
+                "schedule", "--protocol", "h12_humanoid",
+                "--objects", str(objects), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"[CONFIG] item 1: object id must be a non-empty string, got {got}" in err
+        assert not out.exists()
+
     def test_objects_directory_exit_3(self, tmp_path, capsys):
         code = main(
             [
@@ -392,6 +443,23 @@ class TestAggregate:
         outcomes.write_text("object,trial_index,success\na,0,1\na,1,yes\n")
         assert main(["aggregate", "--outcomes", str(outcomes)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "index", ["x", "-1", "1.5", ""], ids=["letter", "negative", "fraction", "empty"]
+    )
+    def test_bad_trial_index_exit_2_with_line(self, tmp_path, capsys, index):
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text(f"object,trial_index,success\na,0,1\na,{index},0\n")
+        assert main(["aggregate", "--outcomes", str(outcomes)]) == 2
+        err = capsys.readouterr().err
+        assert f"[CONFIG] line 3: trial_index must be an integer >= 0, got {index!r}" in err
+
+    def test_duplicate_trial_exit_2_naming_first_line(self, tmp_path, capsys):
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text("object,trial_index,success\na,0,1\nb,0,1\na,1,0\na,0,1\n")
+        assert main(["aggregate", "--outcomes", str(outcomes)]) == 2
+        err = capsys.readouterr().err
+        assert "[CONFIG] line 5: duplicate trial_index 0 for object 'a', first on line 2" in err
 
 
 class TestReport:

@@ -204,11 +204,13 @@ class TestManifest:
         assert len(manifest.toys) == 6
         for record in manifest.toys:
             assert record.derived.volume > 0
-            assert record.derived.min_caliper_width > 0
             assert all(
                 lo <= hi
                 for lo, hi in zip(record.derived.aabb_min, record.derived.aabb_max)
             )
+        doc = json.loads(manifest_json_bytes(manifest))
+        for toy in doc["toys"]:
+            assert sorted(toy["derived"]) == ["aabb_max", "aabb_min", "volume"]
 
 
 class TestPgm:

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.spatial.transform import Rotation
 
-from conftest import analytic_boundary_distance, ray_parity_inside
+from conftest import analytic_boundary_distance, compose, ray_parity_inside
 from toygrasp.errors import InvalidRanges
 from toygrasp.mesh import Tessellation, mesh_primitive
 from toygrasp.primitives import (
@@ -180,7 +180,7 @@ class TestContains:
                 continue
             point = pose.apply(local)
             extra = Pose(sample_rotation(rng), rng.uniform(-0.5, 0.5, 3))
-            moved = PlacedPrimitive(spec, extra.compose(pose))
+            moved = PlacedPrimitive(spec, compose(extra, pose))
             assert contains(placed, point, tol=1e-9) == contains(
                 moved, extra.apply(point), tol=1e-9
             )
@@ -280,7 +280,7 @@ class TestPose:
         b = Pose(sample_rotation(rng), rng.uniform(-1, 1, 3))
         point = rng.uniform(-1, 1, 3)
         np.testing.assert_allclose(
-            a.compose(b).apply(point), a.apply(b.apply(point)), atol=1e-12
+            compose(a, b).apply(point), a.apply(b.apply(point)), atol=1e-12
         )
 
 
