@@ -12,7 +12,6 @@ directory (the --out flag wins over both).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -29,6 +28,7 @@ from .errors import ConfigError, SchemaViolation, ToygraspError
 from .io import (
     MANIFEST_FORMAT_VERSION,
     Manifest,
+    csv_rows,
     manifest_config,
     manifest_json_bytes,
     obj_bytes,
@@ -202,35 +202,18 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-REPORT_COLUMNS = ("label", "demos", "success_percent")
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     rows = []
-    with open(args.rows, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != list(REPORT_COLUMNS):
-            raise SchemaViolation(
-                "rows file must start with header 'label,demos,success_percent'"
-            )
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                missing = ", ".join(REPORT_COLUMNS[len(row) :])
-                raise ValueError(f"line {line_number}: missing {missing}")
-            try:
-                label, demos, percent = row[0], int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"line {line_number}: {exc}") from exc
-            if demos < 0:
-                raise ValueError(f"line {line_number}: demos must be >= 0, got {demos}")
-            if not math.isfinite(percent):
-                raise ValueError(
-                    f"line {line_number}: success_percent must be finite, got {row[2]!r}"
-                )
-            rows.append((label, demos, percent))
+    for line, row in csv_rows(args.rows, ("label", "demos", "success_percent")):
+        try:
+            label, demos, percent = row[0], int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from exc
+        if demos < 0:
+            raise ValueError(f"line {line}: demos must be >= 0, got {demos}")
+        if not math.isfinite(percent):
+            raise ValueError(f"line {line}: success_percent must be finite, got {row[2]!r}")
+        rows.append((label, demos, percent))
     evalharness.scaling_report(rows, args.out)
     out = Path(args.out)
     print(f"wrote {out} and {out.with_suffix('.txt')} ({len(rows)} rows)")

@@ -4,7 +4,8 @@ Running `generate` with no overrides reproduces the default 250-toy set.
 Every default comes from the dataclass that owns the setting; only the
 CLI's print limits and output directory are set here. Unknown keys are
 rejected so typos fail loudly instead of being ignored, and every value
-must have its default's JSON type.
+must have its default's JSON type: `DEFAULT_CONFIG` is the shape that
+`io.check` reads a config against.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 from .analysis import GripperModel
 from .assembler import GenerationConfig
 from .detpool import EncoderConfig
-from .errors import ConfigError, IoFailure
-from .io import generation_config_from_dict, generation_config_to_dict, is_finite
+from .errors import ConfigError, IoFailure, SchemaViolation
+from .io import check, generation_config_from_dict, generation_config_to_dict
 from .mesh import Tessellation
 
 DEFAULT_CONFIG: dict = {
@@ -28,41 +29,6 @@ DEFAULT_CONFIG: dict = {
     "encoder": {**asdict(EncoderConfig()), "seed": 0},
     "output_dir": "out",
 }
-
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def _merge(default, value, path: str):
-    """`value` checked against the JSON type of `default`, objects key by key.
-
-    A key that `value` leaves out takes its default, copied by the same walk.
-    A list must hold items of its default's first item's type.
-    """
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config'} must be an object")
-        prefix = f"{path}." if path else ""
-        for key in value:
-            if key not in default:
-                raise ConfigError(f"unknown config key '{prefix}{key}'")
-        return {
-            key: _merge(item, value.get(key, item), prefix + key)
-            for key, item in default.items()
-        }
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
-        return [_merge(default[0], item, f"{path}[{k}]") for k, item in enumerate(value)]
-    kind = type(default)
-    accepted = (int, float) if kind is float else kind
-    # bool is an int subclass in Python, but never a valid number here.
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
-    if kind is float and not is_finite(value):
-        # The repr of a huge integer is long, and past 4300 digits it raises.
-        shown = repr(value) if isinstance(value, float) else "an integer too large for a float"
-        raise ConfigError(f"{path} must be a finite number, got {shown}")
-    return value
 
 
 def _checked(section: str, make, *args, **kwargs):
@@ -86,7 +52,10 @@ class CliConfig:
 
 
 def config_from_dict(raw: dict) -> CliConfig:
-    merged = _merge(DEFAULT_CONFIG, raw, "")
+    try:
+        merged = check(raw, DEFAULT_CONFIG, root="config", fill=True)
+    except SchemaViolation as exc:
+        raise ConfigError(str(exc)) from exc
     encoder = merged["encoder"]
     encoder_seed = encoder.pop("seed")
     if encoder_seed < 0:
@@ -115,6 +84,4 @@ def load_config(path: str | Path | None) -> CliConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return config_from_dict(raw)

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteActivation,
     SchemaViolation,
 )
-from .io import load_tensors, save_tensors, state_meta
+from .io import check_tensors, load_tensors, save_tensors, state_meta
 
 CHANNELS = 3
 
@@ -351,4 +351,5 @@ def load_encoder_state(path) -> EncoderState:
     if meta.get("kind") != "encoder":
         raise SchemaViolation(f"blob is not an encoder state: kind={meta.get('kind')!r}")
     config, seed = state_meta(meta, EncoderConfig, ("seed",))
+    check_tensors(tensors, init_encoder(config).params)
     return EncoderState(config=config, seed=seed, params=tensors)

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyObjectList, EmptyOutcomes, IoFailure, SchemaViolation
+from .io import check, csv_rows
 
 
 class Protocol(enum.Enum):
@@ -136,24 +137,32 @@ def write_schedule(schedule: TrialSchedule, path: str | Path) -> None:
         raise IoFailure(f"cannot write schedule to {path}: {exc}") from exc
 
 
+_SCHEDULE = {
+    "protocol": str, "seed": int, "workspace_m": (float, float), "lift_threshold_m": None,
+    "trials": [{"object": str, "x": float, "y": float, "theta": float, "index": int}],
+}
+
+
 def read_schedule(path: str | Path) -> TrialSchedule:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read schedule {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
         raise SchemaViolation(f"schedule is not valid JSON: {exc}") from exc
+    check(doc, _SCHEDULE, root="schedule")
     try:
-        return TrialSchedule(
-            protocol=Protocol(doc["protocol"]),
-            seed=doc["seed"],
-            trials=tuple(
-                TrialRecord(t["object"], t["x"], t["y"], t["theta"], t["index"])
-                for t in doc["trials"]
-            ),
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaViolation(f"malformed schedule: {exc}") from exc
+        protocol = Protocol(doc["protocol"])
+    except ValueError as exc:
+        raise SchemaViolation(f"protocol: {exc}") from exc
+    return TrialSchedule(
+        protocol=protocol,
+        seed=doc["seed"],
+        trials=tuple(
+            TrialRecord(t["object"], t["x"], t["y"], t["theta"], t["index"])
+            for t in doc["trials"]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,48 +242,28 @@ def write_success_csv(table: SuccessTable, path: str | Path) -> None:
 def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
     """Outcomes file: header `object,trial_index,success`, success in {0, 1}.
 
-    Each `(object, trial_index)` pair appears once, with `trial_index` an
-    integer >= 0. Raises ValueError with the 1-based line number on a row
-    that breaks a rule.
+    Each `(object, trial_index)` pair appears once, with a non-empty object
+    id and `trial_index` an integer >= 0. Raises ValueError with the 1-based
+    line number on a row that breaks a rule.
     """
     outcomes: dict[str, list[int]] = {}
     first: dict[tuple[str, int], int] = {}
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != [
-                "object",
-                "trial_index",
-                "success",
-            ]:
-                raise SchemaViolation(
-                    "outcomes file must start with header 'object,trial_index,success'"
-                )
-            for line_number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 3:
-                    raise ValueError(f"line {line_number}: expected 3 columns, got {len(row)}")
-                index = row[1].strip()
-                if not (index.isascii() and index.isdigit()):
-                    raise ValueError(
-                        f"line {line_number}: trial_index must be an integer >= 0, got {row[1]!r}"
-                    )
-                key = (row[0], int(index))
-                if key in first:
-                    raise ValueError(
-                        f"line {line_number}: duplicate trial_index {key[1]} for object "
-                        f"{key[0]!r}, first on line {first[key]}"
-                    )
-                first[key] = line_number
-                if row[2].strip() not in ("0", "1"):
-                    raise ValueError(
-                        f"line {line_number}: success must be 0 or 1, got {row[2]!r}"
-                    )
-                outcomes.setdefault(row[0], []).append(int(row[2]))
-    except OSError as exc:
-        raise IoFailure(f"cannot read outcomes {path}: {exc}") from exc
+    for line, row in csv_rows(path, ("object", "trial_index", "success")):
+        if not row[0]:
+            raise ValueError(f"line {line}: object id must be non-empty")
+        index = row[1].strip()
+        if not (index.isascii() and index.isdigit()):
+            raise ValueError(f"line {line}: trial_index must be an integer >= 0, got {row[1]!r}")
+        key = (row[0], int(index))
+        if key in first:
+            raise ValueError(
+                f"line {line}: duplicate trial_index {key[1]} for object "
+                f"{key[0]!r}, first on line {first[key]}"
+            )
+        first[key] = line
+        if row[2].strip() not in ("0", "1"):
+            raise ValueError(f"line {line}: success must be 0 or 1, got {row[2]!r}")
+        outcomes.setdefault(row[0], []).append(int(row[2]))
     return outcomes
 
 

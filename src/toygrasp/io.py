@@ -1,4 +1,5 @@
-"""File formats: binary STL, ASCII OBJ, JSON manifests, PGM masks, tensor blobs.
+"""File formats: binary STL, ASCII OBJ, JSON manifests, PGM masks, tensor blobs,
+and the JSON shape check and CSV row reader that every reader shares.
 
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
 are comparable across runs.
@@ -6,6 +7,7 @@ are comparable across runs.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
@@ -260,16 +262,6 @@ def write_manifest(
     return manifest
 
 
-_JSON_TYPES = {
-    "a boolean": bool,
-    "an object": dict,
-    "a list": list,
-    "a string": str,
-    "an integer": int,
-    "a number": (int, float),
-}
-
-
 #: Largest magnitude, in meters, accepted for a part dimension or
 #: translation. A float64 coordinate of magnitude L rounds by about
 #: L * 1e-16 m: translating a five-toy coarse set by 1 km moved its exact
@@ -277,16 +269,10 @@ _JSON_TYPES = {
 #: 1e306 m the geometry overflows.
 LENGTH_LIMIT = 1e3
 
-
-def _typed(value, path: str, kind: str):
-    # bool is an int subclass in Python, but never a valid number.
-    if isinstance(value, bool) is not (kind == "a boolean") or not isinstance(
-        value, _JSON_TYPES[kind]
-    ):
-        raise SchemaViolation(f"{path} must be {kind}, got {type(value).__name__}")
-    if kind == "a number" and not is_finite(value):
-        raise SchemaViolation(f"{path} must be a finite number, got {value!r}")
-    return value
+_LEAF_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number",
+    str: "a string", dict: "an object", list: "a list",
+}
 
 
 def is_finite(value) -> bool:
@@ -298,82 +284,126 @@ def is_finite(value) -> bool:
         return False
 
 
-def _field(doc: dict, key: str, context: str, kind: str):
-    """doc[key], present and of the named JSON type; errors name its path."""
-    if key not in doc:
-        raise SchemaViolation(f"{context or 'manifest'}: missing field '{key}'")
-    return _typed(doc[key], f"{context}.{key}" if context else key, kind)
+def check(value, shape, path: str = "", *, root: str, fill: bool = False):
+    """`value`, a parsed JSON document, checked against `shape`; errors name its path.
+
+    A dict shape is an object with exactly its keys; with `fill`, a missing
+    key takes the shape's value. A list shape is a list of any length whose
+    items are like its first item; a tuple shape, a list of exactly that
+    many items. A type, or a value of that type, is a leaf: a bool is never
+    a number, and a number must be finite. `None` accepts any value.
+    Returns the value rebuilt, with any filled-in keys.
+    """
+    where, kind = path or root, type(shape)
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise SchemaViolation(f"{where} must be an object, got {type(value).__name__}")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in shape:
+                raise SchemaViolation(f"unknown {root} key '{prefix}{key}'")
+        checked = {}
+        for key, item in shape.items():
+            if key not in value and not fill:
+                raise SchemaViolation(f"{where}: missing field '{key}'")
+            checked[key] = check(value.get(key, item), item, prefix + key, root=root, fill=fill)
+        return checked
+    if kind is list or kind is tuple:
+        if not isinstance(value, list):
+            raise SchemaViolation(f"{where} must be a list, got {type(value).__name__}")
+        if kind is tuple and len(value) != len(shape):
+            raise SchemaViolation(f"{where} must have {len(shape)} entries, got {len(value)}")
+        items = shape if kind is tuple else [shape[0]] * len(value)
+        return [
+            check(v, s, f"{path}[{k}]", root=root, fill=fill)
+            for k, (v, s) in enumerate(zip(value, items))
+        ]
+    if shape is None:
+        return value
+    if kind is type:
+        kind = shape
+    # bool is an int subclass in Python, but never a valid number here.
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise SchemaViolation(f"{where} must be {_LEAF_NAMES[kind]}, got {type(value).__name__}")
+    if kind is float and not is_finite(value):
+        # The repr of a huge integer is long, and past 4300 digits it raises.
+        shown = repr(value) if isinstance(value, float) else "an integer too large for a float"
+        raise SchemaViolation(f"{where} must be a finite number, got {shown}")
+    return value
 
 
-def _numbers(doc: dict, key: str, context: str, length: int) -> tuple:
-    path = f"{context}.{key}"
-    values = _field(doc, key, context, "a list")
-    if len(values) != length:
-        raise SchemaViolation(f"{path} must have {length} entries, got {len(values)}")
-    return tuple(_typed(v, f"{path}[{k}]", "a number") for k, v in enumerate(values))
+def csv_rows(path: str | Path, columns: tuple[str, ...]):
+    """Yield `(line, cells)` for each non-blank row of a CSV file whose
+    header starts with `columns`; a row short of a column is rejected."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[: len(columns)]] != list(columns):
+                raise SchemaViolation(f"{path} must start with header '{','.join(columns)}'")
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < len(columns):
+                    raise SchemaViolation(f"line {line}: missing {', '.join(columns[len(row):])}")
+                yield line, row
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+_PART = {"kind": str, "dims": dict, "quaternion": (float,) * 4, "translation": (float,) * 3}
+_MANIFEST = {
+    "format_version": str,
+    "config": dict,
+    "toys": [
+        {
+            "id": str,
+            "seed": int,
+            "color": str,
+            "parts": [_PART],
+            "derived": {"aabb_min": (float,) * 3, "aabb_max": (float,) * 3, "volume": float},
+        }
+    ],
+}
 
 
 def read_manifest(path: str | Path) -> Manifest:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
         raise SchemaViolation(f"manifest is not valid JSON: {exc}") from exc
 
-    _typed(doc, "manifest", "an object")
-    version = _field(doc, "format_version", "", "a string")
-    if version != MANIFEST_FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version not in (None, MANIFEST_FORMAT_VERSION):
         raise SchemaViolation(f"unknown manifest format_version {version!r}")
-    config = _field(doc, "config", "", "an object")
+    check(doc, _MANIFEST, root="manifest")
     toys = []
-    for i, t in enumerate(_field(doc, "toys", "", "a list")):
-        ctx = f"toys[{i}]"
-        _typed(t, ctx, "an object")
-        toy_id = _field(t, "id", ctx, "a string")
+    for i, t in enumerate(doc["toys"]):
         parts = []
-        for j, p in enumerate(_field(t, "parts", ctx, "a list")):
-            part_ctx = f"{ctx}.parts[{j}]"
-            _typed(p, part_ctx, "an object")
+        for j, p in enumerate(t["parts"]):
+            ctx = f"toys[{i}].parts[{j}]"
             dims = tuple(
-                (name, float(_typed(value, f"{part_ctx}.dims.{name}", "a number")))
-                for name, value in _field(p, "dims", part_ctx, "an object").items()
+                (name, float(check(value, float, f"{ctx}.dims.{name}", root="manifest")))
+                for name, value in p["dims"].items()
             )
-            quaternion = _numbers(p, "quaternion", part_ctx, 4)
-            translation = _numbers(p, "translation", part_ctx, 3)
-            lengths = [(f"{part_ctx}.dims.{name}", v) for name, v in dims]
-            lengths += [(f"{part_ctx}.translation[{k}]", v) for k, v in enumerate(translation)]
-            for path, value in lengths:
+            lengths = [(f"{ctx}.dims.{name}", v) for name, v in dims]
+            lengths += [(f"{ctx}.translation[{k}]", v) for k, v in enumerate(p["translation"])]
+            for where, value in lengths:
                 if abs(value) > LENGTH_LIMIT:
                     raise SchemaViolation(
-                        f"{path} = {value!r} is outside +-{LENGTH_LIMIT:g} m (toy {toy_id!r})"
+                        f"{where} = {value!r} is outside +-{LENGTH_LIMIT:g} m (toy {t['id']!r})"
                     )
             parts.append(
-                PartRecord(
-                    kind=_field(p, "kind", part_ctx, "a string"),
-                    dims=dims,
-                    quaternion=quaternion,
-                    translation=translation,
-                )
+                PartRecord(p["kind"], dims, tuple(p["quaternion"]), tuple(p["translation"]))
             )
-        derived = _field(t, "derived", ctx, "an object")
-        derived_ctx = f"{ctx}.derived"
-        toys.append(
-            ToyRecord(
-                id=toy_id,
-                seed=_field(t, "seed", ctx, "an integer"),
-                color=_field(t, "color", ctx, "a string"),
-                parts=tuple(parts),
-                derived=DerivedStats(
-                    aabb_min=_numbers(derived, "aabb_min", derived_ctx, 3),
-                    aabb_max=_numbers(derived, "aabb_max", derived_ctx, 3),
-                    volume=_field(derived, "volume", derived_ctx, "a number"),
-                ),
-            )
-        )
-    return Manifest(format_version=version, config=config, toys=tuple(toys))
+        d = t["derived"]
+        derived = DerivedStats(tuple(d["aabb_min"]), tuple(d["aabb_max"]), d["volume"])
+        toys.append(ToyRecord(t["id"], t["seed"], t["color"], tuple(parts), derived))
+    return Manifest(format_version=version, config=doc["config"], toys=tuple(toys))
 
 
 # ---------------------------------------------------------------------------
@@ -485,36 +515,38 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
-_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+def check_tensors(tensors: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Raise SchemaViolation naming the first tensor that `tensors` lacks,
+    has beyond `expected`, or shapes unlike it."""
+    for name in {**expected, **tensors}:
+        if name not in tensors:
+            raise SchemaViolation(f"missing tensor '{name}'")
+        if name not in expected:
+            raise SchemaViolation(f"unexpected tensor '{name}'")
+        got, want = tensors[name].shape, expected[name].shape
+        if got != want:
+            raise SchemaViolation(f"tensor '{name}' has shape {got}, expected {want}")
 
 
 def state_meta(meta: dict, config_type, counts: tuple[str, ...]) -> tuple:
     """A saved state's checked metadata: `(config, *counts)`.
 
-    The `config` object must give every field of the `config_type`
-    dataclass, each with its default's JSON type, and nothing else; each
-    name in `counts` must be a non-negative integer. Errors name the field.
+    `meta` holds a string `kind`, a `config` object giving every field of
+    the `config_type` dataclass with its default's JSON type, a
+    non-negative integer for each name in `counts`, and nothing else.
+    Errors name the field.
     """
-    for key in ("config", *counts):
-        if key not in meta:
-            raise SchemaViolation(f"state metadata: missing field '{key}'")
-    doc = _typed(meta["config"], "config", "an object")
-    names = [f.name for f in fields(config_type)]
-    for key in doc:
-        if key not in names:
-            raise SchemaViolation(f"config: unknown field '{key}'")
-    values = {
-        f.name: _field(doc, f.name, "config", _FIELD_KINDS[type(f.default)])
-        for f in fields(config_type)
+    shape = {
+        "kind": str,
+        "config": {f.name: f.default for f in fields(config_type)},
+        **dict.fromkeys(counts, int),
     }
+    meta = check(meta, shape, root="state metadata")
     try:
-        config = config_type(**values)
+        config = config_type(**meta["config"])
     except ValueError as exc:
         raise SchemaViolation(f"config: {exc}") from exc
-    numbers = []
     for key in counts:
-        value = _typed(meta[key], key, "an integer")
-        if value < 0:
-            raise SchemaViolation(f"{key} must be >= 0, got {value}")
-        numbers.append(value)
-    return (config, *numbers)
+        if meta[key] < 0:
+            raise SchemaViolation(f"{key} must be >= 0, got {meta[key]}")
+    return (config, *(meta[key] for key in counts))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _nn
 from .errors import NonFiniteActivation, SchemaViolation, ShapeMismatch
-from .io import load_tensors, save_tensors, state_meta
+from .io import check_tensors, load_tensors, save_tensors, state_meta
 
 #: An action chunk is a (chunk_len, action_dim) float64 array of absolute
 #: joint targets.
@@ -288,19 +288,20 @@ def train_step(
 # serialization and training curves
 # ---------------------------------------------------------------------------
 
+def _tensor_table(state: PolicyState) -> dict[str, np.ndarray]:
+    """Parameters, then optimizer moments as `opt.m.<param>` / `opt.v.<param>`."""
+    tables = {"": state.params, "opt.m.": state.opt_m, "opt.v.": state.opt_v}
+    return {prefix + k: v for prefix, table in tables.items() for k, v in table.items()}
+
+
 def save_policy_state(state: PolicyState, path) -> None:
-    tensors = dict(state.params)
-    for name, value in state.opt_m.items():
-        tensors[f"opt.m.{name}"] = value
-    for name, value in state.opt_v.items():
-        tensors[f"opt.v.{name}"] = value
     meta = {
         "kind": "policy",
         "seed": state.seed,
         "opt_step": state.opt_step,
         "config": asdict(state.config),
     }
-    save_tensors(path, tensors, meta)
+    save_tensors(path, _tensor_table(state), meta)
 
 
 def load_policy_state(path) -> PolicyState:
@@ -308,6 +309,7 @@ def load_policy_state(path) -> PolicyState:
     if meta.get("kind") != "policy":
         raise SchemaViolation(f"blob is not a policy state: kind={meta.get('kind')!r}")
     config, seed, opt_step = state_meta(meta, PolicyConfig, ("seed", "opt_step"))
+    check_tensors(tensors, _tensor_table(init_policy(config)))
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
     opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}

@@ -461,6 +461,14 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert "[CONFIG] line 5: duplicate trial_index 0 for object 'a', first on line 2" in err
 
+    def test_empty_object_id_exit_2_with_line(self, tmp_path, capsys):
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text("object,trial_index,success\n,0,1\n,1,0\n")
+        assert main(["aggregate", "--outcomes", str(outcomes)]) == 2
+        captured = capsys.readouterr()
+        assert "[CONFIG] line 2: object id must be non-empty" in captured.err
+        assert captured.out == ""
+
 
 class TestReport:
     def test_shuffled_rows_identical_bytes(self, tmp_path, capsys):

@@ -407,7 +407,7 @@ class TestStateSerialization:
         [
             (lambda m: m.pop("config"), "missing field 'config'"),
             (lambda m: m.update(config=[1]), "config must be an object, got list"),
-            (lambda m: m["config"].update(bogus=1), "config: unknown field 'bogus'"),
+            (lambda m: m["config"].update(bogus=1), "unknown state metadata key 'config.bogus'"),
             (lambda m: m["config"].pop("layers"), "config: missing field 'layers'"),
             (
                 lambda m: m["config"].update(patch_size="4"),
@@ -431,6 +431,27 @@ class TestStateSerialization:
         save_encoder_state(tiny_state(seed=30), path)
         tensors, meta = load_tensors(path)
         edit(meta)
+        save_tensors(path, tensors, meta)
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_encoder_state(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop("blocks.0.attn.w_q"), "missing tensor 'blocks.0.attn.w_q'"),
+            (
+                lambda t: t.update({"patch_embed.weight": np.zeros((5, TINY.embed_dim))}),
+                f"tensor 'patch_embed.weight' has shape (5, {TINY.embed_dim}), expected",
+            ),
+            (lambda t: t.update({"blocks.0.extra": np.zeros(3)}), "unexpected tensor 'blocks.0.extra'"),
+        ],
+        ids=["missing", "mis-shaped", "unexpected"],
+    )
+    def test_malformed_tensor_table_names_the_tensor(self, tmp_path, edit, message):
+        path = tmp_path / "encoder.bin"
+        save_encoder_state(tiny_state(seed=30), path)
+        tensors, meta = load_tensors(path)
+        edit(tensors)
         save_tensors(path, tensors, meta)
         with pytest.raises(SchemaViolation, match=re.escape(message)):
             load_encoder_state(path)

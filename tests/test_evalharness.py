@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ class TestMakeSchedule:
         doc = json.loads(path.read_text())
         assert doc["lift_threshold_m"] == PROTOCOL_LIFT_THRESHOLD[Protocol.FRANKA_REAL]
         assert doc["workspace_m"] == [0.5, 0.28]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(trials=5), "trials must be a list, got int"),
+            (lambda d: d["trials"][1].pop("index"), "trials[1]: missing field 'index'"),
+            (lambda d: d["trials"][0].update(x="a"), "trials[0].x must be a number, got str"),
+            (lambda d: d.update(seed=True), "seed must be an integer, got bool"),
+            (lambda d: d.update(bogus=1), "unknown schedule key 'bogus'"),
+        ],
+        ids=["trials-not-list", "missing-index", "x-string", "seed-bool", "unknown-key"],
+    )
+    def test_malformed_schedule_names_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "schedule.json"
+        write_schedule(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            read_schedule(path)
 
 
 class TestAggregate:

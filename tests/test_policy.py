@@ -379,7 +379,7 @@ class TestPolicySerialization:
         [
             (lambda m: m.pop("config"), "missing field 'config'"),
             (lambda m: m.pop("opt_step"), "missing field 'opt_step'"),
-            (lambda m: m["config"].update(bogus=1), "config: unknown field 'bogus'"),
+            (lambda m: m["config"].update(bogus=1), "unknown state metadata key 'config.bogus'"),
             (lambda m: m["config"].update(width="8"), "config.width must be an integer, got str"),
             (lambda m: m["config"].update(mlp_ratio="2"), "config.mlp_ratio must be a number, got str"),
             (lambda m: m["config"].update(heads=3), "config: width must be divisible by heads"),
@@ -393,6 +393,27 @@ class TestPolicySerialization:
         save_policy_state(init_policy(TINY, 29), path)
         tensors, meta = load_tensors(path)
         edit(meta)
+        save_tensors(path, tensors, meta)
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_policy_state(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop("opt.v.head.bias"), "missing tensor 'opt.v.head.bias'"),
+            (
+                lambda t: t.update({"opt.m.proj.w1": np.zeros((5, TINY.width))}),
+                f"tensor 'opt.m.proj.w1' has shape (5, {TINY.width}), expected",
+            ),
+            (lambda t: t.update({"opt.m.extra": np.zeros(3)}), "unexpected tensor 'opt.m.extra'"),
+        ],
+        ids=["missing", "mis-shaped", "unexpected"],
+    )
+    def test_malformed_tensor_table_names_the_tensor(self, tmp_path, edit, message):
+        path = tmp_path / "policy.bin"
+        save_policy_state(init_policy(TINY, 29), path)
+        tensors, meta = load_tensors(path)
+        edit(tensors)
         save_tensors(path, tensors, meta)
         with pytest.raises(SchemaViolation, match=re.escape(message)):
             load_policy_state(path)

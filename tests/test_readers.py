@@ -1,0 +1,103 @@
+"""Every JSON reader returns or raises SchemaViolation, never another
+exception: given a valid document with any one node replaced by any JSON
+value, or a document that does not parse."""
+
+import copy
+import json
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_config import JSON_VALUES
+from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
+from toygrasp.detpool import EncoderConfig
+from toygrasp.errors import SchemaViolation
+from toygrasp.evalharness import Protocol, make_schedule, read_schedule, schedule_json_bytes
+from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, state_meta
+from toygrasp.policy import PolicyConfig
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_GENERATION = GenerationConfig(composition=SetComposition(1, 0, 0, 1, 1, 0, 0, 0), master_seed=3)
+MANIFEST = json.loads(
+    manifest_json_bytes(build_manifest(generate_set(_GENERATION), _GENERATION))
+)
+SCHEDULE = json.loads(schedule_json_bytes(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0)))
+STATES = {
+    "encoder": ({"kind": "encoder", "seed": 0, "config": asdict(EncoderConfig())},
+                EncoderConfig, ("seed",)),
+    "policy": ({"kind": "policy", "seed": 0, "opt_step": 3, "config": asdict(PolicyConfig())},
+               PolicyConfig, ("seed", "opt_step")),
+}
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "doc.json"
+
+
+def _read_edited(reader, path, doc):
+    path.write_text(json.dumps(doc))
+    try:
+        reader(path)
+    except SchemaViolation:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_node_paths(MANIFEST))), JSON_VALUES)
+def test_any_manifest_node_gives_a_manifest_or_a_schema_violation(doc_path, path, value):
+    _read_edited(read_manifest, doc_path, _replaced(MANIFEST, path, value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_node_paths(SCHEDULE))), JSON_VALUES)
+def test_any_schedule_node_gives_a_schedule_or_a_schema_violation(doc_path, path, value):
+    _read_edited(read_schedule, doc_path, _replaced(SCHEDULE, path, value))
+
+
+@pytest.mark.parametrize("kind", sorted(STATES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_state_metadata_node_gives_a_config_or_a_schema_violation(kind, data):
+    meta, config_type, counts = STATES[kind]
+    path = data.draw(st.sampled_from(list(_node_paths(meta))))
+    try:
+        state_meta(_replaced(meta, path, data.draw(JSON_VALUES)), config_type, counts)
+    except SchemaViolation:
+        pass
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"seed": ' + b"1" * 5000 + b"}", b'{"seed": "\xff"}'], ids=["huge-int", "not-utf8"]
+)
+@pytest.mark.parametrize("reader", [read_manifest, read_schedule], ids=["manifest", "schedule"])
+def test_unparseable_document_is_a_schema_violation(tmp_path, reader, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaViolation, match="not valid JSON"):
+        reader(path)
