@@ -40,10 +40,16 @@ def linear_bwd(dy, cache):
     return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
 
 
+def _last_axis_mean(x):
+    """`x.mean(axis=-1, keepdims=True)`, bit for bit: the same sum and
+    divide without numpy's Python-level `_mean` wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layernorm_fwd(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _last_axis_mean(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _last_axis_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
@@ -55,8 +61,8 @@ def layernorm_bwd(dy, cache):
     dgamma = (dy * xhat).reshape(-1, d).sum(axis=0)
     dbeta = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _last_axis_mean(dxhat)
+    m2 = _last_axis_mean(dxhat * xhat)
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dgamma, dbeta
 
@@ -100,7 +106,10 @@ def _merge_heads(xh):
 def mha_fwd(x, params, prefix, heads, allowed):
     scale = 1.0 / math.sqrt(x.shape[-1] // heads)
     q, cq = linear_fwd(x, params[prefix + "w_q"], params[prefix + "b_q"])
-    k, ck = linear_fwd(x, params[prefix + "w_k"], params[prefix + "b_k"])
+    # No key bias: it would add one constant to each query's logits, which
+    # the softmax removes, so its exact gradient is 0.
+    w_k = params[prefix + "w_k"]
+    k, ck = x @ w_k, (x, w_k)
     v, cv = linear_fwd(x, params[prefix + "w_v"], params[prefix + "b_v"])
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
@@ -122,21 +131,32 @@ def mha_bwd(dy, cache, prefix, grads):
     dqh = dlogits @ kh
     dkh = dlogits.swapaxes(-1, -2) @ qh
     dx_q, grads[prefix + "w_q"], grads[prefix + "b_q"] = linear_bwd(_merge_heads(dqh), cq)
-    dx_k, grads[prefix + "w_k"], grads[prefix + "b_k"] = linear_bwd(_merge_heads(dkh), ck)
+    dx_k, grads[prefix + "w_k"], _ = linear_bwd(_merge_heads(dkh), ck)
     dx_v, grads[prefix + "w_v"], grads[prefix + "b_v"] = linear_bwd(_merge_heads(dvh), cv)
     return dx_q + dx_k + dx_v
 
 
-def block_fwd(x, params, prefix, heads, allowed):
-    """Pre-norm transformer block: x + attn(LN(x)), then x + mlp(LN(x))."""
-    h1, c_ln1 = layernorm_fwd(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
-    a, c_att = mha_fwd(h1, params, prefix + "attn.", heads, allowed)
-    x1 = x + a
-    h2, c_ln2 = layernorm_fwd(x1, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
-    m1, c_fc1 = linear_fwd(h2, params[prefix + "mlp.w1"], params[prefix + "mlp.b1"])
+def attn_sublayer_fwd(x, params, prefix, heads, allowed):
+    """First residual sublayer of a pre-norm block: x + attn(LN1(x))."""
+    h, c_ln = layernorm_fwd(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
+    a, c_att = mha_fwd(h, params, prefix + "attn.", heads, allowed)
+    return x + a, (c_ln, c_att)
+
+
+def mlp_sublayer_fwd(x, params, prefix, heads, allowed):
+    """Second residual sublayer of a pre-norm block: x + mlp(LN2(x))."""
+    h, c_ln = layernorm_fwd(x, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
+    m1, c_fc1 = linear_fwd(h, params[prefix + "mlp.w1"], params[prefix + "mlp.b1"])
     g, c_gelu = gelu_fwd(m1)
     m2, c_fc2 = linear_fwd(g, params[prefix + "mlp.w2"], params[prefix + "mlp.b2"])
-    return x1 + m2, (c_ln1, c_att, c_ln2, c_fc1, c_gelu, c_fc2)
+    return x + m2, (c_ln, c_fc1, c_gelu, c_fc2)
+
+
+def sublayer_fwd(s, x, params, heads, allowed, prefix=""):
+    """Residual sublayer `s` of a block stack: block s // 2's attention
+    sublayer for even `s`, its MLP sublayer for odd `s`."""
+    fwd = mlp_sublayer_fwd if s % 2 else attn_sublayer_fwd
+    return fwd(x, params, f"{prefix}blocks.{s // 2}.", heads, allowed)
 
 
 def block_bwd(dout, cache, prefix, grads):
@@ -151,11 +171,14 @@ def block_bwd(dout, cache, prefix, grads):
     return dx1 + dx_ln
 
 
-def transformer_fwd(tokens, params, layers, heads, allowed=None, prefix=""):
+def transformer_fwd(tokens, params, layers, heads, allowed=None, prefix="", start=0):
+    """Run sublayers `start` to 2 * layers - 1 on `tokens`, the input of
+    sublayer `start`. Returns the output and one cache per sublayer run;
+    `transformer_bwd` needs the caches of a run from `start` 0."""
     caches = []
     x = tokens
-    for i in range(layers):
-        x, cache = block_fwd(x, params, f"{prefix}blocks.{i}.", heads, allowed)
+    for s in range(start, 2 * layers):
+        x, cache = sublayer_fwd(s, x, params, heads, allowed, prefix)
         caches.append(cache)
     return x, caches
 
@@ -163,7 +186,7 @@ def transformer_fwd(tokens, params, layers, heads, allowed=None, prefix=""):
 def transformer_bwd(dout, caches, layers, heads, grads, prefix=""):
     dx = dout
     for i in reversed(range(layers)):
-        dx = block_bwd(dx, caches[i], f"{prefix}blocks.{i}.", grads)
+        dx = block_bwd(dx, caches[2 * i] + caches[2 * i + 1], f"{prefix}blocks.{i}.", grads)
     return dx
 
 
@@ -195,7 +218,7 @@ def init_block(rng, params, prefix, dim, mlp_hidden):
     params[prefix + "ln1.beta"] = np.zeros(dim)
     for name in ("w_q", "w_k", "w_v", "w_o"):
         params[prefix + "attn." + name] = rng.normal(0.0, INIT_STD, (dim, dim))
-    for name in ("b_q", "b_k", "b_v", "b_o"):
+    for name in ("b_q", "b_v", "b_o"):
         params[prefix + "attn." + name] = np.zeros(dim)
     params[prefix + "ln2.gamma"] = np.ones(dim)
     params[prefix + "ln2.beta"] = np.zeros(dim)

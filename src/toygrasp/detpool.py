@@ -194,19 +194,20 @@ def _check_inputs(image, state, mode, flags):
     return image, flags
 
 
-def _forward(image, state, mode, flags, masked_reference=False):
-    """Forward pass; returns (embedding, cache) for backward and probes.
+def _embed(image, state, mode, flags, masked_reference=False):
+    """Embedding step: the token sequence the blocks run on, its attention
+    mask (None for full attention), the projection cache and whether the
+    pass is compact.
 
-    Det mode with the mask on runs the blocks on the flagged patch tokens
-    alone (the compact path): object tokens attend only to object tokens and
-    Det pools only them, so the background and CLS tokens cannot reach the
-    embedding. `masked_reference=True` runs the full sequence under the
-    attention mask instead; the verification checks and the attention probe
-    use it, since on the compact path invariance holds by construction.
+    Det mode with the mask on keeps the flagged patch tokens alone (the
+    compact path): object tokens attend only to object tokens and Det pools
+    only them, so the background and CLS tokens cannot reach the embedding.
+    `masked_reference=True` keeps the full sequence under the attention mask
+    instead; the verification checks and the attention probe use it, since
+    on the compact path invariance holds by construction.
     """
     config = state.config
     params = state.params
-    image, flags = _check_inputs(image, state, mode, flags)
     masked = mode is PoolingMode.DET and not config.debug_disable_attention_mask
     compact = masked and not masked_reference
 
@@ -218,33 +219,42 @@ def _forward(image, state, mode, flags, masked_reference=False):
         patches, params["patch_embed.weight"], params["patch_embed.bias"]
     )
     tokens = tokens0 + pe
-    offset = 1 if config.include_cls and not compact else 0
-    if offset:
+    if config.include_cls and not compact:
         # CLS carries no spatial position, so no positional term is added.
         tokens = np.vstack([params["cls_token"], tokens])
 
     allowed = None
     if masked and not compact:
         allowed = build_attention_mask(flags, config.include_cls)
+    return tokens, allowed, c_embed, compact
 
-    hidden, block_caches = _nn.transformer_fwd(
-        tokens, params, config.layers, config.heads, allowed
-    )
+
+def _pool(hidden, state, mode, flags, compact):
+    """Pooling step: the embedding of the blocks' output `hidden` and the
+    cache for backward."""
+    offset = 1 if state.config.include_cls and not compact else 0
     patch_tokens = hidden[offset:]
-
-    pool_cache = None
     if mode is PoolingMode.MEAN or compact:
-        embedding = patch_tokens.mean(axis=0)
-    elif mode is PoolingMode.CLS:
-        embedding = hidden[0]
-    elif mode is PoolingMode.ATTENTION:
-        scores = patch_tokens @ params["pool_query"]
+        return patch_tokens.mean(axis=0), None
+    if mode is PoolingMode.CLS:
+        return hidden[0], None
+    if mode is PoolingMode.ATTENTION:
+        scores = patch_tokens @ state.params["pool_query"]
         weights = _nn.masked_softmax(scores[None, :], None)[0]
-        embedding = weights @ patch_tokens
-        pool_cache = (weights, patch_tokens)
-    else:
-        embedding = patch_tokens[flags].mean(axis=0)
+        return weights @ patch_tokens, (weights, patch_tokens)
+    return patch_tokens[flags].mean(axis=0), None
 
+
+def _forward(image, state, mode, flags, masked_reference=False):
+    """Forward pass, as embedding, blocks and pooling steps (see `_embed`);
+    returns (embedding, cache) for backward and probes."""
+    config = state.config
+    image, flags = _check_inputs(image, state, mode, flags)
+    tokens, allowed, c_embed, compact = _embed(image, state, mode, flags, masked_reference)
+    hidden, block_caches = _nn.transformer_fwd(
+        tokens, state.params, config.layers, config.heads, allowed
+    )
+    embedding, pool_cache = _pool(hidden, state, mode, flags, compact)
     if not np.isfinite(embedding).all():
         raise NonFiniteActivation("encoder produced non-finite values")
     cache = (config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact)
@@ -333,8 +343,8 @@ def attention_weights(
     """Per-layer attention matrices (heads, T, T) of the full sequence (Det
     under its flag mask); a verification probe."""
     _, cache = _forward(image, state, mode, flags, masked_reference=True)
-    block_caches = cache[3]
-    return [c_att[7] for (_, c_att, *_rest) in block_caches]
+    attention_caches = cache[3][::2]
+    return [c_att[7] for (_, c_att) in attention_caches]
 
 
 # ---------------------------------------------------------------------------

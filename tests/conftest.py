@@ -143,3 +143,14 @@ def random_spec(kind: PrimitiveKind, rng: np.random.Generator) -> PrimitiveSpec:
     from toygrasp.primitives import DimensionRanges, sample_primitive
 
     return sample_primitive(kind, DimensionRanges.default(), rng)
+
+
+def with_key_biases(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A state blob's tensor table in the older format that carried a zero
+    attention key bias: `<...>attn.b_k` right after each `<...>attn.b_q`."""
+    table = {}
+    for name, value in tensors.items():
+        table[name] = value
+        if name.endswith("attn.b_q"):
+            table[name[: -len("b_q")] + "b_k"] = np.zeros_like(value)
+    return table

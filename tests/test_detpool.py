@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toygrasp import _nn
+from conftest import with_key_biases
+from toygrasp import _nn, checks
 from toygrasp.checks import (
+    GRADIENT_CHECK_CONFIG,
     check_background_invariance,
     check_gradients,
     check_pooling_contrast,
@@ -456,6 +458,15 @@ class TestStateSerialization:
         with pytest.raises(SchemaViolation, match=re.escape(message)):
             load_encoder_state(path)
 
+    def test_rejects_blob_with_key_bias(self, tmp_path):
+        path = tmp_path / "encoder.bin"
+        save_encoder_state(tiny_state(seed=30), path)
+        tensors, meta = load_tensors(path)
+        save_tensors(path, with_key_biases(tensors), meta)
+        with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
+            load_encoder_state(path)
+
+
 
 class TestCheckSuites:
     def test_all_pass_at_default_config(self):
@@ -473,6 +484,83 @@ class TestCheckSuites:
     def test_gradient_check_passes_sampled(self):
         result = check_gradients(max_entries_per_tensor=3, seed=33)
         assert result.passed, result.detail
+
+
+class TestStagedGradientSweep:
+    """`check_gradients` resumes each run's loss at the first stage its
+    tensors feed; the benchmark's tracer wraps the zero-argument `loss_fn`
+    it passes to `_nn.finite_difference_check`."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"layers": 1},
+            {"layers": 2},
+            {"layers": 3},
+            {"include_cls": True},
+            {"debug_disable_attention_mask": True},
+        ],
+        ids=["layers1", "layers2", "layers3", "cls", "no-mask"],
+    )
+    def test_staged_loss_equals_whole_encode(self, monkeypatch, overrides):
+        # With one entry of any tensor of any run perturbed, that run's loss
+        # must equal the whole `encode` of the mode's own inputs bitwise.
+        config = replace(GRADIENT_CHECK_CONFIG, **overrides)
+        rng = np.random.default_rng(config.layers)
+        runs = []
+        mode_inputs = {}
+
+        def recording_encode_grad(image, state, mode, flags, upstream):
+            mode_inputs.update(args=(image, state, mode, flags), upstream=upstream)
+            return encode_grad(image, state, mode, flags, upstream)
+
+        def whole():
+            return float(mode_inputs["upstream"] @ encode(*mode_inputs["args"]))
+
+        def perturb_each_tensor(loss_fn, arrays, analytic, **kwargs):
+            runs.append(list(arrays))
+            for name, array in arrays.items():
+                flat = array.reshape(-1)
+                i = int(rng.integers(flat.size))
+                original = flat[i]
+                flat[i] = original + 1e-3
+                staged, reference = loss_fn(), whole()
+                flat[i] = original
+                assert staged == reference, f"{name}[{i}]"
+            return 0, 0.0, [], None
+
+        monkeypatch.setattr(checks, "encode_grad", recording_encode_grad)
+        monkeypatch.setattr(_nn, "finite_difference_check", perturb_each_tensor)
+        check_gradients(config)
+        # Per mode: embedding, two sublayers per block, pool_query, image.
+        assert len(runs) == len(PoolingMode) * (2 * config.layers + 3)
+        assert runs[1] == [
+            "blocks.0.ln1.gamma", "blocks.0.ln1.beta",
+            "blocks.0.attn.w_q", "blocks.0.attn.w_k", "blocks.0.attn.w_v", "blocks.0.attn.w_o",
+            "blocks.0.attn.b_q", "blocks.0.attn.b_v", "blocks.0.attn.b_o",
+        ]
+
+    def test_two_loss_evaluations_per_entry(self, monkeypatch):
+        finite_difference_check = _nn.finite_difference_check
+        counts = {"calls": 0, "loss_evals": 0, "entries": 0}
+
+        def counted(loss_fn, *args, **kwargs):
+            def loss():
+                counts["loss_evals"] += 1
+                return loss_fn()
+
+            counts["calls"] += 1
+            result = finite_difference_check(loss, *args, **kwargs)
+            counts["entries"] += result[0]
+            return result
+
+        monkeypatch.setattr(_nn, "finite_difference_check", counted)
+        result = check_gradients(max_entries_per_tensor=8, seed=3)
+        assert result.passed, result.detail
+        total = int(re.match(r"(\d+) entries checked", result.detail).group(1))
+        assert counts["entries"] == total
+        assert counts["loss_evals"] == 2 * total
+        assert counts["calls"] == len(PoolingMode) * (2 * GRADIENT_CHECK_CONFIG.layers + 3)
 
 
 class TestEncoderConfigValidation:

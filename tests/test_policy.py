@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from conftest import with_key_biases
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
@@ -294,13 +295,9 @@ class TestTrainStep:
                 expected[name] += g
         opt = OptimizerConfig(learning_rate=0.0)
         train_step(data, state, opt)
-        overall = max(float(np.abs(value).max()) for value in expected.values())
         for name, value in expected.items():
             got = state.opt_m[name] / (1.0 - opt.beta1)
-            # Key-bias gradients are exactly 0 up to rounding (softmax shift
-            # invariance), so they are held to the whole gradient's scale.
-            bound = overall if name.endswith("attn.b_k") else np.abs(value).max()
-            assert np.abs(got - value).max() <= 1e-14 * bound, name
+            assert np.abs(got - value).max() <= 1e-14 * np.abs(value).max(), name
 
     def test_bad_target_in_last_slot_leaves_state_unchanged(self):
         state = init_policy(TINY, 32)
@@ -416,6 +413,14 @@ class TestPolicySerialization:
         edit(tensors)
         save_tensors(path, tensors, meta)
         with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_policy_state(path)
+
+    def test_rejects_blob_with_key_bias(self, tmp_path):
+        path = tmp_path / "policy.bin"
+        save_policy_state(init_policy(TINY, 29), path)
+        tensors, meta = load_tensors(path)
+        save_tensors(path, with_key_biases(tensors), meta)
+        with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
             load_policy_state(path)
 
     def test_training_curve_csv(self, tmp_path):
