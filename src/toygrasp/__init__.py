@@ -28,7 +28,7 @@ from .detpool import (
     mask_to_flags,
 )
 from .evalharness import Protocol, TrialSchedule, aggregate, make_schedule, scaling_report
-from .io import export_obj, export_stl, read_manifest, write_manifest
+from .io import read_manifest
 from .mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy, mesh_volume
 from .policy import (
     ActionChunk,

@@ -143,27 +143,39 @@ def attn_sublayer_fwd(x, params, prefix, heads, allowed):
     return x + a, (c_ln, c_att)
 
 
+def mlp_fwd(x, params, prefix):
+    """Linear, GELU, linear, with parameters `<prefix>w1`, `b1`, `w2`, `b2`."""
+    h, c_fc1 = linear_fwd(x, params[prefix + "w1"], params[prefix + "b1"])
+    g, c_gelu = gelu_fwd(h)
+    y, c_fc2 = linear_fwd(g, params[prefix + "w2"], params[prefix + "b2"])
+    return y, (c_fc1, c_gelu, c_fc2)
+
+
+def mlp_bwd(dy, cache, prefix, grads):
+    c_fc1, c_gelu, c_fc2 = cache
+    dg, grads[prefix + "w2"], grads[prefix + "b2"] = linear_bwd(dy, c_fc2)
+    dh = gelu_bwd(dg, c_gelu)
+    dx, grads[prefix + "w1"], grads[prefix + "b1"] = linear_bwd(dh, c_fc1)
+    return dx
+
+
 def mlp_sublayer_fwd(x, params, prefix, heads, allowed):
     """Second residual sublayer of a pre-norm block: x + mlp(LN2(x))."""
     h, c_ln = layernorm_fwd(x, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
-    m1, c_fc1 = linear_fwd(h, params[prefix + "mlp.w1"], params[prefix + "mlp.b1"])
-    g, c_gelu = gelu_fwd(m1)
-    m2, c_fc2 = linear_fwd(g, params[prefix + "mlp.w2"], params[prefix + "mlp.b2"])
-    return x + m2, (c_ln, c_fc1, c_gelu, c_fc2)
+    m, c_mlp = mlp_fwd(h, params, prefix + "mlp.")
+    return x + m, (c_ln, c_mlp)
 
 
-def sublayer_fwd(s, x, params, heads, allowed, prefix=""):
+def sublayer_fwd(s, x, params, heads, allowed):
     """Residual sublayer `s` of a block stack: block s // 2's attention
     sublayer for even `s`, its MLP sublayer for odd `s`."""
     fwd = mlp_sublayer_fwd if s % 2 else attn_sublayer_fwd
-    return fwd(x, params, f"{prefix}blocks.{s // 2}.", heads, allowed)
+    return fwd(x, params, f"blocks.{s // 2}.", heads, allowed)
 
 
 def block_bwd(dout, cache, prefix, grads):
-    c_ln1, c_att, c_ln2, c_fc1, c_gelu, c_fc2 = cache
-    dg, grads[prefix + "mlp.w2"], grads[prefix + "mlp.b2"] = linear_bwd(dout, c_fc2)
-    dm1 = gelu_bwd(dg, c_gelu)
-    dh2, grads[prefix + "mlp.w1"], grads[prefix + "mlp.b1"] = linear_bwd(dm1, c_fc1)
+    c_ln1, c_att, c_ln2, c_mlp = cache
+    dh2 = mlp_bwd(dout, c_mlp, prefix + "mlp.", grads)
     dx1_ln, grads[prefix + "ln2.gamma"], grads[prefix + "ln2.beta"] = layernorm_bwd(dh2, c_ln2)
     dx1 = dout + dx1_ln
     dh1 = mha_bwd(dx1, c_att, prefix + "attn.", grads)
@@ -171,22 +183,23 @@ def block_bwd(dout, cache, prefix, grads):
     return dx1 + dx_ln
 
 
-def transformer_fwd(tokens, params, layers, heads, allowed=None, prefix="", start=0):
+def transformer_fwd(tokens, params, layers, heads, allowed=None, start=0):
     """Run sublayers `start` to 2 * layers - 1 on `tokens`, the input of
     sublayer `start`. Returns the output and one cache per sublayer run;
     `transformer_bwd` needs the caches of a run from `start` 0."""
     caches = []
     x = tokens
     for s in range(start, 2 * layers):
-        x, cache = sublayer_fwd(s, x, params, heads, allowed, prefix)
+        x, cache = sublayer_fwd(s, x, params, heads, allowed)
         caches.append(cache)
     return x, caches
 
 
-def transformer_bwd(dout, caches, layers, heads, grads, prefix=""):
+def transformer_bwd(dout, caches, grads):
+    """Backward through every block of a `transformer_fwd` run from sublayer 0."""
     dx = dout
-    for i in reversed(range(layers)):
-        dx = block_bwd(dx, caches[2 * i] + caches[2 * i + 1], f"{prefix}blocks.{i}.", grads)
+    for i in reversed(range(len(caches) // 2)):
+        dx = block_bwd(dx, caches[2 * i] + caches[2 * i + 1], f"blocks.{i}.", grads)
     return dx
 
 
@@ -213,19 +226,41 @@ def sincos_2d(n_rows, n_cols, dim):
     return np.concatenate([sincos_1d(rows, dim // 2), sincos_1d(cols, dim // 2)], axis=1)
 
 
+def mlp_shapes(prefix, dim_in, hidden, dim_out):
+    """Parameter table of an `mlp_fwd`: name -> (shape, fill); see `init_params`."""
+    return {
+        prefix + "w1": ((dim_in, hidden), None),
+        prefix + "b1": ((hidden,), 0.0),
+        prefix + "w2": ((hidden, dim_out), None),
+        prefix + "b2": ((dim_out,), 0.0),
+    }
+
+
+def block_shapes(prefix, dim, mlp_hidden):
+    """Parameter table of one pre-norm block: name -> (shape, fill)."""
+    return {
+        prefix + "ln1.gamma": ((dim,), 1.0),
+        prefix + "ln1.beta": ((dim,), 0.0),
+        **{prefix + "attn." + name: ((dim, dim), None) for name in ("w_q", "w_k", "w_v", "w_o")},
+        **{prefix + "attn." + name: ((dim,), 0.0) for name in ("b_q", "b_v", "b_o")},
+        prefix + "ln2.gamma": ((dim,), 1.0),
+        prefix + "ln2.beta": ((dim,), 0.0),
+        **mlp_shapes(prefix + "mlp.", dim, mlp_hidden, dim),
+    }
+
+
+def init_params(rng, table):
+    """Parameters of a name -> (shape, fill) table, in table order: a tensor
+    with fill None is drawn from N(0, INIT_STD^2), in that order, and any
+    other is filled with its constant."""
+    return {
+        name: rng.normal(0.0, INIT_STD, shape) if fill is None else np.full(shape, fill)
+        for name, (shape, fill) in table.items()
+    }
+
+
 def init_block(rng, params, prefix, dim, mlp_hidden):
-    params[prefix + "ln1.gamma"] = np.ones(dim)
-    params[prefix + "ln1.beta"] = np.zeros(dim)
-    for name in ("w_q", "w_k", "w_v", "w_o"):
-        params[prefix + "attn." + name] = rng.normal(0.0, INIT_STD, (dim, dim))
-    for name in ("b_q", "b_v", "b_o"):
-        params[prefix + "attn." + name] = np.zeros(dim)
-    params[prefix + "ln2.gamma"] = np.ones(dim)
-    params[prefix + "ln2.beta"] = np.zeros(dim)
-    params[prefix + "mlp.w1"] = rng.normal(0.0, INIT_STD, (dim, mlp_hidden))
-    params[prefix + "mlp.b1"] = np.zeros(mlp_hidden)
-    params[prefix + "mlp.w2"] = rng.normal(0.0, INIT_STD, (mlp_hidden, dim))
-    params[prefix + "mlp.b2"] = np.zeros(dim)
+    params.update(init_params(rng, block_shapes(prefix, dim, mlp_hidden)))
 
 
 def zero_grads(params):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -24,14 +23,13 @@ from . import evalharness
 from .assembler import connectivity_check, generate_set
 from .checks import run_detpool_checks
 from .config import CliConfig, load_config
-from .errors import ConfigError, SchemaViolation, ToygraspError
+from .errors import SchemaViolation, ToygraspError
 from .io import (
-    MANIFEST_FORMAT_VERSION,
-    Manifest,
+    build_manifest,
     csv_rows,
-    manifest_config,
     manifest_json_bytes,
     obj_bytes,
+    read_document,
     read_manifest,
     read_pgm,
     record_to_toy,
@@ -80,12 +78,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             (out_dir / name).write_bytes(data)
             digest_lines.append(f"{_sha256(data)}  {name}")
 
-    manifest = Manifest(
-        format_version=MANIFEST_FORMAT_VERSION,
-        config=manifest_config(config.generation, config.tessellation),
-        toys=tuple(records),
+    manifest_bytes = manifest_json_bytes(
+        build_manifest(records, config.generation, config.tessellation)
     )
-    manifest_bytes = manifest_json_bytes(manifest)
     (out_dir / "manifest.json").write_bytes(manifest_bytes)
     digest_lines.insert(0, f"{_sha256(manifest_bytes)}  manifest.json")
     digests_text = "\n".join(digest_lines) + "\n"
@@ -149,9 +144,9 @@ def cmd_detpool_check(args: argparse.Namespace) -> int:
 
 def _read_objects(path: str) -> list[str]:
     """Object ids, one per non-blank line or as a JSON array; each id once."""
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".json"):
-        data = json.loads(text)
+    as_json = path.endswith(".json")
+    data = read_document(path, "objects", as_json=as_json)
+    if as_json:
         if not isinstance(data, list):
             raise SchemaViolation("objects JSON must be an array of ids")
         entries = [(f"item {k}", item) for k, item in enumerate(data)]
@@ -164,7 +159,7 @@ def _read_objects(path: str) -> list[str]:
     else:
         entries = [
             (f"line {n}", line.strip())
-            for n, line in enumerate(text.splitlines(), start=1)
+            for n, line in enumerate(data.splitlines(), start=1)
             if line.strip()
         ]
     first: dict[str, str] = {}
@@ -277,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SchemaViolation) as exc:
-        print(f"toygrasp: [CONFIG] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:  # IoFailure subclasses OSError
         print(f"toygrasp: [IO] {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,15 +10,14 @@ must have its default's JSON type: `DEFAULT_CONFIG` is the shape that
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analysis import GripperModel
 from .assembler import GenerationConfig
 from .detpool import EncoderConfig
-from .errors import ConfigError, IoFailure, SchemaViolation
-from .io import check, generation_config_from_dict, generation_config_to_dict
+from .errors import ConfigError, SchemaViolation
+from .io import check, generation_config_from_dict, generation_config_to_dict, read_document
 from .mesh import Tessellation
 
 DEFAULT_CONFIG: dict = {
@@ -74,14 +73,4 @@ def config_from_dict(raw: dict) -> CliConfig:
 
 def load_config(path: str | Path | None) -> CliConfig:
     """Load and validate a config file; None gives the built-in defaults."""
-    if path is None:
-        return config_from_dict({})
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict({} if path is None else read_document(path, "config"))

@@ -90,17 +90,23 @@ class EncoderState:
     params: dict[str, np.ndarray] = field(repr=False)
 
 
-def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderState:
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    patch_dim = config.patch_size * config.patch_size * CHANNELS
-    params["patch_embed.weight"] = rng.normal(0.0, _nn.INIT_STD, (patch_dim, config.embed_dim))
-    params["patch_embed.bias"] = np.zeros(config.embed_dim)
+def _param_table(config: EncoderConfig) -> dict:
+    """Every parameter's name -> (shape, fill), in order (see `_nn.init_params`)."""
+    dim = config.embed_dim
+    table = {
+        "patch_embed.weight": ((config.patch_size * config.patch_size * CHANNELS, dim), None),
+        "patch_embed.bias": ((dim,), 0.0),
+    }
     if config.include_cls:
-        params["cls_token"] = rng.normal(0.0, _nn.INIT_STD, config.embed_dim)
+        table["cls_token"] = ((dim,), None)
     for i in range(config.layers):
-        _nn.init_block(rng, params, f"blocks.{i}.", config.embed_dim, config.mlp_hidden)
-    params["pool_query"] = rng.normal(0.0, _nn.INIT_STD, config.embed_dim)
+        table.update(_nn.block_shapes(f"blocks.{i}.", dim, config.mlp_hidden))
+    table["pool_query"] = ((dim,), None)
+    return table
+
+
+def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderState:
+    params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
     return EncoderState(config=config, seed=seed, params=params)
 
 
@@ -282,9 +288,7 @@ def _backward(cache, state, upstream):
     else:
         dhidden[offset:][flags] += upstream / int(flags.sum())
 
-    dtokens = _nn.transformer_bwd(
-        dhidden, block_caches, config.layers, config.heads, grads
-    )
+    dtokens = _nn.transformer_bwd(dhidden, block_caches, grads)
     if offset:
         grads["cls_token"] += dtokens[0]
         dtokens = dtokens[1:]
@@ -361,5 +365,5 @@ def load_encoder_state(path) -> EncoderState:
     if meta.get("kind") != "encoder":
         raise SchemaViolation(f"blob is not an encoder state: kind={meta.get('kind')!r}")
     config, seed = state_meta(meta, EncoderConfig, ("seed",))
-    check_tensors(tensors, init_encoder(config).params)
+    check_tensors(tensors, {name: shape for name, (shape, _) in _param_table(config).items()})
     return EncoderState(config=config, seed=seed, params=tensors)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyObjectList, EmptyOutcomes, IoFailure, SchemaViolation
-from .io import check, csv_rows
+from .io import check, csv_rows, read_document
 
 
 class Protocol(enum.Enum):
@@ -144,12 +144,7 @@ _SCHEDULE = {
 
 
 def read_schedule(path: str | Path) -> TrialSchedule:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read schedule {path}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
-        raise SchemaViolation(f"schedule is not valid JSON: {exc}") from exc
+    doc = read_document(path, "schedule")
     check(doc, _SCHEDULE, root="schedule")
     try:
         protocol = Protocol(doc["protocol"])
@@ -212,29 +207,32 @@ def aggregate(outcomes: Mapping[str, Sequence[int]]) -> SuccessTable:
     return SuccessTable(outcomes=table)
 
 
+def _grid(rows: list[tuple[str, ...]]) -> str:
+    """Rows of cells as aligned plain text, each column as wide as its widest cell."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
+
+
+def _success_rows(table: SuccessTable) -> list[tuple[str, ...]]:
+    """Header, one row per object, then the overall mean."""
+    rows = [("object", "trials", "successes", "rate_percent")]
+    rows += [
+        (object_id, str(len(trials)), str(sum(trials)), table.rate_display(object_id))
+        for object_id, trials in table.outcomes.items()
+    ]
+    rows.append(("overall", "", "", table.overall_display))
+    return rows
+
+
 def render_success_table(table: SuccessTable) -> str:
     """Aligned plain-text grid, one row per object plus the overall mean."""
-    rows = [("object", "trials", "successes", "rate_percent")]
-    for object_id, trials in table.outcomes.items():
-        rows.append(
-            (object_id, str(len(trials)), str(sum(trials)), table.rate_display(object_id))
-        )
-    rows.append(("overall", "", "", table.overall_display))
-    widths = [max(len(r[c]) for r in rows) for c in range(4)]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _grid(_success_rows(table))
 
 
 def write_success_csv(table: SuccessTable, path: str | Path) -> None:
     try:
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["object", "trials", "successes", "rate_percent"])
-            for object_id, trials in table.outcomes.items():
-                writer.writerow(
-                    [object_id, len(trials), sum(trials), table.rate_display(object_id)]
-                )
-            writer.writerow(["overall", "", "", table.overall_display])
+            csv.writer(handle).writerows(_success_rows(table))
     except OSError as exc:
         raise IoFailure(f"cannot write success table to {path}: {exc}") from exc
 
@@ -271,32 +269,20 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
 # scaling-study report
 # ---------------------------------------------------------------------------
 
-def scaling_report(
-    rows: Sequence[tuple[str, int, float]],
-    csv_path: str | Path,
-    text_path: str | Path | None = None,
-) -> None:
-    """Write (label, demos, success) rows as CSV plus an aligned text grid,
-    sorted by (label, demos) so output bytes are order-insensitive.
+def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path) -> None:
+    """Write (label, demos, success) rows as CSV plus an aligned text grid
+    beside it (`.txt`), sorted by (label, demos) so output bytes are
+    order-insensitive.
     """
-    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
+    cells = [("label", "demos", "success_percent")]
+    cells += [
+        (label, str(demos), _round_half_up(success))
+        for label, demos, success in sorted(rows, key=lambda r: (r[0], r[1]))
+    ]
     csv_path = Path(csv_path)
-    text_path = Path(text_path) if text_path is not None else csv_path.with_suffix(".txt")
     try:
         with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["label", "demos", "success_percent"])
-            for label, demos, success in ordered:
-                writer.writerow([label, demos, _round_half_up(success)])
-
-        cells = [("label", "demos", "success_percent")]
-        cells += [
-            (label, str(demos), _round_half_up(success)) for label, demos, success in ordered
-        ]
-        widths = [max(len(r[c]) for r in cells) for c in range(3)]
-        lines = [
-            "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)) for row in cells
-        ]
-        text_path.write_text("\n".join(lines) + "\n")
+            csv.writer(handle).writerows(cells)
+        csv_path.with_suffix(".txt").write_text(_grid(cells))
     except OSError as exc:
         raise IoFailure(f"cannot write scaling report: {exc}") from exc

@@ -1,5 +1,6 @@
 """File formats: binary STL, ASCII OBJ, JSON manifests, PGM masks, tensor blobs,
-and the JSON shape check and CSV row reader that every reader shares.
+and the document reader, JSON shape check and CSV row reader that every
+reader shares.
 
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
 are comparable across runs.
@@ -13,12 +14,13 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .assembler import Color, GenerationConfig, SetComposition, ToySpec
 from .errors import EmptyMesh, IoFailure, SchemaViolation
-from .mesh import Tessellation, TriMesh, mesh_toy, mesh_volume
+from .mesh import Tessellation, TriMesh, mesh_volume
 from .primitives import (
     DIM_NAMES,
     KIND_ORDER,
@@ -38,10 +40,10 @@ _TENSOR_MAGIC = b"TGTENS01"
 # mesh export
 # ---------------------------------------------------------------------------
 
-def stl_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
+def stl_bytes(mesh: TriMesh) -> bytes:
     """Binary STL: 80-byte header, triangle count, 50-byte little-endian records."""
-    if mesh.n_triangles == 0 and not allow_empty:
-        raise EmptyMesh("refusing to export an empty mesh (pass allow_empty=True)")
+    if mesh.n_triangles == 0:
+        raise EmptyMesh("refusing to export an empty mesh")
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     v1 = mesh.vertices[mesh.triangles[:, 1]]
     v2 = mesh.vertices[mesh.triangles[:, 2]]
@@ -62,18 +64,10 @@ def stl_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
     return _STL_HEADER + struct.pack("<I", mesh.n_triangles) + record.tobytes()
 
 
-def export_stl(mesh: TriMesh, path: str | Path, *, allow_empty: bool = False) -> None:
-    data = stl_bytes(mesh, allow_empty=allow_empty)
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write STL to {path}: {exc}") from exc
-
-
-def obj_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
+def obj_bytes(mesh: TriMesh) -> bytes:
     """ASCII OBJ, one `g part_<k>` group per part label; coordinates round-trip exactly."""
-    if mesh.n_triangles == 0 and not allow_empty:
-        raise EmptyMesh("refusing to export an empty mesh (pass allow_empty=True)")
+    if mesh.n_triangles == 0:
+        raise EmptyMesh("refusing to export an empty mesh")
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     labels = (
         mesh.part_labels
@@ -85,14 +79,6 @@ def obj_bytes(mesh: TriMesh, *, allow_empty: bool = False) -> bytes:
         for a, b, c in (mesh.triangles[labels == label] + 1).tolist():
             lines.append(f"f {a} {b} {c}")
     return ("\n".join(lines) + "\n").encode()
-
-
-def export_obj(mesh: TriMesh, path: str | Path, *, allow_empty: bool = False) -> None:
-    data = obj_bytes(mesh, allow_empty=allow_empty)
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write OBJ to {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +180,17 @@ def record_to_toy(record: ToyRecord) -> ToySpec:
     return ToySpec(id=record.id, seed=record.seed, parts=parts, color=Color(record.color))
 
 
-def manifest_config(config: GenerationConfig, tess: Tessellation) -> dict:
-    """The manifest's echo of every setting its records depend on."""
+def build_manifest(
+    records: Sequence[ToyRecord], config: GenerationConfig, tess: Tessellation
+) -> Manifest:
+    """The manifest of `records` (from `toy_record`), echoing every setting
+    they depend on: the generation config and the tessellation."""
     echo = generation_config_to_dict(config)
     echo["tessellation"] = {
         "sphere_subdivisions": tess.sphere_subdivisions,
         "radial_segments": tess.radial_segments,
     }
-    return echo
-
-
-def build_manifest(
-    toys: list[ToySpec],
-    config: GenerationConfig,
-    tess: Tessellation | None = None,
-) -> Manifest:
-    tess = tess or Tessellation()
-    return Manifest(
-        format_version=MANIFEST_FORMAT_VERSION,
-        config=manifest_config(config, tess),
-        toys=tuple(toy_record(toy, mesh_toy(toy, tess)) for toy in toys),
-    )
+    return Manifest(MANIFEST_FORMAT_VERSION, echo, tuple(records))
 
 
 def manifest_json_bytes(manifest: Manifest) -> bytes:
@@ -245,21 +221,6 @@ def manifest_json_bytes(manifest: Manifest) -> bytes:
         ],
     }
     return (json.dumps(doc, indent=2) + "\n").encode()
-
-
-def write_manifest(
-    toys: list[ToySpec],
-    config: GenerationConfig,
-    path: str | Path,
-    *,
-    tess: Tessellation | None = None,
-) -> Manifest:
-    manifest = build_manifest(toys, config, tess)
-    try:
-        Path(path).write_bytes(manifest_json_bytes(manifest))
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest to {path}: {exc}") from exc
-    return manifest
 
 
 #: Largest magnitude, in meters, accepted for a part dimension or
@@ -334,6 +295,22 @@ def check(value, shape, path: str = "", *, root: str, fill: bool = False):
     return value
 
 
+def read_document(path: str | Path, what: str, *, as_json: bool = True):
+    """The UTF-8 text of the file at `path`, parsed as JSON when `as_json`.
+
+    A file that cannot be read is an IoFailure; bytes that are not UTF-8, or
+    text that is not JSON, are a SchemaViolation. Both name `what` and `path`.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
+        form = "JSON" if as_json else "UTF-8 text"
+        raise SchemaViolation(f"{what} {path} is not valid {form}: {exc}") from exc
+
+
 def csv_rows(path: str | Path, columns: tuple[str, ...]):
     """Yield `(line, cells)` for each non-blank row of a CSV file whose
     header starts with `columns`; a row short of a column is rejected."""
@@ -370,12 +347,7 @@ _MANIFEST = {
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
-        raise SchemaViolation(f"manifest is not valid JSON: {exc}") from exc
+    doc = read_document(path, "manifest")
 
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in (None, MANIFEST_FORMAT_VERSION):
@@ -515,15 +487,15 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
-def check_tensors(tensors: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+def check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
     """Raise SchemaViolation naming the first tensor that `tensors` lacks,
-    has beyond `expected`, or shapes unlike it."""
-    for name in {**expected, **tensors}:
+    has beyond the name -> shape table `shapes`, or shapes unlike it."""
+    for name in {**shapes, **tensors}:
         if name not in tensors:
             raise SchemaViolation(f"missing tensor '{name}'")
-        if name not in expected:
+        if name not in shapes:
             raise SchemaViolation(f"unexpected tensor '{name}'")
-        got, want = tensors[name].shape, expected[name].shape
+        got, want = tensors[name].shape, shapes[name]
         if got != want:
             raise SchemaViolation(f"tensor '{name}' has shape {got}, expected {want}")
 

@@ -109,19 +109,19 @@ class OptimizerConfig:
     eps: float = 1e-8
 
 
-def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    params["proj.w1"] = rng.normal(0.0, _nn.INIT_STD, (config.token_in_dim, config.width))
-    params["proj.b1"] = np.zeros(config.width)
-    params["proj.w2"] = rng.normal(0.0, _nn.INIT_STD, (config.width, config.width))
-    params["proj.b2"] = np.zeros(config.width)
+def _param_table(config: PolicyConfig) -> dict:
+    """Every parameter's name -> (shape, fill), in order (see `_nn.init_params`)."""
+    table = _nn.mlp_shapes("proj.", config.token_in_dim, config.width, config.width)
     for i in range(config.layers):
-        _nn.init_block(rng, params, f"blocks.{i}.", config.width, config.mlp_hidden)
-    params["head.weight"] = rng.normal(
-        0.0, _nn.INIT_STD, (config.width, config.chunk_len * config.action_dim)
-    )
-    params["head.bias"] = np.zeros(config.chunk_len * config.action_dim)
+        table.update(_nn.block_shapes(f"blocks.{i}.", config.width, config.mlp_hidden))
+    out = config.chunk_len * config.action_dim
+    table["head.weight"] = ((config.width, out), None)
+    table["head.bias"] = ((out,), 0.0)
+    return table
+
+
+def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
+    params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
     return PolicyState(
         config=config,
         seed=seed,
@@ -147,25 +147,10 @@ def concat_observation(obs: StepObservation, config: PolicyConfig) -> np.ndarray
     return np.concatenate([obs.embeddings.reshape(-1), obs.proprio])
 
 
-def _project(x, params):
-    h1, c1 = _nn.linear_fwd(x, params["proj.w1"], params["proj.b1"])
-    g, cg = _nn.gelu_fwd(h1)
-    out, c2 = _nn.linear_fwd(g, params["proj.w2"], params["proj.b2"])
-    return out, (c1, cg, c2)
-
-
-def _project_bwd(dout, cache, grads):
-    c1, cg, c2 = cache
-    dg, grads["proj.w2"], grads["proj.b2"] = _nn.linear_bwd(dout, c2)
-    dh1 = _nn.gelu_bwd(dg, cg)
-    dx, grads["proj.w1"], grads["proj.b1"] = _nn.linear_bwd(dh1, c1)
-    return dx
-
-
 def assemble_token(obs: StepObservation, state: PolicyState) -> np.ndarray:
     """Concatenate one step's inputs and project into the backbone width."""
     x = concat_observation(obs, state.config)[None, :]
-    out, _ = _project(x, state.params)
+    out, _ = _nn.mlp_fwd(x, state.params, "proj.")
     return out[0]
 
 
@@ -179,7 +164,7 @@ def _stack_history(history, config):
 def _forward(stacked, state):
     """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim)."""
     config = state.config
-    projected, c_proj = _project(stacked, state.params)
+    projected, c_proj = _nn.mlp_fwd(stacked, state.params, "proj.")
     tokens = projected + _nn.sincos_1d(np.arange(config.history_len), config.width)
     hidden, block_caches = _nn.transformer_fwd(
         tokens, state.params, config.layers, config.heads, allowed=None
@@ -202,8 +187,8 @@ def _backward(dchunk, cache, state):
     dlast, grads["head.weight"], grads["head.bias"] = _nn.linear_bwd(dflat, c_head)
     dhidden = np.zeros((*lead, config.history_len, config.width))
     dhidden[..., -1:, :] = dlast
-    dtokens = _nn.transformer_bwd(dhidden, block_caches, config.layers, config.heads, grads)
-    _project_bwd(dtokens, c_proj, grads)
+    dtokens = _nn.transformer_bwd(dhidden, block_caches, grads)
+    _nn.mlp_bwd(dtokens, c_proj, "proj.", grads)
     return grads
 
 
@@ -309,7 +294,8 @@ def load_policy_state(path) -> PolicyState:
     if meta.get("kind") != "policy":
         raise SchemaViolation(f"blob is not a policy state: kind={meta.get('kind')!r}")
     config, seed, opt_step = state_meta(meta, PolicyConfig, ("seed", "opt_step"))
-    check_tensors(tensors, _tensor_table(init_policy(config)))
+    shapes = {name: shape for name, (shape, _) in _param_table(config).items()}
+    check_tensors(tensors, {p + k: v for p in ("", "opt.m.", "opt.v.") for k, v in shapes.items()})
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
     opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}

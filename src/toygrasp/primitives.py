@@ -228,9 +228,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map local-frame point(s) to the world frame."""
         return quat_rotate(self.rotation, points) + self.translation

@@ -35,7 +35,7 @@ from toygrasp.checks import (
 )
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode_grad, init_encoder, mask_to_flags
 from toygrasp.evalharness import SIM_AXIS_VALUES, Protocol, aggregate, make_schedule
-from toygrasp.io import build_manifest, manifest_json_bytes, stl_bytes
+from toygrasp.io import build_manifest, manifest_json_bytes, stl_bytes, toy_record
 from toygrasp.mesh import Tessellation, mesh_primitive, mesh_toy, mesh_volume, is_watertight
 from toygrasp.policy import (
     OptimizerConfig,
@@ -115,8 +115,9 @@ def test_04_determinism():
     def run():
         config = GenerationConfig(master_seed=7)
         toys = generate_set(config)
+        tess = Tessellation()
         manifest = manifest_json_bytes(
-            build_manifest(toys, config, Tessellation())
+            build_manifest([toy_record(t, mesh_toy(t, tess)) for t in toys], config, tess)
         )
         stl_digests = [
             hashlib.sha256(stl_bytes(mesh_toy(toy))).hexdigest() for toy in toys

@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from toygrasp.assembler import generate_set
 from toygrasp.cli import main
+from toygrasp.config import load_config
+from toygrasp.io import build_manifest, manifest_json_bytes, toy_record
+from toygrasp.mesh import mesh_toy
 
 SMALL_COMPOSITION = {
     "cuboids": 1, "spheres": 1, "cylinders": 1, "rings": 1,
@@ -41,6 +45,15 @@ class TestGenerate:
         assert (tmp_path / "out" / "meshes" / "toy_0000.stl").exists()
         assert (tmp_path / "out" / "meshes" / "toy_0004.obj").exists()
         assert (tmp_path / "out" / "digests.txt").exists()
+
+    def test_manifest_is_build_manifest_of_one_mesh_per_toy(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        config = load_config(path)
+        tess = config.tessellation
+        records = [toy_record(t, mesh_toy(t, tess)) for t in generate_set(config.generation)]
+        expected = manifest_json_bytes(build_manifest(records, config.generation, tess))
+        assert (tmp_path / "out" / "manifest.json").read_bytes() == expected
 
     def test_identical_runs_print_identical_digests(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -146,6 +159,25 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"toygrasp: [CONFIG] {path} "), err
+
+    @pytest.mark.parametrize(
+        "name, data, command",
+        [
+            ("config.json", b'{"output_dir": "\xff"}', ["generate", "--config"]),
+            ("objects.json", b"[1, ", ["schedule", "--protocol", "h12_humanoid", "--objects"]),
+            ("objects.txt", b"cup\n\xff\n", ["schedule", "--protocol", "h12_humanoid", "--objects"]),
+        ],
+        ids=["config-not-utf8", "objects-not-json", "objects-not-utf8"],
+    )
+    def test_undecodable_input_names_the_document(self, tmp_path, capsys, name, data, command):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = command + [str(path)]
+        if command[0] == "schedule":
+            argv += ["--out", str(tmp_path / "s.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"toygrasp: [CONFIG] {name.split('.')[0]} {path} is not valid "), err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 3

@@ -466,6 +466,24 @@ class TestStateSerialization:
         with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
             load_encoder_state(path)
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # The tensor table is checked against shapes from the config alone, so
+        # metadata naming a large model costs nothing before it is rejected.
+        path = tmp_path / "encoder.bin"
+        save_encoder_state(tiny_state(seed=30), path)
+        tensors, meta = load_tensors(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading a state drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert load_encoder_state(path).config == TINY
+        meta["config"].update(embed_dim=1024, layers=8)
+        save_tensors(path, tensors, meta)
+        message = f"tensor 'patch_embed.weight' has shape (48, {TINY.embed_dim}), expected (48, 1024)"
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_encoder_state(path)
+
 
 
 class TestCheckSuites:

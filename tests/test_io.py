@@ -9,8 +9,6 @@ from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
 from toygrasp.errors import EmptyMesh, SchemaViolation
 from toygrasp.io import (
     build_manifest,
-    export_obj,
-    export_stl,
     generation_config_from_dict,
     generation_config_to_dict,
     load_tensors,
@@ -23,7 +21,6 @@ from toygrasp.io import (
     stl_bytes,
     tensor_blob_bytes,
     toy_record,
-    write_manifest,
 )
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
 from toygrasp.primitives import PrimitiveKind, PrimitiveSpec
@@ -36,6 +33,17 @@ def small_set():
     return generate_set(config), config
 
 
+def manifest_of(toys, config):
+    tess = Tessellation()
+    return build_manifest([toy_record(t, mesh_toy(t, tess)) for t in toys], config, tess)
+
+
+def write_manifest(toys, config, path):
+    manifest = manifest_of(toys, config)
+    path.write_bytes(manifest_json_bytes(manifest))
+    return manifest
+
+
 CUBOID = PrimitiveSpec(
     PrimitiveKind.CUBOID, {"width": 0.02, "length": 0.28, "height": 0.20}
 )
@@ -44,7 +52,7 @@ CUBOID = PrimitiveSpec(
 class TestStl:
     def test_cuboid_file_size(self, tmp_path):
         path = tmp_path / "box.stl"
-        export_stl(mesh_primitive(CUBOID), path)
+        path.write_bytes(stl_bytes(mesh_primitive(CUBOID)))
         # 80-byte header + 4-byte count + 12 triangles * 50 bytes
         assert path.stat().st_size == 684
 
@@ -64,12 +72,10 @@ class TestStl:
         mesh = mesh_primitive(CUBOID)
         assert stl_bytes(mesh) == stl_bytes(mesh_primitive(CUBOID))
 
-    def test_empty_mesh_default_error(self, tmp_path):
+    def test_empty_mesh_default_error(self):
         empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         with pytest.raises(EmptyMesh):
-            export_stl(empty, tmp_path / "e.stl")
-        export_stl(empty, tmp_path / "e.stl", allow_empty=True)
-        assert (tmp_path / "e.stl").stat().st_size == 84
+            stl_bytes(empty)
 
 
 class TestObj:
@@ -87,7 +93,7 @@ class TestObj:
         toy = toys[-1]  # three parts
         mesh = mesh_toy(toy)
         path = tmp_path / "toy.obj"
-        export_obj(mesh, path)
+        path.write_bytes(obj_bytes(mesh))
         _, faces, groups = parse_obj(path.read_text())
         assert set(groups) == {"part_0", "part_1", "part_2"}
         assert len(faces) == mesh.n_triangles
@@ -193,14 +199,14 @@ class TestManifest:
 
     def test_deterministic_bytes(self):
         toys, config = small_set()
-        a = manifest_json_bytes(build_manifest(toys, config))
+        a = manifest_json_bytes(manifest_of(toys, config))
         toys2, config2 = small_set()
-        b = manifest_json_bytes(build_manifest(toys2, config2))
+        b = manifest_json_bytes(manifest_of(toys2, config2))
         assert a == b
 
     def test_derived_stats_present(self):
         toys, config = small_set()
-        manifest = build_manifest(toys, config)
+        manifest = manifest_of(toys, config)
         assert len(manifest.toys) == 6
         for record in manifest.toys:
             assert record.derived.volume > 0

@@ -63,7 +63,7 @@ class TestLeadingBatchAxis:
 
         out, caches = _nn.transformer_fwd(x, params, LAYERS, heads, allowed)
         grads = {}
-        dx = _nn.transformer_bwd(dout, caches, LAYERS, heads, grads)
+        dx = _nn.transformer_bwd(dout, caches, grads)
         assert out.shape == dx.shape == (batch, tokens, DIM)
         assert set(grads) == set(params)
 
@@ -71,7 +71,7 @@ class TestLeadingBatchAxis:
         for b in range(batch):
             out_b, caches_b = _nn.transformer_fwd(x[b], params, LAYERS, heads, allowed)
             grads_b = {}
-            dx_b = _nn.transformer_bwd(dout[b], caches_b, LAYERS, heads, grads_b)
+            dx_b = _nn.transformer_bwd(dout[b], caches_b, grads_b)
             assert np.abs(out[b] - out_b).max() <= 1e-14
             assert_close_to(dx[b], dx_b)
             for name, value in grads_b.items():

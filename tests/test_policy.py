@@ -423,6 +423,24 @@ class TestPolicySerialization:
         with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
             load_policy_state(path)
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # The tensor table is checked against shapes from the config alone, so
+        # metadata naming a large model costs nothing before it is rejected.
+        path = tmp_path / "policy.bin"
+        save_policy_state(init_policy(TINY, 29), path)
+        tensors, meta = load_tensors(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading a state drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert load_policy_state(path).config == TINY
+        meta["config"].update(width=1024, layers=8)
+        save_tensors(path, tensors, meta)
+        message = f"tensor 'proj.w1' has shape ({TINY.token_in_dim}, {TINY.width}), expected"
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            load_policy_state(path)
+
     def test_training_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_training_curve([(0, 0.5), (1, 0.25)], path)

@@ -15,7 +15,8 @@ from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
 from toygrasp.detpool import EncoderConfig
 from toygrasp.errors import SchemaViolation
 from toygrasp.evalharness import Protocol, make_schedule, read_schedule, schedule_json_bytes
-from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, state_meta
+from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, state_meta, toy_record
+from toygrasp.mesh import Tessellation, mesh_toy
 from toygrasp.policy import PolicyConfig
 
 
@@ -43,8 +44,9 @@ def _replaced(doc, path, value):
 
 
 _GENERATION = GenerationConfig(composition=SetComposition(1, 0, 0, 1, 1, 0, 0, 0), master_seed=3)
+_RECORDS = [toy_record(t, mesh_toy(t, Tessellation())) for t in generate_set(_GENERATION)]
 MANIFEST = json.loads(
-    manifest_json_bytes(build_manifest(generate_set(_GENERATION), _GENERATION))
+    manifest_json_bytes(build_manifest(_RECORDS, _GENERATION, Tessellation()))
 )
 SCHEDULE = json.loads(schedule_json_bytes(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0)))
 STATES = {
