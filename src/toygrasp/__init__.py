@@ -4,7 +4,6 @@ from .analysis import (
     FeasibilityReport,
     GripperModel,
     directional_width,
-    grasp_feasibility,
     min_caliper_width,
     print_feasibility,
 )
@@ -31,12 +30,10 @@ from .evalharness import Protocol, TrialSchedule, aggregate, make_schedule, scal
 from .io import read_manifest
 from .mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy, mesh_volume
 from .policy import (
-    ActionChunk,
     OptimizerConfig,
     PolicyConfig,
     PolicyState,
     StepObservation,
-    assemble_token,
     bc_l1_loss,
     init_policy,
     policy_forward,

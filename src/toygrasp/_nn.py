@@ -259,10 +259,6 @@ def init_params(rng, table):
     }
 
 
-def init_block(rng, params, prefix, dim, mlp_hidden):
-    params.update(init_params(rng, block_shapes(prefix, dim, mlp_hidden)))
-
-
 def zero_grads(params):
     return {name: np.zeros_like(value) for name, value in params.items()}
 

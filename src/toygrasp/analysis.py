@@ -166,13 +166,6 @@ def _antipodal_edge_directions(hull) -> np.ndarray:
     return d[on_arcs]
 
 
-def grasp_feasibility(mesh: TriMesh, gripper: GripperModel | None = None) -> bool:
-    """True iff the minimal caliper width fits inside the gripper's stroke."""
-    gripper = gripper or GripperModel()
-    width, _ = min_caliper_width(mesh)
-    return gripper.min_opening <= width <= gripper.max_opening
-
-
 def print_feasibility(
     toy: ToySpec,
     mesh: TriMesh,

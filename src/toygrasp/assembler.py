@@ -75,10 +75,6 @@ class SetComposition:
     def counts(self) -> dict[str, int]:
         return asdict(self)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts().values())
-
 
 @dataclass(frozen=True, eq=False)
 class GenerationConfig:

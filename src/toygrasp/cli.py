@@ -199,7 +199,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows = []
-    for line, row in csv_rows(args.rows, ("label", "demos", "success_percent")):
+    for line, row in csv_rows(args.rows, "rows", ("label", "demos", "success_percent")):
         try:
             label, demos, percent = row[0], int(row[1]), float(row[2])
         except ValueError as exc:
@@ -209,9 +209,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not math.isfinite(percent):
             raise ValueError(f"line {line}: success_percent must be finite, got {row[2]!r}")
         rows.append((label, demos, percent))
-    evalharness.scaling_report(rows, args.out)
+    grid_path = evalharness.scaling_report(rows, args.out)
     out = Path(args.out)
-    print(f"wrote {out} and {out.with_suffix('.txt')} ({len(rows)} rows)")
+    print(f"wrote {out} and {grid_path} ({len(rows)} rows)")
     print(f"  csv sha256: {_sha256(out.read_bytes())}")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ reverse-mode; everything runs in float64.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,9 +23,7 @@ from .errors import (
     DimensionMismatch,
     EmptyObject,
     NonFiniteActivation,
-    SchemaViolation,
 )
-from .io import check_tensors, load_tensors, save_tensors, state_meta
 
 CHANNELS = 3
 
@@ -336,34 +334,3 @@ def encode_grad(
         raise DimensionMismatch("upstream must match the embedding dimension")
     _, cache = _forward(image, state, mode, flags)
     return _backward(cache, state, upstream)
-
-
-def attention_weights(
-    image: np.ndarray,
-    state: EncoderState,
-    mode: PoolingMode,
-    flags: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Per-layer attention matrices (heads, T, T) of the full sequence (Det
-    under its flag mask); a verification probe."""
-    _, cache = _forward(image, state, mode, flags, masked_reference=True)
-    attention_caches = cache[3][::2]
-    return [c_att[7] for (_, c_att) in attention_caches]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_encoder_state(state: EncoderState, path) -> None:
-    meta = {"kind": "encoder", "seed": state.seed, "config": asdict(state.config)}
-    save_tensors(path, state.params, meta)
-
-
-def load_encoder_state(path) -> EncoderState:
-    tensors, meta = load_tensors(path)
-    if meta.get("kind") != "encoder":
-        raise SchemaViolation(f"blob is not an encoder state: kind={meta.get('kind')!r}")
-    config, seed = state_meta(meta, EncoderConfig, ("seed",))
-    check_tensors(tensors, {name: shape for name, (shape, _) in _param_table(config).items()})
-    return EncoderState(config=config, seed=seed, params=tensors)

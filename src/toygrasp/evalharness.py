@@ -48,8 +48,6 @@ PROTOCOL_LIFT_THRESHOLD: dict[Protocol, float | None] = {
     Protocol.FRANKA_REAL: 0.2,
     Protocol.H12_HUMANOID: None,
 }
-#: H1-2 square side: 3 inches, in meters.
-H12_SQUARE_SIDE = 0.0762
 H12_GRID = (3, 2)  # columns across 0.40 m, rows across 0.36 m
 
 
@@ -100,6 +98,8 @@ def make_schedule(
     """
     if not objects:
         raise EmptyObjectList("schedule requires at least one object id")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     trials: list[TrialRecord] = []
     for object_id in objects:
@@ -246,7 +246,7 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
     """
     outcomes: dict[str, list[int]] = {}
     first: dict[tuple[str, int], int] = {}
-    for line, row in csv_rows(path, ("object", "trial_index", "success")):
+    for line, row in csv_rows(path, "outcomes", ("object", "trial_index", "success")):
         if not row[0]:
             raise ValueError(f"line {line}: object id must be non-empty")
         index = row[1].strip()
@@ -269,20 +269,27 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
 # scaling-study report
 # ---------------------------------------------------------------------------
 
-def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path) -> None:
+def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path) -> Path:
     """Write (label, demos, success) rows as CSV plus an aligned text grid
     beside it (`.txt`), sorted by (label, demos) so output bytes are
-    order-insensitive.
+    order-insensitive; returns the grid's path. A `csv_path` ending in
+    `.txt` is rejected, because the grid would overwrite it.
     """
+    csv_path = Path(csv_path)
+    grid_path = csv_path.with_suffix(".txt")
+    if grid_path == csv_path:
+        raise ValueError(
+            f"report CSV path {csv_path} ends in .txt, so the text grid would overwrite it"
+        )
     cells = [("label", "demos", "success_percent")]
     cells += [
         (label, str(demos), _round_half_up(success))
         for label, demos, success in sorted(rows, key=lambda r: (r[0], r[1]))
     ]
-    csv_path = Path(csv_path)
     try:
         with open(csv_path, "w", newline="") as handle:
             csv.writer(handle).writerows(cells)
-        csv_path.with_suffix(".txt").write_text(_grid(cells))
+        grid_path.write_text(_grid(cells))
     except OSError as exc:
         raise IoFailure(f"cannot write scaling report: {exc}") from exc
+    return grid_path

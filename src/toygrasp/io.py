@@ -1,6 +1,5 @@
-"""File formats: binary STL, ASCII OBJ, JSON manifests, PGM masks, tensor blobs,
-and the document reader, JSON shape check and CSV row reader that every
-reader shares.
+"""File formats: binary STL, ASCII OBJ, JSON manifests and PGM masks, plus the
+document reader, JSON shape check and CSV row reader that every reader shares.
 
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
 are comparable across runs.
@@ -12,7 +11,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,6 @@ from .primitives import (
 
 MANIFEST_FORMAT_VERSION = "3"
 _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
-_TENSOR_MAGIC = b"TGTENS01"
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +309,15 @@ def read_document(path: str | Path, what: str, *, as_json: bool = True):
         raise SchemaViolation(f"{what} {path} is not valid {form}: {exc}") from exc
 
 
-def csv_rows(path: str | Path, columns: tuple[str, ...]):
-    """Yield `(line, cells)` for each non-blank row of a CSV file whose
-    header starts with `columns`; a row short of a column is rejected."""
+def csv_rows(path: str | Path, what: str, columns: tuple[str, ...]):
+    """Yield `(line, cells)` for each non-blank row of a UTF-8 CSV file whose
+    header starts with `columns`; a row short of a column is rejected.
+
+    Errors reading, decoding or parsing the file name `what` and `path`, as
+    in `read_document`.
+    """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[: len(columns)]] != list(columns):
@@ -327,7 +329,9 @@ def csv_rows(path: str | Path, columns: tuple[str, ...]):
                     raise SchemaViolation(f"line {line}: missing {', '.join(columns[len(row):])}")
                 yield line, row
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: e.g. a field past its size limit
+        raise SchemaViolation(f"{what} {path} is not valid UTF-8 CSV: {exc}") from exc
 
 
 _PART = {"kind": str, "dims": dict, "quaternion": (float,) * 4, "translation": (float,) * 3}
@@ -408,8 +412,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
     if tokens[0] != b"P5":
         raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if not 1 <= maxval <= 65535:
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
+        if not token.isdigit() or int(token) < 1:
+            shown = token.decode(errors="replace")
+            raise SchemaViolation(f"PGM {name} must be a decimal integer >= 1, got {shown!r}")
+    width, height, maxval = (int(token) for token in tokens[1:])
+    if maxval > 65535:
         raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
@@ -417,108 +425,3 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise SchemaViolation("PGM pixel data is truncated")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return data.reshape(height, width) > 0
-
-
-# ---------------------------------------------------------------------------
-# named-tensor blobs (used for encoder and policy states)
-# ---------------------------------------------------------------------------
-
-def tensor_blob_bytes(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
-    """Versioned blob: magic, JSON metadata, then (name, shape, float64 data) rows."""
-    parts = [_TENSOR_MAGIC]
-    meta_bytes = json.dumps(meta).encode()
-    parts.append(struct.pack("<I", len(meta_bytes)))
-    parts.append(meta_bytes)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, tensor in tensors.items():
-        data = np.ascontiguousarray(tensor, dtype="<f8")
-        name_bytes = name.encode()
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<B", data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        parts.append(data.tobytes())
-    return b"".join(parts)
-
-
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    try:
-        Path(path).write_bytes(tensor_blob_bytes(tensors, meta))
-    except OSError as exc:
-        raise IoFailure(f"cannot write tensor blob to {path}: {exc}") from exc
-
-
-def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read tensor blob {path}: {exc}") from exc
-    if raw[:8] != _TENSOR_MAGIC:
-        raise SchemaViolation(f"unknown tensor blob magic {raw[:8]!r}")
-    try:
-        pos = 8
-        (meta_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        meta = json.loads(raw[pos : pos + meta_len].decode())
-        if not isinstance(meta, dict):
-            raise ValueError("metadata is not a JSON object")
-        pos += meta_len
-        (count,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos : pos + name_len].decode()
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-            pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            tensors[name] = (
-                np.frombuffer(raw, dtype="<f8", count=size, offset=pos)
-                .reshape(shape)
-                .astype(np.float64)
-            )
-            pos += 8 * size
-    except (struct.error, ValueError) as exc:
-        raise SchemaViolation(f"tensor blob {path} is truncated or corrupt: {exc}") from exc
-    return tensors, meta
-
-
-def check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
-    """Raise SchemaViolation naming the first tensor that `tensors` lacks,
-    has beyond the name -> shape table `shapes`, or shapes unlike it."""
-    for name in {**shapes, **tensors}:
-        if name not in tensors:
-            raise SchemaViolation(f"missing tensor '{name}'")
-        if name not in shapes:
-            raise SchemaViolation(f"unexpected tensor '{name}'")
-        got, want = tensors[name].shape, shapes[name]
-        if got != want:
-            raise SchemaViolation(f"tensor '{name}' has shape {got}, expected {want}")
-
-
-def state_meta(meta: dict, config_type, counts: tuple[str, ...]) -> tuple:
-    """A saved state's checked metadata: `(config, *counts)`.
-
-    `meta` holds a string `kind`, a `config` object giving every field of
-    the `config_type` dataclass with its default's JSON type, a
-    non-negative integer for each name in `counts`, and nothing else.
-    Errors name the field.
-    """
-    shape = {
-        "kind": str,
-        "config": {f.name: f.default for f in fields(config_type)},
-        **dict.fromkeys(counts, int),
-    }
-    meta = check(meta, shape, root="state metadata")
-    try:
-        config = config_type(**meta["config"])
-    except ValueError as exc:
-        raise SchemaViolation(f"config: {exc}") from exc
-    for key in counts:
-        if meta[key] < 0:
-            raise SchemaViolation(f"{key} must be >= 0, got {meta[key]}")
-    return (config, *(meta[key] for key in counts))

@@ -9,19 +9,13 @@ weight decay; gradients are exact reverse-mode in float64.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import _nn
-from .errors import NonFiniteActivation, SchemaViolation, ShapeMismatch
-from .io import check_tensors, load_tensors, save_tensors, state_meta
-
-#: An action chunk is a (chunk_len, action_dim) float64 array of absolute
-#: joint targets.
-ActionChunk = np.ndarray
+from .errors import NonFiniteActivation, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -147,13 +141,6 @@ def concat_observation(obs: StepObservation, config: PolicyConfig) -> np.ndarray
     return np.concatenate([obs.embeddings.reshape(-1), obs.proprio])
 
 
-def assemble_token(obs: StepObservation, state: PolicyState) -> np.ndarray:
-    """Concatenate one step's inputs and project into the backbone width."""
-    x = concat_observation(obs, state.config)[None, :]
-    out, _ = _nn.mlp_fwd(x, state.params, "proj.")
-    return out[0]
-
-
 def _stack_history(history, config):
     """One history as its (C, token_in_dim) stack of concatenated inputs."""
     if len(history) != config.history_len:
@@ -267,49 +254,3 @@ def train_step(
             m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * param
         )
     return state, total_loss / len(batch)
-
-
-# ---------------------------------------------------------------------------
-# serialization and training curves
-# ---------------------------------------------------------------------------
-
-def _tensor_table(state: PolicyState) -> dict[str, np.ndarray]:
-    """Parameters, then optimizer moments as `opt.m.<param>` / `opt.v.<param>`."""
-    tables = {"": state.params, "opt.m.": state.opt_m, "opt.v.": state.opt_v}
-    return {prefix + k: v for prefix, table in tables.items() for k, v in table.items()}
-
-
-def save_policy_state(state: PolicyState, path) -> None:
-    meta = {
-        "kind": "policy",
-        "seed": state.seed,
-        "opt_step": state.opt_step,
-        "config": asdict(state.config),
-    }
-    save_tensors(path, _tensor_table(state), meta)
-
-
-def load_policy_state(path) -> PolicyState:
-    tensors, meta = load_tensors(path)
-    if meta.get("kind") != "policy":
-        raise SchemaViolation(f"blob is not a policy state: kind={meta.get('kind')!r}")
-    config, seed, opt_step = state_meta(meta, PolicyConfig, ("seed", "opt_step"))
-    shapes = {name: shape for name, (shape, _) in _param_table(config).items()}
-    check_tensors(tensors, {p + k: v for p in ("", "opt.m.", "opt.v.") for k, v in shapes.items()})
-    params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-    opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
-    opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}
-    return PolicyState(
-        config=config,
-        seed=seed,
-        params=params,
-        opt_m=opt_m,
-        opt_v=opt_v,
-        opt_step=opt_step,
-    )
-
-
-def write_training_curve(rows: Sequence[tuple[int, float]], path) -> None:
-    """CSV of (step, loss), one row per recorded step."""
-    lines = ["step,loss"] + [f"{step},{loss!r}" for step, loss in rows]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -198,12 +198,6 @@ class PrimitiveSpec:
             if not self.dims["wall_thickness"] < self.dims["outer_diameter"] / 2.0:
                 raise ValueError("ring wall thickness must be below the outer radius")
 
-    def within_ranges(self, ranges: DimensionRanges) -> bool:
-        return all(
-            ranges.interval(self.kind, name)[0] <= value <= ranges.interval(self.kind, name)[1]
-            for name, value in self.dims.items()
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Pose:
@@ -223,10 +217,6 @@ class Pose:
             q = -q
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map local-frame point(s) to the world frame."""

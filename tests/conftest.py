@@ -1,8 +1,10 @@
-"""Shared test helpers: independent geometry and file-format oracles.
+"""Shared test helpers: independent geometry and file-format oracles, and
+probes into the package.
 
-Everything here is deliberately written against the math or the published
+The oracles are deliberately written against the math or the published
 file-format layout, not against the package implementation, so tests
-exercise two independent routes to the same answer.
+exercise two independent routes to the same answer. The probes below them
+read package internals that no command needs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ import struct
 
 import numpy as np
 
-from toygrasp.primitives import Pose, PrimitiveKind, PrimitiveSpec, quat_normalize, quat_rotate
+from toygrasp import _nn
+from toygrasp.analysis import GripperModel, min_caliper_width
+from toygrasp.detpool import _forward
+from toygrasp.policy import concat_observation
+from toygrasp.primitives import (
+    DimensionRanges,
+    Pose,
+    PrimitiveKind,
+    PrimitiveSpec,
+    quat_normalize,
+    quat_rotate,
+)
 
 
 def ray_parity_inside(mesh_vertices, mesh_triangles, point, direction):
@@ -145,12 +158,35 @@ def random_spec(kind: PrimitiveKind, rng: np.random.Generator) -> PrimitiveSpec:
     return sample_primitive(kind, DimensionRanges.default(), rng)
 
 
-def with_key_biases(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A state blob's tensor table in the older format that carried a zero
-    attention key bias: `<...>attn.b_k` right after each `<...>attn.b_q`."""
-    table = {}
-    for name, value in tensors.items():
-        table[name] = value
-        if name.endswith("attn.b_q"):
-            table[name[: -len("b_q")] + "b_k"] = np.zeros_like(value)
-    return table
+def identity_pose() -> Pose:
+    return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
+def within_ranges(spec: PrimitiveSpec, ranges: DimensionRanges) -> bool:
+    """True iff every dimension of `spec` lies in its closed interval of `ranges`."""
+    return all(
+        ranges.interval(spec.kind, name)[0] <= value <= ranges.interval(spec.kind, name)[1]
+        for name, value in spec.dims.items()
+    )
+
+
+def grasp_feasibility(mesh, gripper: GripperModel | None = None) -> bool:
+    """True iff the minimal caliper width fits inside the gripper's stroke."""
+    gripper = gripper or GripperModel()
+    width, _ = min_caliper_width(mesh)
+    return gripper.min_opening <= width <= gripper.max_opening
+
+
+def attention_weights(image, state, mode, flags=None) -> list[np.ndarray]:
+    """Per-layer attention matrices (heads, T, T) of the encoder's full
+    sequence (Det under its flag mask)."""
+    _, cache = _forward(image, state, mode, flags, masked_reference=True)
+    attention_caches = cache[3][::2]
+    return [c_att[7] for (_, c_att) in attention_caches]
+
+
+def assemble_token(obs, state) -> np.ndarray:
+    """One step's inputs concatenated and projected into the policy's width."""
+    x = concat_observation(obs, state.config)[None, :]
+    out, _ = _nn.mlp_fwd(x, state.params, "proj.")
+    return out[0]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import analytic_min_width
+from conftest import analytic_min_width, identity_pose, within_ranges
 from toygrasp import _nn
 from toygrasp.analysis import (
     directional_width,
@@ -51,7 +51,6 @@ from toygrasp.primitives import (
     KIND_ORDER,
     DimensionRanges,
     PlacedPrimitive,
-    Pose,
     PrimitiveKind,
     PrimitiveSpec,
     quat_to_matrix,
@@ -91,7 +90,7 @@ def test_02_range_conformance():
     violations = 0
     for kind in KIND_ORDER:
         for _ in range(10**4):
-            if not sample_primitive(kind, ranges, rng).within_ranges(ranges):
+            if not within_ranges(sample_primitive(kind, ranges, rng), ranges):
                 violations += 1
     assert violations == 0
     report(2, "4 x 10^4 sampled primitives inside the configured ranges, 0 violations")
@@ -311,7 +310,7 @@ def test_11_print_feasibility():
     spec = PrimitiveSpec(
         PrimitiveKind.CUBOID, {"width": 0.30, "length": 0.10, "height": 0.10}
     )
-    toy = ToySpec("toy_big", 0, (PlacedPrimitive(spec, Pose.identity()),), Color.BLUE)
+    toy = ToySpec("toy_big", 0, (PlacedPrimitive(spec, identity_pose()),), Color.BLUE)
     result = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.0)
     assert not result.fits_build_volume
     assert result.suggested_scale == pytest.approx(0.256 / 0.30, abs=1e-4)

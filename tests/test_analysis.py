@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import analytic_min_width, fibonacci_directions, random_spec
+from conftest import (
+    analytic_min_width,
+    fibonacci_directions,
+    grasp_feasibility,
+    identity_pose,
+    random_spec,
+)
 from toygrasp.analysis import (
     GripperModel,
     analyze_toy,
     directional_width,
-    grasp_feasibility,
     min_caliper_width,
     print_feasibility,
     write_feasibility_csv,
@@ -18,7 +23,6 @@ from toygrasp.errors import EmptyMesh
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
 from toygrasp.primitives import (
     KIND_ORDER,
-    Pose,
     PrimitiveKind,
     PrimitiveSpec,
     quat_to_matrix,
@@ -342,7 +346,7 @@ class TestPrintFeasibility:
         from toygrasp.primitives import PlacedPrimitive
 
         toy = ToySpec(
-            "toy_test", 0, (PlacedPrimitive(spec, Pose.identity()),), Color.BLUE
+            "toy_test", 0, (PlacedPrimitive(spec, identity_pose()),), Color.BLUE
         )
         return toy, mesh_toy(toy)
 
@@ -366,7 +370,7 @@ class TestPrintFeasibility:
             PrimitiveKind.RING,
             {"outer_diameter": 0.08, "wall_thickness": 0.006, "height": 0.03},
         )
-        toy = ToySpec("t", 0, (PlacedPrimitive(spec, Pose.identity()),), Color.RED)
+        toy = ToySpec("t", 0, (PlacedPrimitive(spec, identity_pose()),), Color.RED)
         report = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.008)
         assert report.min_ring_wall == 0.006
         assert report.thin_wall

@@ -117,7 +117,7 @@ class TestGenerateSet:
     def test_category_counts_and_ids(self):
         config = small_config(master_seed=9)
         toys = generate_set(config)
-        assert len(toys) == config.composition.total == 10
+        assert len(toys) == sum(config.composition.counts().values()) == 10
         assert [t.id for t in toys] == [f"toy_{i:04d}" for i in range(10)]
         sizes = [len(t.parts) for t in toys]
         assert sizes == [1, 1, 1, 1, 1, 2, 2, 3, 4, 5]

@@ -166,8 +166,14 @@ class TestGenerate:
             ("config.json", b'{"output_dir": "\xff"}', ["generate", "--config"]),
             ("objects.json", b"[1, ", ["schedule", "--protocol", "h12_humanoid", "--objects"]),
             ("objects.txt", b"cup\n\xff\n", ["schedule", "--protocol", "h12_humanoid", "--objects"]),
+            ("outcomes.csv", b"object,trial_index,success\ncup,0,1\n\xff,1,0\n",
+             ["aggregate", "--outcomes"]),
+            ("rows.csv", b"label,demos,success_percent\n\xff,10,50\n", ["report", "--rows"]),
+            ("outcomes.csv", b"object,trial_index,success\n" + b"a" * 200_000 + b",0,1\n",
+             ["aggregate", "--outcomes"]),
         ],
-        ids=["config-not-utf8", "objects-not-json", "objects-not-utf8"],
+        ids=["config-not-utf8", "objects-not-json", "objects-not-utf8", "outcomes-not-utf8",
+             "rows-not-utf8", "outcomes-field-too-long"],
     )
     def test_undecodable_input_names_the_document(self, tmp_path, capsys, name, data, command):
         path = tmp_path / name
@@ -175,6 +181,8 @@ class TestGenerate:
         argv = command + [str(path)]
         if command[0] == "schedule":
             argv += ["--out", str(tmp_path / "s.json")]
+        if command[0] == "report":
+            argv += ["--out", str(tmp_path / "r.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"toygrasp: [CONFIG] {name.split('.')[0]} {path} is not valid "), err
@@ -548,6 +556,16 @@ class TestReport:
         out = tmp_path / "out.csv"
         assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
         assert f"[CONFIG] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_txt_out_exit_2_naming_the_path(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("label,demos,success_percent\nmain,250,56.63\n")
+        out = tmp_path / "x.txt"
+        assert main(["report", "--rows", str(rows), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"[CONFIG] report CSV path {out} ends in .txt" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_rows_directory_exit_3(self, tmp_path, capsys):

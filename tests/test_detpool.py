@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_key_biases
+from conftest import attention_weights
 from toygrasp import _nn, checks
 from toygrasp.checks import (
     GRADIENT_CHECK_CONFIG,
@@ -24,22 +24,17 @@ from toygrasp.detpool import (
     PoolingMode,
     _backward,
     _forward,
-    attention_weights,
     build_attention_mask,
     encode,
     encode_grad,
     init_encoder,
-    load_encoder_state,
     mask_to_flags,
-    save_encoder_state,
 )
 from toygrasp.errors import (
     DimensionMismatch,
     EmptyObject,
     NonFiniteActivation,
-    SchemaViolation,
 )
-from toygrasp.io import load_tensors, save_tensors
 
 TINY = EncoderConfig(
     image_height=16, image_width=16, patch_size=4, embed_dim=32, layers=2, heads=4,
@@ -389,101 +384,6 @@ class TestCompactDet:
         for name, value in grads.items():
             np.testing.assert_allclose(value, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
         assert (image_grad[~flags_to_pixel_region(flags, config)] == 0.0).all()
-
-
-class TestStateSerialization:
-    def test_roundtrip_preserves_encoding(self, tmp_path):
-        state = tiny_state(seed=30)
-        image = random_image(state.config, 31)
-        before = encode(image, state, PoolingMode.MEAN)
-        path = tmp_path / "encoder.bin"
-        save_encoder_state(state, path)
-        loaded = load_encoder_state(path)
-        assert loaded.config == state.config
-        assert loaded.seed == state.seed
-        after = encode(image, loaded, PoolingMode.MEAN)
-        assert np.array_equal(before, after)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda m: m.pop("config"), "missing field 'config'"),
-            (lambda m: m.update(config=[1]), "config must be an object, got list"),
-            (lambda m: m["config"].update(bogus=1), "unknown state metadata key 'config.bogus'"),
-            (lambda m: m["config"].pop("layers"), "config: missing field 'layers'"),
-            (
-                lambda m: m["config"].update(patch_size="4"),
-                "config.patch_size must be an integer, got str",
-            ),
-            (
-                lambda m: m["config"].update(include_cls=1),
-                "config.include_cls must be a boolean, got int",
-            ),
-            (
-                lambda m: m["config"].update(patch_size=3),
-                "config: image size must be divisible by patch_size",
-            ),
-            (lambda m: m.update(seed="x"), "seed must be an integer, got str"),
-            (lambda m: m.update(seed=1.5), "seed must be an integer, got float"),
-            (lambda m: m.update(seed=-1), "seed must be >= 0, got -1"),
-        ],
-    )
-    def test_malformed_metadata_names_the_field(self, tmp_path, edit, message):
-        path = tmp_path / "encoder.bin"
-        save_encoder_state(tiny_state(seed=30), path)
-        tensors, meta = load_tensors(path)
-        edit(meta)
-        save_tensors(path, tensors, meta)
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_encoder_state(path)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda t: t.pop("blocks.0.attn.w_q"), "missing tensor 'blocks.0.attn.w_q'"),
-            (
-                lambda t: t.update({"patch_embed.weight": np.zeros((5, TINY.embed_dim))}),
-                f"tensor 'patch_embed.weight' has shape (5, {TINY.embed_dim}), expected",
-            ),
-            (lambda t: t.update({"blocks.0.extra": np.zeros(3)}), "unexpected tensor 'blocks.0.extra'"),
-        ],
-        ids=["missing", "mis-shaped", "unexpected"],
-    )
-    def test_malformed_tensor_table_names_the_tensor(self, tmp_path, edit, message):
-        path = tmp_path / "encoder.bin"
-        save_encoder_state(tiny_state(seed=30), path)
-        tensors, meta = load_tensors(path)
-        edit(tensors)
-        save_tensors(path, tensors, meta)
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_encoder_state(path)
-
-    def test_rejects_blob_with_key_bias(self, tmp_path):
-        path = tmp_path / "encoder.bin"
-        save_encoder_state(tiny_state(seed=30), path)
-        tensors, meta = load_tensors(path)
-        save_tensors(path, with_key_biases(tensors), meta)
-        with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
-            load_encoder_state(path)
-
-    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
-        # The tensor table is checked against shapes from the config alone, so
-        # metadata naming a large model costs nothing before it is rejected.
-        path = tmp_path / "encoder.bin"
-        save_encoder_state(tiny_state(seed=30), path)
-        tensors, meta = load_tensors(path)
-
-        def no_rng(*args, **kwargs):
-            raise AssertionError("loading a state drew random weights")
-
-        monkeypatch.setattr(np.random, "default_rng", no_rng)
-        assert load_encoder_state(path).config == TINY
-        meta["config"].update(embed_dim=1024, layers=8)
-        save_tensors(path, tensors, meta)
-        message = f"tensor 'patch_embed.weight' has shape (48, {TINY.embed_dim}), expected (48, 1024)"
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_encoder_state(path)
-
 
 
 class TestCheckSuites:

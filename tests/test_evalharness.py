@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from toygrasp.errors import EmptyObjectList, EmptyOutcomes, SchemaViolation
 from toygrasp.evalharness import (
-    H12_SQUARE_SIDE,
     PROTOCOL_LIFT_THRESHOLD,
     PROTOCOL_TRIALS,
     PROTOCOL_WORKSPACE,
@@ -79,9 +78,6 @@ class TestMakeSchedule:
             round((0.40 / 3) * (k + 0.5) - 0.20, 12) for k in range(3)
         ]
         assert ys == [pytest.approx((0.36 / 2) * (k + 0.5) - 0.18) for k in range(2)]
-        # The six 3-inch squares fit inside the workspace without tiling it.
-        assert H12_SQUARE_SIDE == 0.0762
-        assert 3 * H12_SQUARE_SIDE < 0.40 and 2 * H12_SQUARE_SIDE < 0.36
 
     def test_trial_counts_per_protocol(self):
         objects = ["a", "b", "c"]
@@ -105,6 +101,10 @@ class TestMakeSchedule:
     def test_empty_object_list(self):
         with pytest.raises(EmptyObjectList):
             make_schedule(Protocol.SIM_MANISKILL, [], seed=0)
+
+    def test_negative_seed_names_the_seed(self):
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            make_schedule(Protocol.SIM_MANISKILL, ["a"], seed=-1)
 
     def test_json_roundtrip_and_metadata(self, tmp_path):
         schedule = make_schedule(Protocol.FRANKA_REAL, ["a", "b"], seed=3)

@@ -11,15 +11,12 @@ from toygrasp.io import (
     build_manifest,
     generation_config_from_dict,
     generation_config_to_dict,
-    load_tensors,
     manifest_json_bytes,
     obj_bytes,
     read_manifest,
     read_pgm,
     record_to_toy,
-    save_tensors,
     stl_bytes,
-    tensor_blob_bytes,
     toy_record,
 )
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
@@ -247,50 +244,26 @@ class TestPgm:
         with pytest.raises(SchemaViolation):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"-1 1", "PGM width must be a decimal integer >= 1, got '-1'"),
+            (b"0 2", "PGM width must be a decimal integer >= 1, got '0'"),
+            (b"2 0", "PGM height must be a decimal integer >= 1, got '0'"),
+            (b"2 0x2", "PGM height must be a decimal integer >= 1, got '0x2'"),
+            (b"+2 2", "PGM width must be a decimal integer >= 1, got '+2'"),
+        ],
+        ids=["width-negative", "width-zero", "height-zero", "height-hex", "width-signed"],
+    )
+    def test_bad_width_or_height_names_the_field(self, tmp_path, header, message):
+        path = tmp_path / "size.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n255\n" + b"\x00" * 8)
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            read_pgm(path)
+
     @pytest.mark.parametrize("maxval", [0, 65536, 70000])
     def test_maxval_out_of_range(self, tmp_path, maxval):
         path = tmp_path / "maxval.pgm"
         path.write_bytes(b"P5\n2 2\n%d\n" % maxval + b"\x00" * 8)
         with pytest.raises(SchemaViolation, match="maxval"):
             read_pgm(path)
-
-
-class TestTensorBlob:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        tensors = {
-            "a.weight": rng.normal(size=(3, 4)),
-            "a.bias": rng.normal(size=4),
-            "scalar": np.array(1.5),
-        }
-        meta = {"kind": "test", "config": {"x": 1}}
-        path = tmp_path / "state.bin"
-        save_tensors(path, tensors, meta)
-        loaded, loaded_meta = load_tensors(path)
-        assert loaded_meta == meta
-        assert list(loaded) == list(tensors)
-        for name in tensors:
-            np.testing.assert_array_equal(loaded[name], tensors[name])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(SchemaViolation):
-            load_tensors(path)
-
-    def test_truncated_blob(self, tmp_path):
-        blob = tensor_blob_bytes(
-            {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)}, {"kind": "test"}
-        )
-        path = tmp_path / "short.bin"
-        # Cut inside a length field, the metadata, a name, a shape, and data.
-        for length in (10, 14, 34, 40, 60, len(blob) - 1):
-            path.write_bytes(blob[:length])
-            with pytest.raises(SchemaViolation):
-                load_tensors(path)
-
-    def test_deterministic_bytes(self):
-        tensors = {"w": np.arange(6.0).reshape(2, 3)}
-        assert tensor_blob_bytes(tensors, {"k": 1}) == tensor_blob_bytes(
-            {"w": np.arange(6.0).reshape(2, 3)}, {"k": 1}
-        )

@@ -14,7 +14,7 @@ def random_params(rng):
     # Unit-scale weights, so the blocks mix strongly and any batching slip shows.
     params = {}
     for i in range(LAYERS):
-        _nn.init_block(rng, params, f"blocks.{i}.", DIM, MLP_HIDDEN)
+        params.update(_nn.init_params(rng, _nn.block_shapes(f"blocks.{i}.", DIM, MLP_HIDDEN)))
     return {name: rng.normal(size=value.shape) for name, value in params.items()}
 
 

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -7,26 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import with_key_biases
+from conftest import assemble_token
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
-from toygrasp.errors import SchemaViolation, ShapeMismatch
-from toygrasp.io import load_tensors, save_tensors
+from toygrasp.errors import ShapeMismatch
 from toygrasp.policy import (
     OptimizerConfig,
     PolicyConfig,
     StepObservation,
-    assemble_token,
     bc_l1_loss,
     concat_observation,
     init_policy,
-    load_policy_state,
     policy_forward,
     policy_grad,
-    save_policy_state,
     train_step,
-    write_training_curve,
 )
 
 TINY = PolicyConfig.tiny()
@@ -351,102 +345,6 @@ class TestEndToEndDetPipeline:
         for img in perturbed:
             img[~region] = rng.uniform(-10, 10, ((~region).sum(), 3))
         np.testing.assert_allclose(actions(perturbed), reference, atol=1e-12)
-
-
-class TestPolicySerialization:
-    def test_roundtrip_and_resume(self, tmp_path):
-        state = init_policy(TINY, 27)
-        data = linear_task_data(TINY, 4, 28)
-        for _ in range(3):
-            train_step(data, state, OptimizerConfig())
-        path = tmp_path / "policy.bin"
-        save_policy_state(state, path)
-        loaded = load_policy_state(path)
-        assert loaded.config == state.config
-        assert loaded.opt_step == state.opt_step
-        # One more identical step from each must agree bitwise.
-        _, loss_a = train_step(data, state, OptimizerConfig())
-        _, loss_b = train_step(data, loaded, OptimizerConfig())
-        assert loss_a == loss_b
-        for name in state.params:
-            assert np.array_equal(state.params[name], loaded.params[name])
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda m: m.pop("config"), "missing field 'config'"),
-            (lambda m: m.pop("opt_step"), "missing field 'opt_step'"),
-            (lambda m: m["config"].update(bogus=1), "unknown state metadata key 'config.bogus'"),
-            (lambda m: m["config"].update(width="8"), "config.width must be an integer, got str"),
-            (lambda m: m["config"].update(mlp_ratio="2"), "config.mlp_ratio must be a number, got str"),
-            (lambda m: m["config"].update(heads=3), "config: width must be divisible by heads"),
-            (lambda m: m.update(seed="x"), "seed must be an integer, got str"),
-            (lambda m: m.update(opt_step=True), "opt_step must be an integer, got bool"),
-            (lambda m: m.update(opt_step=-2), "opt_step must be >= 0, got -2"),
-        ],
-    )
-    def test_malformed_metadata_names_the_field(self, tmp_path, edit, message):
-        path = tmp_path / "policy.bin"
-        save_policy_state(init_policy(TINY, 29), path)
-        tensors, meta = load_tensors(path)
-        edit(meta)
-        save_tensors(path, tensors, meta)
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_policy_state(path)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda t: t.pop("opt.v.head.bias"), "missing tensor 'opt.v.head.bias'"),
-            (
-                lambda t: t.update({"opt.m.proj.w1": np.zeros((5, TINY.width))}),
-                f"tensor 'opt.m.proj.w1' has shape (5, {TINY.width}), expected",
-            ),
-            (lambda t: t.update({"opt.m.extra": np.zeros(3)}), "unexpected tensor 'opt.m.extra'"),
-        ],
-        ids=["missing", "mis-shaped", "unexpected"],
-    )
-    def test_malformed_tensor_table_names_the_tensor(self, tmp_path, edit, message):
-        path = tmp_path / "policy.bin"
-        save_policy_state(init_policy(TINY, 29), path)
-        tensors, meta = load_tensors(path)
-        edit(tensors)
-        save_tensors(path, tensors, meta)
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_policy_state(path)
-
-    def test_rejects_blob_with_key_bias(self, tmp_path):
-        path = tmp_path / "policy.bin"
-        save_policy_state(init_policy(TINY, 29), path)
-        tensors, meta = load_tensors(path)
-        save_tensors(path, with_key_biases(tensors), meta)
-        with pytest.raises(SchemaViolation, match=re.escape("unexpected tensor 'blocks.0.attn.b_k'")):
-            load_policy_state(path)
-
-    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
-        # The tensor table is checked against shapes from the config alone, so
-        # metadata naming a large model costs nothing before it is rejected.
-        path = tmp_path / "policy.bin"
-        save_policy_state(init_policy(TINY, 29), path)
-        tensors, meta = load_tensors(path)
-
-        def no_rng(*args, **kwargs):
-            raise AssertionError("loading a state drew random weights")
-
-        monkeypatch.setattr(np.random, "default_rng", no_rng)
-        assert load_policy_state(path).config == TINY
-        meta["config"].update(width=1024, layers=8)
-        save_tensors(path, tensors, meta)
-        message = f"tensor 'proj.w1' has shape ({TINY.token_in_dim}, {TINY.width}), expected"
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
-            load_policy_state(path)
-
-    def test_training_curve_csv(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_training_curve([(0, 0.5), (1, 0.25)], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,loss"
-        assert len(lines) == 3
 
 
 class TestPolicyConfigValidation:

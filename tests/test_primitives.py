@@ -3,7 +3,13 @@ import pytest
 from scipy import stats
 from scipy.spatial.transform import Rotation
 
-from conftest import analytic_boundary_distance, compose, ray_parity_inside
+from conftest import (
+    analytic_boundary_distance,
+    compose,
+    identity_pose,
+    ray_parity_inside,
+    within_ranges,
+)
 from toygrasp.errors import InvalidRanges
 from toygrasp.mesh import Tessellation, mesh_primitive
 from toygrasp.primitives import (
@@ -89,7 +95,7 @@ class TestSamplePrimitive:
         rng = np.random.default_rng(11)
         for kind in KIND_ORDER:
             for _ in range(2000):
-                assert sample_primitive(kind, ranges, rng).within_ranges(ranges)
+                assert within_ranges(sample_primitive(kind, ranges, rng), ranges)
 
     def test_ring_dimensions_ks_uniform(self):
         # One sample per seed; each dimension against its uniform CDF.
@@ -117,14 +123,14 @@ class TestSamplePrimitive:
 class TestContains:
     def test_sphere_inside_and_outside(self):
         sphere = PlacedPrimitive(
-            PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.08}), Pose.identity()
+            PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.08}), identity_pose()
         )
         assert contains(sphere, np.array([0.0, 0.0, 0.039]))
         assert not contains(sphere, np.array([0.0, 0.0, 0.041]))
 
     def test_sphere_boundary_counts_as_inside(self):
         sphere = PlacedPrimitive(
-            PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.08}), Pose.identity()
+            PrimitiveSpec(PrimitiveKind.SPHERE, {"diameter": 0.08}), identity_pose()
         )
         assert contains(sphere, np.array([0.04, 0.0, 0.0]))
 
@@ -134,7 +140,7 @@ class TestContains:
                 PrimitiveKind.RING,
                 {"outer_diameter": 0.10, "wall_thickness": 0.01, "height": 0.04},
             ),
-            Pose.identity(),
+            identity_pose(),
         )
         # 0.04 <= 0.043 <= 0.05 and |0.01| <= 0.02
         assert contains(ring, np.array([0.043, 0.0, 0.01]))
@@ -255,7 +261,7 @@ class TestSampleRotation:
 
 class TestPose:
     def test_identity(self):
-        p = Pose.identity()
+        p = identity_pose()
         v = np.array([0.1, -0.2, 0.3])
         assert np.array_equal(p.apply(v), v)
 

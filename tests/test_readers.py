@@ -4,7 +4,6 @@ value, or a document that does not parse."""
 
 import copy
 import json
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +11,10 @@ from hypothesis import strategies as st
 
 from test_config import JSON_VALUES
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
-from toygrasp.detpool import EncoderConfig
 from toygrasp.errors import SchemaViolation
 from toygrasp.evalharness import Protocol, make_schedule, read_schedule, schedule_json_bytes
-from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, state_meta, toy_record
+from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, toy_record
 from toygrasp.mesh import Tessellation, mesh_toy
-from toygrasp.policy import PolicyConfig
 
 
 def _node_paths(node, path=()):
@@ -49,12 +46,6 @@ MANIFEST = json.loads(
     manifest_json_bytes(build_manifest(_RECORDS, _GENERATION, Tessellation()))
 )
 SCHEDULE = json.loads(schedule_json_bytes(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0)))
-STATES = {
-    "encoder": ({"kind": "encoder", "seed": 0, "config": asdict(EncoderConfig())},
-                EncoderConfig, ("seed",)),
-    "policy": ({"kind": "policy", "seed": 0, "opt_step": 3, "config": asdict(PolicyConfig())},
-               PolicyConfig, ("seed", "opt_step")),
-}
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +71,6 @@ def test_any_manifest_node_gives_a_manifest_or_a_schema_violation(doc_path, path
 @given(st.sampled_from(list(_node_paths(SCHEDULE))), JSON_VALUES)
 def test_any_schedule_node_gives_a_schedule_or_a_schema_violation(doc_path, path, value):
     _read_edited(read_schedule, doc_path, _replaced(SCHEDULE, path, value))
-
-
-@pytest.mark.parametrize("kind", sorted(STATES))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_any_state_metadata_node_gives_a_config_or_a_schema_violation(kind, data):
-    meta, config_type, counts = STATES[kind]
-    path = data.draw(st.sampled_from(list(_node_paths(meta))))
-    try:
-        state_meta(_replaced(meta, path, data.draw(JSON_VALUES)), config_type, counts)
-    except SchemaViolation:
-        pass
 
 
 @pytest.mark.parametrize(
