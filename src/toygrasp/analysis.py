@@ -36,8 +36,6 @@ class GripperModel:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    aabb_min: tuple[float, float, float]
-    aabb_max: tuple[float, float, float]
     fits_build_volume: bool
     suggested_scale: float
     min_ring_wall: float | None
@@ -188,8 +186,6 @@ def print_feasibility(
     min_ring_wall = min(walls) if walls else None
     thin = min_ring_wall is not None and min_ring_wall < min_wall
     return FeasibilityReport(
-        aabb_min=tuple(float(v) for v in lo),
-        aabb_max=tuple(float(v) for v in hi),
         fits_build_volume=fits,
         suggested_scale=float(scale),
         min_ring_wall=min_ring_wall,

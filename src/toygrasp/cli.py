@@ -23,7 +23,7 @@ from . import evalharness
 from .assembler import connectivity_check, generate_set
 from .checks import run_detpool_checks
 from .config import CliConfig, load_config
-from .errors import SchemaViolation, ToygraspError
+from .errors import NotWatertight, SchemaViolation, ToygraspError
 from .io import (
     build_manifest,
     csv_rows,
@@ -36,7 +36,7 @@ from .io import (
     stl_bytes,
     toy_record,
 )
-from .mesh import mesh_toy
+from .mesh import is_watertight, mesh_primitive, mesh_toy
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,6 +65,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     toys = generate_set(config.generation)
     failures = sum(not connectivity_check(toy) for toy in toys)
+
+    # A toy mesh is its parts' meshes side by side, sharing no vertex, and a
+    # part's triangle indices depend only on its kind and the tessellation:
+    # one mesh per kind present decides watertightness for every toy.
+    specs = {part.spec.kind: part.spec for toy in toys for part in toy.parts}
+    for kind, spec in specs.items():
+        if not is_watertight(mesh_primitive(spec, config.tessellation)):
+            raise NotWatertight(f"{kind.value} mesh: an edge is not shared by exactly 2 triangles")
 
     # Mesh each toy once: its record, STL and OBJ all come from that mesh.
     records, digest_lines = [], []

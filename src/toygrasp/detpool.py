@@ -112,12 +112,8 @@ def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderState:
 # masks and flags
 # ---------------------------------------------------------------------------
 
-def mask_to_flags(
-    mask: np.ndarray, config: EncoderConfig, min_coverage: float = 0.0
-) -> np.ndarray:
-    """Per-patch object flags: a patch is flagged when its pixel block's
-    object fraction exceeds `min_coverage` (default: any overlapping pixel).
-    """
+def mask_to_flags(mask: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Per-patch object flags: a patch is flagged when any pixel of its block is set."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (config.image_height, config.image_width):
         raise DimensionMismatch(
@@ -125,12 +121,7 @@ def mask_to_flags(
             f"({config.image_height}, {config.image_width})"
         )
     p = config.patch_size
-    coverage = (
-        mask.reshape(config.n_rows, p, config.n_cols, p)
-        .mean(axis=(1, 3))
-        .reshape(-1)
-    )
-    return coverage > min_coverage
+    return mask.reshape(config.n_rows, p, config.n_cols, p).any(axis=(1, 3)).reshape(-1)
 
 
 def build_attention_mask(flags: np.ndarray, include_cls: bool) -> np.ndarray:

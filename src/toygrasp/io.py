@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembler import Color, GenerationConfig, SetComposition, ToySpec
 from .errors import EmptyMesh, IoFailure, SchemaViolation
-from .mesh import Tessellation, TriMesh, mesh_volume
+from .mesh import Tessellation, TriMesh
 from .primitives import (
     DIM_NAMES,
     KIND_ORDER,
@@ -30,7 +30,7 @@ from .primitives import (
     PrimitiveSpec,
 )
 
-MANIFEST_FORMAT_VERSION = "3"
+MANIFEST_FORMAT_VERSION = "4"
 _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
 
 
@@ -95,7 +95,6 @@ class PartRecord:
 class DerivedStats:
     aabb_min: tuple[float, float, float]
     aabb_max: tuple[float, float, float]
-    volume: float
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,8 @@ def generation_config_from_dict(data: dict) -> GenerationConfig:
 
 
 def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
-    """Serialize one toy plus derived statistics of its mesh (from `mesh_toy`)."""
+    """Serialize one toy plus the bounding box of its mesh (from `mesh_toy`)."""
     lo, hi = mesh.aabb()
-    volume = mesh_volume(mesh)  # per-part volumes summed; overlaps double count
     parts = tuple(
         PartRecord(
             kind=p.spec.kind.value,
@@ -162,7 +160,6 @@ def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
         derived=DerivedStats(
             aabb_min=tuple(float(v) for v in lo),
             aabb_max=tuple(float(v) for v in hi),
-            volume=float(volume),
         ),
     )
 
@@ -212,7 +209,6 @@ def manifest_json_bytes(manifest: Manifest) -> bytes:
                 "derived": {
                     "aabb_min": list(t.derived.aabb_min),
                     "aabb_max": list(t.derived.aabb_max),
-                    "volume": t.derived.volume,
                 },
             }
             for t in manifest.toys
@@ -344,7 +340,7 @@ _MANIFEST = {
             "seed": int,
             "color": str,
             "parts": [_PART],
-            "derived": {"aabb_min": (float,) * 3, "aabb_max": (float,) * 3, "volume": float},
+            "derived": {"aabb_min": (float,) * 3, "aabb_max": (float,) * 3},
         }
     ],
 }
@@ -377,7 +373,7 @@ def read_manifest(path: str | Path) -> Manifest:
                 PartRecord(p["kind"], dims, tuple(p["quaternion"]), tuple(p["translation"]))
             )
         d = t["derived"]
-        derived = DerivedStats(tuple(d["aabb_min"]), tuple(d["aabb_max"]), d["volume"])
+        derived = DerivedStats(tuple(d["aabb_min"]), tuple(d["aabb_max"]))
         toys.append(ToyRecord(t["id"], t["seed"], t["color"], tuple(parts), derived))
     return Manifest(format_version=version, config=doc["config"], toys=tuple(toys))
 
@@ -413,9 +409,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if tokens[0] != b"P5":
         raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
     for name, token in zip(("width", "height", "maxval"), tokens[1:]):
-        if not token.isdigit() or int(token) < 1:
-            shown = token.decode(errors="replace")
-            raise SchemaViolation(f"PGM {name} must be a decimal integer >= 1, got {shown!r}")
+        # No file holds a 19-digit size, and past 4300 digits int() raises.
+        if not token.isdigit() or len(token) > 18 or int(token) < 1:
+            shown = repr(token[:18].decode(errors="replace")) + "..." * (len(token) > 18)
+            raise SchemaViolation(
+                f"PGM {name} must be a decimal integer >= 1, got {shown} in {path}"
+            )
     width, height, maxval = (int(token) for token in tokens[1:])
     if maxval > 65535:
         raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval}")

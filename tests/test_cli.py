@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from toygrasp.assembler import generate_set
-from toygrasp.cli import main
+from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
+from toygrasp.errors import NotWatertight
 from toygrasp.io import build_manifest, manifest_json_bytes, toy_record
-from toygrasp.mesh import mesh_toy
+from toygrasp.mesh import TriMesh, mesh_primitive, mesh_toy
+from toygrasp.primitives import PrimitiveKind
 
 SMALL_COMPOSITION = {
     "cuboids": 1, "spheres": 1, "cylinders": 1, "rings": 1,
@@ -191,6 +193,24 @@ class TestGenerate:
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 3
         assert "[IO]" in capsys.readouterr().err
 
+    def test_broken_part_kind_exits_2_not_watertight(self, tmp_path, capsys, monkeypatch):
+        # Drop one triangle from every ring mesh `generate` checks.
+        def broken(spec, tess=None):
+            mesh = mesh_primitive(spec, tess)
+            if spec.kind is PrimitiveKind.RING:
+                return TriMesh(mesh.vertices, mesh.triangles[:-1])
+            return mesh
+
+        monkeypatch.setattr("toygrasp.cli.mesh_primitive", broken)
+        config = write_config(tmp_path)
+        args = build_parser().parse_args(["generate", "--config", str(config)])
+        with pytest.raises(NotWatertight, match="ring mesh: an edge is not shared"):
+            cmd_generate(args)
+        assert main(["generate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == "toygrasp: [CONFIG] ring mesh: an edge is not shared by exactly 2 triangles\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
 
 class TestAnalyze:
     def test_csv_rows_match_toys(self, tmp_path, capsys):
@@ -292,10 +312,11 @@ class TestAnalyze:
         assert "unknown manifest format_version '1'" in err
 
     def test_format_version_2_rejected(self, tmp_path, capsys):
-        err = self._analyze_edited(
-            tmp_path, capsys, lambda doc: doc.update(format_version="2")
-        )
-        assert "unknown manifest format_version '2'" in err
+        for version in ("2", "3"):
+            err = self._analyze_edited(
+                tmp_path, capsys, lambda doc: doc.update(format_version=version)
+            )
+            assert f"unknown manifest format_version '{version}'" in err
 
     def test_one_width_per_toy(self, tmp_path, capsys, monkeypatch):
         from toygrasp import analysis

@@ -84,13 +84,6 @@ class TestMaskToFlags:
                 block = mask[r * p : (r + 1) * p, c * p : (c + 1) * p]
                 assert flags[r * config.n_cols + c] == bool(block.any())
 
-    def test_coverage_threshold(self):
-        config = TINY
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[0:2, 0:4] = True  # patch 0 coverage = 8/16
-        assert mask_to_flags(mask, config, min_coverage=0.4)[0]
-        assert not mask_to_flags(mask, config, min_coverage=0.6)[0]
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mask_to_flags(np.zeros((8, 8), dtype=bool), TINY)

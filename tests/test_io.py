@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import parse_binary_stl, parse_obj
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
 from toygrasp.errors import EmptyMesh, SchemaViolation
 from toygrasp.io import (
+    MANIFEST_FORMAT_VERSION,
     build_manifest,
     generation_config_from_dict,
     generation_config_to_dict,
@@ -114,6 +116,23 @@ class TestManifest:
         with pytest.raises(SchemaViolation):
             read_manifest(path)
 
+    def test_formats_doc_names_the_current_version(self):
+        doc = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+        assert re.findall(r'currently `"(\w+)"`', doc.read_text(encoding="utf-8")) == [
+            MANIFEST_FORMAT_VERSION
+        ]
+
+    def test_derived_volume_is_an_unknown_key(self, tmp_path):
+        # Format "3" carried `derived.volume`; format "4" rejects it.
+        toys, config = small_set()
+        path = tmp_path / "manifest.json"
+        write_manifest(toys, config, path)
+        doc = json.loads(path.read_text())
+        doc["toys"][0]["derived"]["volume"] = 0.001
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolation, match=re.escape("key 'toys[0].derived.volume'")):
+            read_manifest(path)
+
     def test_missing_field_rejected(self, tmp_path):
         toys, config = small_set()
         path = tmp_path / "manifest.json"
@@ -137,7 +156,8 @@ class TestManifest:
              "toys[0].parts[0].quaternion[1] must be a number"),
             (lambda t: t["parts"][0]["translation"].pop(), "translation must have 3 entries"),
             (lambda t: t.update(seed=True), "toys[0].seed must be an integer"),
-            (lambda t: t["derived"].update(volume=None), "toys[0].derived.volume must be a number"),
+            (lambda t: t["derived"]["aabb_min"].__setitem__(0, None),
+             "toys[0].derived.aabb_min[0] must be a number"),
             (lambda t: t["parts"][0]["dims"].update(width="1"), "dims.width must be a number"),
         ],
     )
@@ -206,14 +226,13 @@ class TestManifest:
         manifest = manifest_of(toys, config)
         assert len(manifest.toys) == 6
         for record in manifest.toys:
-            assert record.derived.volume > 0
             assert all(
                 lo <= hi
                 for lo, hi in zip(record.derived.aabb_min, record.derived.aabb_max)
             )
         doc = json.loads(manifest_json_bytes(manifest))
         for toy in doc["toys"]:
-            assert sorted(toy["derived"]) == ["aabb_max", "aabb_min", "volume"]
+            assert sorted(toy["derived"]) == ["aabb_max", "aabb_min"]
 
 
 class TestPgm:
@@ -252,13 +271,18 @@ class TestPgm:
             (b"2 0", "PGM height must be a decimal integer >= 1, got '0'"),
             (b"2 0x2", "PGM height must be a decimal integer >= 1, got '0x2'"),
             (b"+2 2", "PGM width must be a decimal integer >= 1, got '+2'"),
+            (b"1" * 5000 + b" 2", "PGM width must be a decimal integer >= 1, "
+             "got '111111111111111111'..."),
         ],
-        ids=["width-negative", "width-zero", "height-zero", "height-hex", "width-signed"],
+        ids=[
+            "width-negative", "width-zero", "height-zero", "height-hex", "width-signed",
+            "width-5000-digits",
+        ],
     )
     def test_bad_width_or_height_names_the_field(self, tmp_path, header, message):
         path = tmp_path / "size.pgm"
         path.write_bytes(b"P5\n" + header + b"\n255\n" + b"\x00" * 8)
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
+        with pytest.raises(SchemaViolation, match=re.escape(f"{message} in {path}")):
             read_pgm(path)
 
     @pytest.mark.parametrize("maxval", [0, 65536, 70000])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spec
-from toygrasp.assembler import GenerationConfig, assemble_toy
+from toygrasp.assembler import GenerationConfig, assemble_toy, generate_set
 from toygrasp.errors import NotWatertight
 from toygrasp.io import stl_bytes
 from toygrasp.mesh import (
@@ -195,6 +195,22 @@ class TestMeshToy:
             for p in toy.parts
         )
         assert total == pytest.approx(parts, rel=1e-9)
+
+    @pytest.mark.parametrize("radial_segments", [8, 9, 64])
+    def test_toy_watertight_iff_each_part_kind_is(self, default_toys, radial_segments):
+        # `generate` checks one mesh per part kind in place of every toy mesh.
+        specs = {p.spec.kind: p.spec for toy in default_toys for p in toy.parts}
+        for subdivisions in range(4):
+            tess = Tessellation(sphere_subdivisions=subdivisions, radial_segments=radial_segments)
+            verdicts = {kind: is_watertight(mesh_primitive(s, tess)) for kind, s in specs.items()}
+            for toy in default_toys:
+                expected = all(verdicts[p.spec.kind] for p in toy.parts)
+                assert is_watertight(mesh_toy(toy, tess)) == expected, (toy.id, tess)
+
+
+@pytest.fixture(scope="module")
+def default_toys():
+    return generate_set(GenerationConfig())
 
 
 class TestMeshVolume:
