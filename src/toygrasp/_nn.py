@@ -267,21 +267,21 @@ def zero_grads(params):
 # finite-difference gradient verification
 # ---------------------------------------------------------------------------
 
-def finite_difference_check(
-    loss_fn,
-    arrays,
-    analytic,
-    step=1e-5,
-    rel_tol=1e-5,
-    abs_floor=1e-8,
-    max_entries_per_tensor=None,
-    rng=None,
-):
+#: Central-difference step, and the relative tolerance and absolute floor
+#: an entry's error is held to (see `finite_difference_check`).
+FD_STEP = 1e-5
+FD_REL_TOL = 1e-5
+FD_ABS_FLOOR = 1e-8
+
+
+def finite_difference_check(loss_fn, arrays, analytic, max_entries_per_tensor=None, rng=None):
     """Central-difference check of analytic gradients.
 
     `arrays` maps names to ndarrays that `loss_fn()` reads; entries are
     perturbed in place and restored. An entry passes when
-    |fd - analytic| <= max(rel_tol * max(|fd|, |analytic|), abs_floor).
+    |fd - analytic| <= max(FD_REL_TOL * max(|fd|, |analytic|), FD_ABS_FLOOR).
+    With `max_entries_per_tensor` set, `rng` picks that many entries of each
+    larger tensor.
 
     Returns (entries_checked, worst_excess, failures, worst_entry):
     worst_excess is the largest ratio of |fd - analytic| to its allowed
@@ -297,21 +297,20 @@ def finite_difference_check(
         flat = arr.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         if max_entries_per_tensor is not None and flat.size > max_entries_per_tensor:
-            picker = rng if rng is not None else np.random.default_rng(0)
-            indices = picker.choice(flat.size, size=max_entries_per_tensor, replace=False)
+            indices = rng.choice(flat.size, size=max_entries_per_tensor, replace=False)
         else:
             indices = range(flat.size)
         for i in indices:
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + FD_STEP
             f_plus = loss_fn()
-            flat[i] = original - step
+            flat[i] = original - FD_STEP
             f_minus = loss_fn()
             flat[i] = original
-            g_fd = (f_plus - f_minus) / (2.0 * step)
+            g_fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             g_an = float(grad_flat[i])
             err = abs(g_fd - g_an)
-            tolerance = max(rel_tol * max(abs(g_fd), abs(g_an)), abs_floor)
+            tolerance = max(FD_REL_TOL * max(abs(g_fd), abs(g_an)), FD_ABS_FLOOR)
             if worst_entry is None or err / tolerance > worst:
                 worst, worst_entry = err / tolerance, (name, int(i))
             checked += 1

@@ -144,15 +144,16 @@ def assemble_toy(
     return ToySpec(id=toy_id, seed=seed, parts=tuple(parts), color=color)
 
 
-def connectivity_check(toy: ToySpec, tol: float = 1e-12) -> bool:
-    """True iff every part's centroid lies inside some earlier part.
+#: Containment slack of `connectivity_check`: it absorbs the float rounding
+#: of mapping the sampled anchor point out to world coordinates and back.
+CONNECTIVITY_TOL = 1e-12
 
-    The tiny tolerance absorbs the float rounding of mapping the sampled
-    anchor point out to world coordinates and back.
-    """
+
+def connectivity_check(toy: ToySpec) -> bool:
+    """True iff every part's centroid lies inside some earlier part."""
     for k in range(1, len(toy.parts)):
         centroid = toy.parts[k].pose.translation
-        if not any(contains(toy.parts[j], centroid, tol) for j in range(k)):
+        if not any(contains(toy.parts[j], centroid, CONNECTIVITY_TOL) for j in range(k)):
             return False
     return True
 

@@ -31,6 +31,17 @@ from .detpool import (
     mask_to_flags,
 )
 
+#: Background redraws per invariance and contrast check, and the half-width
+#: of the uniform range each background pixel is redrawn from (the image
+#: itself is drawn from [0, 1)).
+N_PERTURBATIONS = 100
+PERTURB_SCALE = 50.0
+#: Largest deviation the invariance, oracle and compact-equivalence checks
+#: accept: exact up to float rounding.
+DET_TOL = 1e-12
+#: Smallest mean-pooling change that shows background leaking in.
+CONTRAST_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -61,73 +72,51 @@ def _masked_encode(image, state, mode, flags=None) -> np.ndarray:
     return _forward(image, state, mode, flags, masked_reference=True)[0]
 
 
-def _max_background_delta(state, mask, mode, n_perturbations, seed, perturb_scale) -> float:
+def _max_background_delta(state, mask, mode) -> float:
     """Largest |change| of `mode`'s embedding of one seeded image over
-    `n_perturbations` redraws of the pixels outside the mask's object patches.
+    N_PERTURBATIONS redraws of the pixels outside the mask's object patches.
     """
     config = state.config
     flags = mask_to_flags(mask, config)
     background = ~flags_to_pixel_region(flags, config)
     if mode is not PoolingMode.DET:
         flags = None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
     reference = _masked_encode(image, state, mode, flags)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(2)
     worst = 0.0
-    for _ in range(n_perturbations):
+    for _ in range(N_PERTURBATIONS):
         perturbed = image.copy()
         perturbed[background] = rng.uniform(
-            -perturb_scale, perturb_scale, size=(int(background.sum()), 3)
+            -PERTURB_SCALE, PERTURB_SCALE, size=(int(background.sum()), 3)
         )
         out = _masked_encode(perturbed, state, mode, flags)
         worst = max(worst, float(np.abs(out - reference).max()))
     return worst
 
 
-def check_background_invariance(
-    state: EncoderState,
-    mask: np.ndarray,
-    n_perturbations: int = 100,
-    tol: float = 1e-12,
-    seed: int = 1,
-    perturb_scale: float = 50.0,
-) -> CheckResult:
+def check_background_invariance(state: EncoderState, mask: np.ndarray) -> CheckResult:
     """Det-mode output must not move when non-object-patch pixels change."""
-    worst = _max_background_delta(
-        state, mask, PoolingMode.DET, n_perturbations, seed, perturb_scale
-    )
-    passed = worst <= tol
+    worst = _max_background_delta(state, mask, PoolingMode.DET)
     return CheckResult(
         "background-invariance",
-        passed,
-        f"max |delta| = {worst:.3e} over {n_perturbations} perturbations (tol {tol:.0e})",
+        worst <= DET_TOL,
+        f"max |delta| = {worst:.3e} over {N_PERTURBATIONS} perturbations (tol {DET_TOL:.0e})",
     )
 
 
-def check_pooling_contrast(
-    state: EncoderState,
-    mask: np.ndarray,
-    n_perturbations: int = 100,
-    threshold: float = 1e-6,
-    seed: int = 1,
-    perturb_scale: float = 50.0,
-) -> CheckResult:
+def check_pooling_contrast(state: EncoderState, mask: np.ndarray) -> CheckResult:
     """Mean pooling must leak background: some perturbation moves the output."""
-    best = _max_background_delta(
-        state, mask, PoolingMode.MEAN, n_perturbations, seed, perturb_scale
-    )
-    passed = best > threshold
+    best = _max_background_delta(state, mask, PoolingMode.MEAN)
     return CheckResult(
         "pooling-contrast",
-        passed,
-        f"max mean-pool |delta| = {best:.3e} (must exceed {threshold:.0e})",
+        best > CONTRAST_THRESHOLD,
+        f"max mean-pool |delta| = {best:.3e} (must exceed {CONTRAST_THRESHOLD:.0e})",
     )
 
 
-def check_single_token_oracle(
-    state: EncoderState, tol: float = 1e-12, seed: int = 2
-) -> CheckResult:
+def check_single_token_oracle(state: EncoderState) -> CheckResult:
     """Det with one object patch must equal running that token alone.
 
     The oracle path feeds a length-1 sequence (patch embedding plus its
@@ -136,7 +125,7 @@ def check_single_token_oracle(
     the object token never attends the (non-object) CLS token.
     """
     config = state.config
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
     index = config.n_cols + 1 if config.n_patches > config.n_cols + 1 else 0
     flags = np.zeros(config.n_patches, dtype=bool)
@@ -155,19 +144,18 @@ def check_single_token_oracle(
     deviation = float(np.abs(full - reference).max())
     return CheckResult(
         "single-token-oracle",
-        deviation <= tol,
-        f"max |delta| = {deviation:.3e} vs length-1 run (tol {tol:.0e})",
+        deviation <= DET_TOL,
+        f"max |delta| = {deviation:.3e} vs length-1 run (tol {DET_TOL:.0e})",
     )
 
 
-def check_det_compact_equivalence(
-    state: EncoderState, n_patterns: int = 8, tol: float = 1e-12, seed: int = 4
-) -> CheckResult:
+def check_det_compact_equivalence(state: EncoderState) -> CheckResult:
     """Det `encode`, which runs the object tokens alone, must equal the
-    masked full-sequence pass: `n_patterns` seeded flag sets without CLS and
-    as many with it, each flagging a random number of patches.
+    masked full-sequence pass: 8 seeded flag sets without CLS and as many
+    with it, each flagging a random number of patches.
     """
-    rng = np.random.default_rng(seed)
+    n_patterns = 8
+    rng = np.random.default_rng(4)
     worst = 0.0
     for include_cls in (False, True):
         # Both variants share the state's tensors; only the CLS token differs.
@@ -186,9 +174,9 @@ def check_det_compact_equivalence(
             worst = max(worst, float(np.abs(compact - reference).max()))
     return CheckResult(
         "det-compact-equivalence",
-        worst <= tol,
+        worst <= DET_TOL,
         f"max |delta| = {worst:.3e} vs masked full sequence over {2 * n_patterns} "
-        f"flag patterns, with and without CLS (tol {tol:.0e})",
+        f"flag patterns, with and without CLS (tol {DET_TOL:.0e})",
     )
 
 
@@ -239,18 +227,12 @@ def _staged_losses(image, state, mode, flags, upstream):
     return loss_from
 
 
-def check_gradients(
-    config: EncoderConfig | None = None,
-    seed: int = 3,
-    max_entries_per_tensor: int | None = None,
-    step: float = 1e-5,
-    rel_tol: float = 1e-5,
-    abs_floor: float = 1e-8,
-) -> CheckResult:
-    """Analytic vs central-difference gradients for all four pooling modes,
-    including the input image; Det background-pixel gradients must be 0.
+def check_gradients(seed: int = 3, max_entries_per_tensor: int | None = None) -> CheckResult:
+    """Analytic vs central-difference gradients at GRADIENT_CHECK_CONFIG for
+    all four pooling modes, including the input image; Det background-pixel
+    gradients must be 0.
     """
-    base = config or GRADIENT_CHECK_CONFIG
+    base = GRADIENT_CHECK_CONFIG
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_at = ""
@@ -284,9 +266,6 @@ def check_gradients(
                 loss_from(stage),
                 {name: arrays[name] for name in names},
                 analytic,
-                step=step,
-                rel_tol=rel_tol,
-                abs_floor=abs_floor,
                 max_entries_per_tensor=max_entries_per_tensor,
                 rng=rng,
             )

@@ -38,9 +38,6 @@ class EncoderConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     include_cls: bool = False
-    #: Debug-only: skip the attention mask in Det mode (negative control for
-    #: the background-invariance check).
-    debug_disable_attention_mask: bool = False
 
     def __post_init__(self) -> None:
         for name in ("image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"):
@@ -194,17 +191,16 @@ def _embed(image, state, mode, flags, masked_reference=False):
     mask (None for full attention), the projection cache and whether the
     pass is compact.
 
-    Det mode with the mask on keeps the flagged patch tokens alone (the
-    compact path): object tokens attend only to object tokens and Det pools
-    only them, so the background and CLS tokens cannot reach the embedding.
+    Det mode keeps the flagged patch tokens alone (the compact path):
+    object tokens attend only to object tokens and Det pools only them, so
+    the background and CLS tokens cannot reach the embedding.
     `masked_reference=True` keeps the full sequence under the attention mask
     instead; the verification checks and the attention probe use it, since
     on the compact path invariance holds by construction.
     """
     config = state.config
     params = state.params
-    masked = mode is PoolingMode.DET and not config.debug_disable_attention_mask
-    compact = masked and not masked_reference
+    compact = mode is PoolingMode.DET and not masked_reference
 
     patches = _patchify(image, config)
     pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
@@ -219,7 +215,7 @@ def _embed(image, state, mode, flags, masked_reference=False):
         tokens = np.vstack([params["cls_token"], tokens])
 
     allowed = None
-    if masked and not compact:
+    if mode is PoolingMode.DET and masked_reference:
         allowed = build_attention_mask(flags, config.include_cls)
     return tokens, allowed, c_embed, compact
 

@@ -93,8 +93,9 @@ def h12_cell_centers() -> list[tuple[float, float]]:
 def make_schedule(
     protocol: Protocol, objects: Sequence[str], seed: int
 ) -> TrialSchedule:
-    """Deterministic trial list: fixed grid placements (sim/Franka) or five
-    distinct squares per object (H1-2), with z-rotations uniform in [0, 2pi).
+    """Deterministic trial list: fixed grid placements (sim/Franka) or
+    `PROTOCOL_TRIALS` distinct grid cells per object (H1-2), with
+    z-rotations uniform in [0, 2pi).
     """
     if not objects:
         raise EmptyObjectList("schedule requires at least one object id")
@@ -105,7 +106,8 @@ def make_schedule(
     for object_id in objects:
         if protocol is Protocol.H12_HUMANOID:
             cells = h12_cell_centers()
-            chosen = [cells[i] for i in rng.permutation(len(cells))[:5]]
+            order = rng.permutation(len(cells))[: PROTOCOL_TRIALS[protocol]]
+            chosen = [cells[i] for i in order]
         elif protocol is Protocol.SIM_MANISKILL:
             chosen = _placements_sim()
         else:
@@ -164,9 +166,9 @@ def read_schedule(path: str | Path) -> TrialSchedule:
 # success aggregation
 # ---------------------------------------------------------------------------
 
-def _round_half_up(value: float, places: int = 2) -> str:
-    quant = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(value)).quantize(quant, rounding=ROUND_HALF_UP))
+def _round_half_up(value: float) -> str:
+    """`value` to two decimal places, halves rounded up."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)

@@ -402,12 +402,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise SchemaViolation("truncated PGM header")
+            raise SchemaViolation(f"truncated PGM header in {path}")
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
 
     if tokens[0] != b"P5":
-        raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
+        raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r} in {path}")
     for name, token in zip(("width", "height", "maxval"), tokens[1:]):
         # No file holds a 19-digit size, and past 4300 digits int() raises.
         if not token.isdigit() or len(token) > 18 or int(token) < 1:
@@ -417,10 +417,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
             )
     width, height, maxval = (int(token) for token in tokens[1:])
     if maxval > 65535:
-        raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval}")
+        raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval} in {path}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     if len(raw) - pos < count * dtype.itemsize:
-        raise SchemaViolation("PGM pixel data is truncated")
+        raise SchemaViolation(f"PGM pixel data is truncated in {path}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return data.reshape(height, width) > 0

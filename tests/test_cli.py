@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from toygrasp import detpool
 from toygrasp.assembler import generate_set
 from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
@@ -118,6 +119,10 @@ class TestGenerate:
         path.write_text(json.dumps({"generaton": {}}))
         assert main(["generate", "--config", str(path)]) == 2
         assert "[CONFIG]" in capsys.readouterr().err
+        config = write_config(tmp_path, encoder={"debug_disable_attention_mask": True})
+        assert main(["detpool-check", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'encoder.debug_disable_attention_mask'" in err
 
     def test_removed_config_keys_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, analysis={"n_directions": 64})
@@ -372,12 +377,14 @@ class TestDetpoolCheck:
         ):
             assert name in out
 
-    def test_disabled_mask_fails(self, tmp_path, capsys):
+    def test_disabled_mask_fails(self, tmp_path, capsys, monkeypatch):
+        # Full attention in place of the flag mask: background leaks into
+        # Det pooling, so the invariance suite must fail with exit 1.
+        monkeypatch.setattr(detpool, "build_attention_mask", lambda flags, include_cls: None)
         config = write_config(
             tmp_path,
             encoder={
-                "image_height": 16, "image_width": 16, "embed_dim": 32,
-                "mlp_ratio": 2.0, "debug_disable_attention_mask": True,
+                "image_height": 16, "image_width": 16, "embed_dim": 32, "mlp_ratio": 2.0,
             },
         )
         assert main(["detpool-check", "--config", str(config)]) == 1

@@ -254,13 +254,29 @@ class TestPgm:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
-        with pytest.raises(SchemaViolation):
+        message = f"not a binary PGM (P5) file: magic b'P2' in {path}"
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
             read_pgm(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(SchemaViolation):
+        message = f"PGM pixel data is truncated in {path}"
+        with pytest.raises(SchemaViolation, match=re.escape(message)):
+            read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\n4 4\n", "truncated PGM header"),
+            (b"P5\n2 2\n65536\n" + b"\x00" * 8, "PGM maxval must be in 1..65535, got 65536"),
+        ],
+        ids=["cut-header", "maxval-65536"],
+    )
+    def test_header_error_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "header.pgm"
+        path.write_bytes(data)
+        with pytest.raises(SchemaViolation, match=re.escape(f"{message} in {path}")):
             read_pgm(path)
 
     @pytest.mark.parametrize(

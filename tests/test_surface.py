@@ -1,6 +1,7 @@
-"""The package carries no code that only its tests use.
+"""The package carries no code, and no parameter default, that only its
+tests use.
 
-Both checks read the source with `ast`, so they need no lint tool.
+The checks read the source with `ast`, so they need no lint tool.
 """
 
 from __future__ import annotations
@@ -90,3 +91,65 @@ def test_every_definition_is_referenced_outside_the_tests():
         and qualified not in UNREFERENCED_ALLOWED
     ]
     assert unreferenced == []
+
+
+def _defaulted_parameters(path: Path):
+    """`(qualified name, function name, parameter, position)` for each
+    parameter with a default; `position` counts from the first argument a
+    caller passes (after `self` for a method) and is None for keyword-only
+    parameters."""
+    module = path.stem
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(node.args.defaults)
+        for index in range(first, len(positional)):
+            arg = positional[index].arg
+            yield f"{module}.{node.name}({arg})", node.name, arg, index - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{module}.{node.name}({arg.arg})", node.name, arg.arg, None
+
+
+def _passed_arguments(paths) -> tuple[dict[str, set[str]], dict[str, int]]:
+    """Per called name (a bare name or an attribute), the keywords some call
+    in `paths` passes and the most positional arguments one call passes
+    before any starred argument."""
+    keywords: dict[str, set[str]] = {}
+    positional: dict[str, int] = {}
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            count = next(
+                (i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)),
+                len(node.args),
+            )
+            positional[name] = max(positional.get(name, 0), count)
+    return keywords, positional
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    # A parameter whose default no call under `src/` or `bench/` overrides
+    # has one value in use, so it is a constant; a test that needs another
+    # value patches the constant.
+    keywords, positional = _passed_arguments(
+        sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    )
+    never_passed = [
+        qualified
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, function, arg, position in _defaulted_parameters(path)
+        if arg not in keywords.get(function, set())
+        and (position is None or positional.get(function, 0) <= position)
+    ]
+    assert never_passed == []
