@@ -3,8 +3,12 @@
 Forward functions return (output, cache); backward functions consume the
 cache and upstream gradient. Activations have shape (..., T, d): any number
 of leading batch axes, T tokens, d channels; a single sequence is (T, d).
-Parameters are never batched, and a backward pass returns each parameter
-gradient summed over every leading axis. Attention supports a boolean
+A forward pass also accepts one batched parameter: a (B, d_in, d_out)
+stack of weights or a (B, 1, d) stack of vectors broadcasts like a leading
+batch axis, so B perturbed copies of one tensor run in one pass (the
+finite-difference sweep does this). Backward passes stay unbatched in the
+parameters, and return each parameter gradient summed over every leading
+axis of the activations. Attention supports a boolean
 (T, T) allowed-pair matrix, shared by every sequence in a batch: disallowed
 logits are replaced by the most negative finite float before the softmax,
 so their weights underflow to exactly zero and no gradient crosses a
@@ -29,8 +33,21 @@ INIT_STD = 0.02
 # layers
 # ---------------------------------------------------------------------------
 
+def _plus(fresh, other):
+    """`fresh + other`, written into `fresh`, a temporary the caller owns,
+    when the sum has its shape. The forward passes work in place where they
+    can: each temporary of a batched pass is large enough that the
+    allocator maps it fresh, and a full finite-difference sweep spent about
+    a third of its time in the page faults that followed."""
+    try:
+        fresh += other
+    except ValueError:  # `other` carries a batch axis that `fresh` lacks
+        return fresh + other
+    return fresh
+
+
 def linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    return _plus(x @ w, b), (x, w)
 
 
 def linear_bwd(dy, cache):
@@ -51,8 +68,9 @@ def layernorm_fwd(x, gamma, beta):
     xc = x - mu
     var = _last_axis_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    xc *= inv
+    xhat = xc
+    return _plus(gamma * xhat, beta), (xhat, inv, gamma)
 
 
 def layernorm_bwd(dy, cache):
@@ -68,7 +86,13 @@ def layernorm_bwd(dy, cache):
 
 
 def gelu_fwd(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2)), x
+    """0.5 * x * (1 + erf(x / sqrt 2)), in that order, in two temporaries."""
+    t = x / _SQRT2
+    erf(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y, x
 
 
 def gelu_bwd(dy, x):
@@ -81,9 +105,10 @@ def masked_softmax(logits, allowed):
     """Row softmax over the last axis; disallowed entries get weight exactly 0."""
     if allowed is not None:
         logits = np.where(allowed, logits, NEG_LIMIT)
-    m = logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits - m)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def softmax_bwd(da, a):
@@ -114,7 +139,8 @@ def mha_fwd(x, params, prefix, heads, allowed):
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    logits = (qh @ kh.swapaxes(-1, -2)) * scale
+    logits = qh @ kh.swapaxes(-1, -2)
+    logits *= scale
     attn = masked_softmax(logits, allowed)
     o = _merge_heads(attn @ vh)
     y, co = linear_fwd(o, params[prefix + "w_o"], params[prefix + "b_o"])
@@ -140,7 +166,7 @@ def attn_sublayer_fwd(x, params, prefix, heads, allowed):
     """First residual sublayer of a pre-norm block: x + attn(LN1(x))."""
     h, c_ln = layernorm_fwd(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
     a, c_att = mha_fwd(h, params, prefix + "attn.", heads, allowed)
-    return x + a, (c_ln, c_att)
+    return _plus(a, x), (c_ln, c_att)
 
 
 def mlp_fwd(x, params, prefix):
@@ -163,7 +189,7 @@ def mlp_sublayer_fwd(x, params, prefix, heads, allowed):
     """Second residual sublayer of a pre-norm block: x + mlp(LN2(x))."""
     h, c_ln = layernorm_fwd(x, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
     m, c_mlp = mlp_fwd(h, params, prefix + "mlp.")
-    return x + m, (c_ln, c_mlp)
+    return _plus(m, x), (c_ln, c_mlp)
 
 
 def sublayer_fwd(s, x, params, heads, allowed):
@@ -183,20 +209,19 @@ def block_bwd(dout, cache, prefix, grads):
     return dx1 + dx_ln
 
 
-def transformer_fwd(tokens, params, layers, heads, allowed=None, start=0):
-    """Run sublayers `start` to 2 * layers - 1 on `tokens`, the input of
-    sublayer `start`. Returns the output and one cache per sublayer run;
-    `transformer_bwd` needs the caches of a run from `start` 0."""
+def transformer_fwd(tokens, params, layers, heads, allowed=None):
+    """Run every sublayer on `tokens`. Returns the output and one cache per
+    sublayer, for `transformer_bwd`."""
     caches = []
     x = tokens
-    for s in range(start, 2 * layers):
+    for s in range(2 * layers):
         x, cache = sublayer_fwd(s, x, params, heads, allowed)
         caches.append(cache)
     return x, caches
 
 
 def transformer_bwd(dout, caches, grads):
-    """Backward through every block of a `transformer_fwd` run from sublayer 0."""
+    """Backward through every block of a `transformer_fwd` run."""
     dx = dout
     for i in reversed(range(len(caches) // 2)):
         dx = block_bwd(dx, caches[2 * i] + caches[2 * i + 1], f"blocks.{i}.", grads)
@@ -272,15 +297,44 @@ def zero_grads(params):
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-5
 FD_ABS_FLOOR = 1e-8
+#: Entries per batched loss call: each call evaluates 2 * FD_CHUNK
+#: perturbed copies of one tensor, which bounds the sweep's memory.
+FD_CHUNK = 32
 
 
-def finite_difference_check(loss_fn, arrays, analytic, max_entries_per_tensor=None, rng=None):
+def _one_copy_at_a_time(loss_fn, arrays):
+    """A zero-argument `loss_fn` as a batched loss: each copy is written
+    into `arrays[name]` in turn, and the array is restored afterwards."""
+
+    def batched_loss(name, stack):
+        array = arrays[name]
+        original = array.copy()
+        try:
+            losses = []
+            for copy in stack:
+                array[...] = copy
+                losses.append(loss_fn())
+        finally:
+            array[...] = original
+        return losses
+
+    return batched_loss
+
+
+def finite_difference_check(
+    loss_fn, arrays, analytic, max_entries_per_tensor=None, rng=None, batched_loss=None
+):
     """Central-difference check of analytic gradients.
 
-    `arrays` maps names to ndarrays that `loss_fn()` reads; entries are
-    perturbed in place and restored. An entry passes when
-    |fd - analytic| <= max(FD_REL_TOL * max(|fd|, |analytic|), FD_ABS_FLOOR).
-    With `max_entries_per_tensor` set, `rng` picks that many entries of each
+    `arrays` maps names to ndarrays that `loss_fn()` reads. `batched_loss`,
+    when given, is used in place of `loss_fn`: `batched_loss(name, stack)`
+    gets a (B, *shape) stack of perturbed copies of `arrays[name]` and
+    returns the B losses. Without it, `loss_fn` sees each copy in place and
+    the array is restored. Entries go through in chunks of FD_CHUNK, the
+    copies of entry i holding its value +FD_STEP and -FD_STEP. An entry
+    passes when |fd - analytic| <= max(FD_REL_TOL * max(|fd|, |analytic|),
+    FD_ABS_FLOOR), so a non-finite loss fails. With
+    `max_entries_per_tensor` set, `rng` picks that many entries of each
     larger tensor.
 
     Returns (entries_checked, worst_excess, failures, worst_entry):
@@ -289,6 +343,8 @@ def finite_difference_check(loss_fn, arrays, analytic, max_entries_per_tensor=No
     and worst_entry is the (name, flat_index) of the worst ratio, or None
     when no entry was checked.
     """
+    if batched_loss is None:
+        batched_loss = _one_copy_at_a_time(loss_fn, arrays)
     failures = []
     worst = 0.0
     worst_entry = None
@@ -299,21 +355,28 @@ def finite_difference_check(loss_fn, arrays, analytic, max_entries_per_tensor=No
         if max_entries_per_tensor is not None and flat.size > max_entries_per_tensor:
             indices = rng.choice(flat.size, size=max_entries_per_tensor, replace=False)
         else:
-            indices = range(flat.size)
-        for i in indices:
-            original = flat[i]
-            flat[i] = original + FD_STEP
-            f_plus = loss_fn()
-            flat[i] = original - FD_STEP
-            f_minus = loss_fn()
-            flat[i] = original
-            g_fd = (f_plus - f_minus) / (2.0 * FD_STEP)
-            g_an = float(grad_flat[i])
-            err = abs(g_fd - g_an)
-            tolerance = max(FD_REL_TOL * max(abs(g_fd), abs(g_an)), FD_ABS_FLOOR)
-            if worst_entry is None or err / tolerance > worst:
-                worst, worst_entry = err / tolerance, (name, int(i))
-            checked += 1
-            if err > tolerance:
-                failures.append((name, int(i), g_an, g_fd))
+            indices = np.arange(flat.size)
+        for start in range(0, len(indices), FD_CHUNK):
+            chunk = indices[start : start + FD_CHUNK]
+            rows = np.arange(len(chunk))
+            stack = np.repeat(arr[None], 2 * len(chunk), axis=0)
+            copies = stack.reshape(2 * len(chunk), -1)
+            copies[2 * rows, chunk] = flat[chunk] + FD_STEP
+            copies[2 * rows + 1, chunk] = flat[chunk] - FD_STEP
+            losses = np.asarray(batched_loss(name, stack), dtype=np.float64)
+            g_fd = (losses[0::2] - losses[1::2]) / (2.0 * FD_STEP)
+            g_an = grad_flat[chunk]
+            err = np.abs(g_fd - g_an)
+            tolerance = np.maximum(
+                FD_REL_TOL * np.maximum(np.abs(g_fd), np.abs(g_an)), FD_ABS_FLOOR
+            )
+            ratio = err / tolerance
+            j = int(np.argmax(ratio))
+            if worst_entry is None or ratio[j] > worst:
+                worst, worst_entry = float(ratio[j]), (name, int(chunk[j]))
+            checked += len(chunk)
+            failures += [
+                (name, int(chunk[k]), float(g_an[k]), float(g_fd[k]))
+                for k in np.flatnonzero(~(err <= tolerance))  # a NaN error fails too
+            ]
     return checked, worst, failures, worst_entry

@@ -25,6 +25,7 @@ from .detpool import (
     _forward,
     _patchify,
     _pool,
+    _positional_table,
     encode,
     encode_grad,
     init_encoder,
@@ -136,7 +137,7 @@ def check_single_token_oracle(state: EncoderState) -> CheckResult:
     tokens0, _ = _nn.linear_fwd(
         patches, state.params["patch_embed.weight"], state.params["patch_embed.bias"]
     )
-    pe = _nn.sincos_2d(config.n_rows, config.n_cols, config.embed_dim)
+    pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
     token = (tokens0[index] + pe[index])[None, :]
     hidden, _ = _nn.transformer_fwd(token, state.params, config.layers, config.heads)
     reference = hidden.mean(axis=0)
@@ -190,7 +191,7 @@ def _first_stage(name: str, layers: int) -> int | None:
     """The first stage of the encoder that tensor `name` feeds: sublayer 2i
     for `blocks.i.ln1.*` and `blocks.i.attn.*`, 2i + 1 for `blocks.i.ln2.*`
     and `blocks.i.mlp.*`, 2 * layers (pooling alone) for `pool_query`, and
-    None (the whole `encode`) for the embedding tensors and the image."""
+    None (the embedding step) for the embedding tensors and the image."""
     if name == "pool_query":
         return 2 * layers
     if name.startswith("blocks."):
@@ -202,29 +203,48 @@ def _first_stage(name: str, layers: int) -> int | None:
 def _staged_losses(image, state, mode, flags, upstream):
     """Compute the input of every sublayer and of the pooling step once, for
     the unperturbed tensors and with the attention mask and compact choice of
-    `encode`'s own embedding step. Returns `loss_from(stage)`: <upstream,
-    encode(...)> as a zero-argument loss that resumes at `stage` (the whole
-    `encode` when `stage` is None), equal bitwise to the whole `encode` while
-    no tensor upstream of `stage` changes."""
+    `encode`'s own embedding step. Returns `losses_from(stage)`, the pair
+    (loss, batched_loss) of <upstream, encode(...)> for
+    `_nn.finite_difference_check`, resumed at `stage` (the embedding step
+    when `stage` is None). The zero-argument loss reads the tensors in place
+    and equals the whole `encode` bitwise while no tensor upstream of
+    `stage` changes. The batched loss runs a (B, *shape) stack of copies of
+    one tensor, or of the image, in one pass and returns the B losses."""
     config = state.config
     tokens, allowed, _, compact = _embed(image, state, mode, flags)
     inputs = [tokens]
     for s in range(2 * config.layers):
         inputs.append(_nn.sublayer_fwd(s, inputs[-1], state.params, config.heads, allowed)[0])
 
-    def loss_from(stage):
+    def run(stage, params, image):
+        # Sublayer by sublayer, so no backward cache outlives its sublayer.
+        variant = replace(state, params=params)
         if stage is None:
-            return lambda: float(upstream @ encode(image, state, mode, flags))
+            x, stage = _embed(image, variant, mode, flags)[0], 0
+        else:
+            x = inputs[stage]
+        for s in range(stage, 2 * config.layers):
+            x = _nn.sublayer_fwd(s, x, params, config.heads, allowed)[0]
+        return _pool(x, variant, mode, flags, compact)[0] @ upstream
 
+    def losses_from(stage):
         def loss() -> float:
-            hidden, _ = _nn.transformer_fwd(
-                inputs[stage], state.params, config.layers, config.heads, allowed, start=stage
-            )
-            return float(upstream @ _pool(hidden, state, mode, flags, compact)[0])
+            return float(run(stage, state.params, image))
 
-        return loss
+        def batched_loss(name, stack):
+            if name == "image":
+                losses = run(stage, state.params, stack)
+            else:
+                if stack.ndim == 2:
+                    stack = stack[:, None, :]  # vectors as (B, 1, d)
+                losses = run(stage, {**state.params, name: stack}, image)
+            # A tensor the mode never reads (Det's `cls_token`, a non-attention
+            # mode's `pool_query`) leaves one unbatched loss.
+            return np.broadcast_to(losses, (len(stack),))
 
-    return loss_from
+        return loss, batched_loss
+
+    return losses_from
 
 
 def check_gradients(seed: int = 3, max_entries_per_tensor: int | None = None) -> CheckResult:
@@ -259,15 +279,17 @@ def check_gradients(seed: int = 3, max_entries_per_tensor: int | None = None) ->
 
         # Each contiguous run of tensors with one first stage resumes there;
         # the runs keep the table's order, so `rng` draws the same entries.
-        loss_from = _staged_losses(image, state, mode, flags, upstream)
+        losses_from = _staged_losses(image, state, mode, flags, upstream)
         checked[mode.value] = 0
         for stage, names in groupby(arrays, lambda name: _first_stage(name, mode_config.layers)):
+            loss, batched_loss = losses_from(stage)
             n, w, fails, w_entry = _nn.finite_difference_check(
-                loss_from(stage),
+                loss,
                 {name: arrays[name] for name in names},
                 analytic,
                 max_entries_per_tensor=max_entries_per_tensor,
                 rng=rng,
+                batched_loss=batched_loss,
             )
             checked[mode.value] += n
             if w_entry is not None and (not worst_at or w > worst):

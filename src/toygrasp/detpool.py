@@ -147,11 +147,14 @@ def _positional_table(n_rows: int, n_cols: int, dim: int) -> np.ndarray:
 
 
 def _patchify(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """(..., H, W, C) images -> (..., patches, p * p * C) rows, row-major
+    over the patch grid."""
     p = config.patch_size
+    lead = image.shape[:-3]
     return (
-        image.reshape(config.n_rows, p, config.n_cols, p, CHANNELS)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(config.n_patches, p * p * CHANNELS)
+        image.reshape(*lead, config.n_rows, p, config.n_cols, p, CHANNELS)
+        .swapaxes(-4, -3)
+        .reshape(*lead, config.n_patches, p * p * CHANNELS)
     )
 
 
@@ -197,6 +200,10 @@ def _embed(image, state, mode, flags, masked_reference=False):
     `masked_reference=True` keeps the full sequence under the attention mask
     instead; the verification checks and the attention probe use it, since
     on the compact path invariance holds by construction.
+
+    The image and the embedding tensors may carry leading batch axes, as
+    `_nn` activations do: a (B, H, W, C) image stack, a (B, d_in, d)
+    weight stack or a (B, 1, d) vector stack gives (B, T, d) tokens.
     """
     config = state.config
     params = state.params
@@ -205,14 +212,22 @@ def _embed(image, state, mode, flags, masked_reference=False):
     patches = _patchify(image, config)
     pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
     if compact:
-        patches, pe = patches[flags], pe[flags]
+        patches, pe = patches[..., flags, :], pe[flags]
     tokens0, c_embed = _nn.linear_fwd(
         patches, params["patch_embed.weight"], params["patch_embed.bias"]
     )
     tokens = tokens0 + pe
     if config.include_cls and not compact:
         # CLS carries no spatial position, so no positional term is added.
-        tokens = np.vstack([params["cls_token"], tokens])
+        cls = params["cls_token"]
+        lead = np.broadcast_shapes(tokens.shape[:-2], cls.shape[:-2])
+        tokens = np.concatenate(
+            [
+                np.broadcast_to(cls, (*lead, 1, config.embed_dim)),
+                np.broadcast_to(tokens, (*lead, *tokens.shape[-2:])),
+            ],
+            axis=-2,
+        )
 
     allowed = None
     if mode is PoolingMode.DET and masked_reference:
@@ -222,18 +237,20 @@ def _embed(image, state, mode, flags, masked_reference=False):
 
 def _pool(hidden, state, mode, flags, compact):
     """Pooling step: the embedding of the blocks' output `hidden` and the
-    cache for backward."""
+    cache for backward. `hidden` and `pool_query` may carry leading batch
+    axes (see `_embed`); the embedding then has shape (B, d)."""
     offset = 1 if state.config.include_cls and not compact else 0
-    patch_tokens = hidden[offset:]
+    patch_tokens = hidden[..., offset:, :]
     if mode is PoolingMode.MEAN or compact:
-        return patch_tokens.mean(axis=0), None
+        return patch_tokens.mean(axis=-2), None
     if mode is PoolingMode.CLS:
-        return hidden[0], None
+        return hidden[..., 0, :], None
     if mode is PoolingMode.ATTENTION:
-        scores = patch_tokens @ state.params["pool_query"]
-        weights = _nn.masked_softmax(scores[None, :], None)[0]
-        return weights @ patch_tokens, (weights, patch_tokens)
-    return patch_tokens[flags].mean(axis=0), None
+        # The query as a column: (d, 1), or (B, d, 1) for a (B, 1, d) stack.
+        query = np.atleast_2d(state.params["pool_query"]).swapaxes(-1, -2)
+        weights = _nn.masked_softmax((patch_tokens @ query)[..., 0], None)
+        return (weights[..., None, :] @ patch_tokens)[..., 0, :], (weights, patch_tokens)
+    return patch_tokens[..., flags, :].mean(axis=-2), None
 
 
 def _forward(image, state, mode, flags, masked_reference=False):

@@ -28,6 +28,14 @@ from toygrasp.primitives import (
 )
 
 
+#: Unit roundoff of float64, and the constant of the reordered-sum bound:
+#: two evaluations of one n-term sum or dot product, in any two orders,
+#: differ by at most REORDER_C * n * U * sum|terms| (derived in
+#: `test_nn.py::TestLeadingBatchAxis::test_batch_equals_per_sample`).
+U = 2.0**-53
+REORDER_C = 2.01
+
+
 def ray_parity_inside(mesh_vertices, mesh_triangles, point, direction):
     """Point-in-solid test by ray-crossing parity (Moller-Trumbore)."""
     v0 = mesh_vertices[mesh_triangles[:, 0]]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from functools import cache
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attention_weights
+from conftest import REORDER_C, U, attention_weights
 from toygrasp import _nn, checks, detpool
 from toygrasp.checks import (
     GRADIENT_CHECK_CONFIG,
@@ -23,7 +24,9 @@ from toygrasp.detpool import (
     EncoderConfig,
     PoolingMode,
     _backward,
+    _embed,
     _forward,
+    _pool,
     build_attention_mask,
     encode,
     encode_grad,
@@ -458,13 +461,13 @@ class TestStagedGradientSweep:
         finite_difference_check = _nn.finite_difference_check
         counts = {"calls": 0, "loss_evals": 0, "entries": 0}
 
-        def counted(loss_fn, *args, **kwargs):
-            def loss():
-                counts["loss_evals"] += 1
-                return loss_fn()
+        def counted(loss_fn, *args, batched_loss, **kwargs):
+            def loss(name, stack):
+                counts["loss_evals"] += len(stack)
+                return batched_loss(name, stack)
 
             counts["calls"] += 1
-            result = finite_difference_check(loss, *args, **kwargs)
+            result = finite_difference_check(loss_fn, *args, batched_loss=loss, **kwargs)
             counts["entries"] += result[0]
             return result
 
@@ -475,6 +478,238 @@ class TestStagedGradientSweep:
         assert counts["entries"] == total
         assert counts["loss_evals"] == 2 * total
         assert counts["calls"] == len(PoolingMode) * (2 * GRADIENT_CHECK_CONFIG.layers + 3)
+
+
+def _checked_entries(seed, batched=True):
+    """Run the sampled `check_gradients` sweep at `seed` and record each
+    entry it perturbs as (mode, tensor, flat index), once per perturbed copy.
+    With `batched=False`, `_nn.finite_difference_check` is replaced by the
+    serial sweep it batches: one entry at a time, perturbed in place, each
+    loss the zero-argument one. Returns (result, entries)."""
+    finite_difference_check = _nn.finite_difference_check
+    entries = []
+    current = {}
+
+    def recording_encode_grad(image, state, mode, flags, upstream):
+        current["mode"] = mode.value
+        return encode_grad(image, state, mode, flags, upstream)
+
+    def serial(loss_fn, arrays, analytic, max_entries_per_tensor, rng, batched_loss):
+        checked, worst, failures, worst_entry = 0, 0.0, [], None
+        for name, array in arrays.items():
+            flat = array.reshape(-1)
+            indices = range(flat.size)
+            if flat.size > max_entries_per_tensor:
+                indices = rng.choice(flat.size, size=max_entries_per_tensor, replace=False)
+            for i in indices:
+                original = flat[i]
+                flat[i] = original + _nn.FD_STEP
+                f_plus = loss_fn()
+                flat[i] = original - _nn.FD_STEP
+                f_minus = loss_fn()
+                flat[i] = original
+                entries.extend([(current["mode"], name, int(i))] * 2)
+                g_fd = (f_plus - f_minus) / (2.0 * _nn.FD_STEP)
+                g_an = float(analytic[name].reshape(-1)[i])
+                tolerance = max(_nn.FD_REL_TOL * max(abs(g_fd), abs(g_an)), _nn.FD_ABS_FLOOR)
+                ratio = abs(g_fd - g_an) / tolerance
+                if worst_entry is None or ratio > worst:
+                    worst, worst_entry = ratio, (name, int(i))
+                if ratio > 1.0:
+                    failures.append((name, int(i), g_an, g_fd))
+                checked += 1
+        return checked, worst, failures, worst_entry
+
+    def recording(loss_fn, arrays, analytic, batched_loss, **kwargs):
+        def loss(name, stack):
+            for copy in stack:
+                changed = np.flatnonzero(copy != arrays[name])
+                entries.extend((current["mode"], name, int(i)) for i in changed)
+            return batched_loss(name, stack)
+
+        return finite_difference_check(loss_fn, arrays, analytic, batched_loss=loss, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "encode_grad", recording_encode_grad)
+        patch.setattr(_nn, "finite_difference_check", recording if batched else serial)
+        result = check_gradients(max_entries_per_tensor=8, seed=seed)
+    return result, entries
+
+
+class TestBatchedGradientSweep:
+    """`check_gradients` evaluates all perturbed copies of one tensor in one
+    batched pass per chunk, resumed at the tensor's first stage."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"layers": 1},
+            {"layers": 2},
+            {"layers": 3},
+            {"include_cls": True},
+        ],
+        ids=["layers1", "layers2", "layers3", "cls"],
+    )
+    def test_batched_rows_equal_serial_loss(self, monkeypatch, overrides):
+        # Each row of the batched loss runs the operations of the zero-argument
+        # loss on that copy: a product with leading axes runs one product per
+        # copy, reductions run along the last axis, and the rest is
+        # elementwise, so no sum mixes copies and the B embeddings are the
+        # serial ones. The one sum whose order the batch may change is the
+        # final contraction with `upstream` (d terms: a matrix-vector product
+        # in place of a dot product). Two evaluations of one d-term dot
+        # product differ by at most 2 * gamma_d * sum|e_j * upstream_j| <=
+        # REORDER_C * d * U * sum|e_j * upstream_j| (the reordered-sum bound,
+        # derived in test_nn.py), with e the serial embedding.
+        config = replace(GRADIENT_CHECK_CONFIG, **overrides)
+        rng = np.random.default_rng(10 + config.layers)
+        mode_inputs = {}
+        seen = []
+
+        def recording_encode_grad(image, state, mode, flags, upstream):
+            mode_inputs.update(args=(image, state, mode, flags), upstream=upstream)
+            return encode_grad(image, state, mode, flags, upstream)
+
+        def compare_rows(loss_fn, arrays, analytic, batched_loss, **kwargs):
+            upstream = mode_inputs["upstream"]
+            for name, array in arrays.items():
+                seen.append(name)
+                copies = np.repeat(array[None], 4, axis=0)
+                flat = copies.reshape(4, -1)
+                flat[np.arange(4), rng.integers(flat.shape[1], size=4)] += [
+                    _nn.FD_STEP, -_nn.FD_STEP, 1e-2, -1e-2,
+                ]
+                batched = batched_loss(name, copies)
+                assert batched.shape == (4,)
+                original = array.copy()
+                for copy, got in zip(copies, batched):
+                    array[...] = copy
+                    serial = loss_fn()
+                    embedding = encode(*mode_inputs["args"])
+                    bound = REORDER_C * len(upstream) * U * (np.abs(embedding) @ np.abs(upstream))
+                    assert abs(got - serial) <= bound, name
+                array[...] = original
+            return 0, 0.0, [], None
+
+        monkeypatch.setattr(checks, "encode_grad", recording_encode_grad)
+        monkeypatch.setattr(_nn, "finite_difference_check", compare_rows)
+        monkeypatch.setattr(checks, "GRADIENT_CHECK_CONFIG", config)
+        check_gradients()
+        # Every tensor of every mode, the embedding step's and pool_query too.
+        expected = []
+        for mode in PoolingMode:
+            mode_config = replace(config, include_cls=True) if mode is PoolingMode.CLS else config
+            expected += [*init_encoder(mode_config).params, "image"]
+        assert seen == expected
+
+    @pytest.mark.parametrize("seed", [3, 33])
+    def test_batched_and_serial_sweeps_check_the_same_entries(self, seed):
+        batched_result, batched = _checked_entries(seed)
+        serial_result, serial = _checked_entries(seed, batched=False)
+        assert batched_result.passed and serial_result.passed
+        assert batched == serial
+        counts = re.match(r"(\d+ entries checked \([^)]*\))", batched_result.detail).group(1)
+        assert serial_result.detail.startswith(counts)
+        assert len(batched) == 2 * int(counts.split()[0])
+
+    @pytest.mark.parametrize(
+        "mode, name",
+        [
+            ("mean", "patch_embed.weight"),
+            ("cls", "cls_token"),
+            ("attention", "pool_query"),
+            ("det", "blocks.1.mlp.w2"),
+            ("mean", "image"),
+        ],
+    )
+    def test_corrupted_analytic_entry_fails_by_name(self, monkeypatch, mode, name):
+        # Negative control: an analytic gradient entry off by 1 must fail the
+        # batched sweep, and the failure must name that entry alone.
+        _, entries = _checked_entries(3)
+        index = next(i for m, n, i in entries if (m, n) == (mode, name))
+
+        def corrupted_encode_grad(image, state, mode_, flags, upstream):
+            grads, image_grad = encode_grad(image, state, mode_, flags, upstream)
+            if mode_.value == mode:
+                target = image_grad if name == "image" else grads[name]
+                target.reshape(-1)[index] += 1.0
+            return grads, image_grad
+
+        monkeypatch.setattr(checks, "encode_grad", corrupted_encode_grad)
+        result = check_gradients(max_entries_per_tensor=8, seed=3)
+        assert not result.passed
+        assert result.detail == f"failures: ['{mode}:{name}[{index}]'] (1 total)"
+
+
+def _encoder_outputs_digest(base):
+    """SHA-256 over `encode` and `encode_grad` of every mode, and over the
+    masked full-sequence Det pass and its gradients, with and without CLS."""
+    digest = hashlib.sha256()
+    for include_cls in (False, True):
+        config = replace(base, include_cls=include_cls)
+        state = init_encoder(config, 60)
+        rng = np.random.default_rng(61)
+        image = rng.uniform(0, 1, (config.image_height, config.image_width, 3))
+        flags = np.zeros(config.n_patches, dtype=bool)
+        flags[rng.choice(config.n_patches, config.n_patches // 3, replace=False)] = True
+        upstream = rng.normal(size=config.embed_dim)
+        for mode in PoolingMode:
+            if mode is PoolingMode.CLS and not include_cls:
+                continue
+            mode_flags = flags if mode is PoolingMode.DET else None
+            digest.update(encode(image, state, mode, mode_flags).tobytes())
+            grads, image_grad = encode_grad(image, state, mode, mode_flags, upstream)
+            for name in sorted(grads):
+                digest.update(grads[name].tobytes())
+            digest.update(image_grad.tobytes())
+        embedding, cache = _forward(image, state, PoolingMode.DET, flags, masked_reference=True)
+        digest.update(embedding.tobytes())
+        grads, image_grad = _backward(cache, state, upstream)
+        for name in sorted(grads):
+            digest.update(grads[name].tobytes())
+        digest.update(image_grad.tobytes())
+    return digest.hexdigest()
+
+
+class TestLeadingBatchAxis:
+    """`_patchify`, `_embed` and `_pool` accept leading batch axes; the
+    unbatched path they share with `encode` must not change."""
+
+    @pytest.mark.parametrize(
+        "size, expected",
+        [
+            ("tiny", "8a58b254c7b97ad628cd5e38033e1a1bee81a1052f283968d40a040c5682664a"),
+            ("default", "49d9e7659fffd3aca1c93a0e732bcbce399a7317df038895bec256eca348f344"),
+        ],
+    )
+    def test_unbatched_outputs_are_bitwise_unchanged(self, size, expected):
+        # The digests were taken before the steps accepted leading axes.
+        assert _encoder_outputs_digest(TINY if size == "tiny" else EncoderConfig()) == expected
+
+    @pytest.mark.parametrize("masked_reference", [False, True], ids=["compact", "masked"])
+    @pytest.mark.parametrize("mode", list(PoolingMode))
+    def test_image_stack_rows_equal_single_encodes(self, mode, masked_reference):
+        # Each row runs the single-copy operations (see
+        # TestBatchedGradientSweep.test_batched_rows_equal_serial_loss), so
+        # each embedding row is the single-copy `encode`'s, and each loss row
+        # is within the reordered-sum bound of the d-term final contraction.
+        state = tiny_state(61, include_cls=mode is PoolingMode.CLS)
+        config = state.config
+        rng = np.random.default_rng(62)
+        images = rng.uniform(0, 1, (5, config.image_height, config.image_width, 3))
+        flags = mixed_flags(config, 63) if mode is PoolingMode.DET else None
+        upstream = rng.normal(size=config.embed_dim)
+
+        tokens, allowed, _, compact = _embed(images, state, mode, flags, masked_reference)
+        hidden, _ = _nn.transformer_fwd(tokens, state.params, config.layers, config.heads, allowed)
+        embeddings = _pool(hidden, state, mode, flags, compact)[0]
+        assert embeddings.shape == (5, config.embed_dim)
+        losses = embeddings @ upstream
+        for image, row, loss in zip(images, embeddings, losses):
+            single = _forward(image, state, mode, flags, masked_reference)[0]
+            assert np.array_equal(row, single)
+            bound = REORDER_C * config.embed_dim * U * (np.abs(single) @ np.abs(upstream))
+            assert abs(loss - upstream @ single) <= bound
 
 
 class TestEncoderConfigValidation:

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import REORDER_C, U
 from toygrasp import _nn
 
 DIM = 8
@@ -45,6 +47,33 @@ def assert_close_to(actual, expected, scale=None):
     assert np.abs(actual - expected).max() <= 1e-14 * scale
 
 
+def absolute_gradient_sums(dout, caches):
+    """Per parameter entry, the sum of |term| over every term the backward
+    pass adds into that entry's gradient: |x|^T |dy| for a weight, sum |dy|
+    for a bias or beta, sum |dy * xhat| for a gamma. The flow of dx is the
+    real backward pass's."""
+    linear_bwd, layernorm_bwd = _nn.linear_bwd, _nn.layernorm_bwd
+
+    def abs_linear_bwd(dy, cache):
+        x = cache[0]
+        x2 = np.abs(x.reshape(-1, x.shape[-1]))
+        dy2 = np.abs(dy.reshape(-1, dy.shape[-1]))
+        return linear_bwd(dy, cache)[0], x2.T @ dy2, dy2.sum(axis=0)
+
+    def abs_layernorm_bwd(dy, cache):
+        d = dy.shape[-1]
+        dy2 = np.abs(dy.reshape(-1, d))
+        xhat2 = np.abs(cache[0].reshape(-1, d))
+        return layernorm_bwd(dy, cache)[0], (dy2 * xhat2).sum(axis=0), dy2.sum(axis=0)
+
+    sums = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_nn, "linear_bwd", abs_linear_bwd)
+        patch.setattr(_nn, "layernorm_bwd", abs_layernorm_bwd)
+        _nn.transformer_bwd(dout, caches, sums)
+    return sums
+
+
 class TestLeadingBatchAxis:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -55,6 +84,21 @@ class TestLeadingBatchAxis:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batch_equals_per_sample(self, batch, tokens, heads, masked, seed):
+        # Each batched parameter gradient is one sum over the n = batch *
+        # tokens terms of every sample (x[b, t, i] * dy[b, t, j] for a
+        # weight, dy[b, t, j] for a bias, dy * xhat for a gamma); the
+        # per-sample path sums the same n terms, T per sample and then over
+        # the samples. The rows of every activation and of dy are the same in
+        # both paths: a product with leading axes runs one product per
+        # sample, and reductions run along the last axis (the out and dx
+        # assertions check this). Summed in any order, n terms carry at most
+        # n roundings each, so each result is within gamma_n * sum|terms| of
+        # the exact sum, gamma_n = n * u / (1 - n * u), u = 2^-53 (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2nd ed., 2002,
+        # eq. 3.5 and Lemma 3.1). Hence, per entry,
+        #   |batched - sum of per-sample| <= 2 * gamma_n * sum|terms|.
+        # With n * u < 1e-13 here, 2 * gamma_n, over the rounding of the
+        # computed (all non-negative) sum|terms|, is below REORDER_C * n * u.
         rng = np.random.default_rng(seed)
         params = random_params(rng)
         allowed = rng.random((tokens, tokens)) < 0.6 if masked else None
@@ -76,9 +120,12 @@ class TestLeadingBatchAxis:
             assert_close_to(dx[b], dx_b)
             for name, value in grads_b.items():
                 summed[name] += value
+        n = batch * tokens
+        abs_sums = absolute_gradient_sums(dout, caches)
         for name in params:
             assert grads[name].shape == params[name].shape
-            assert_close_to(grads[name], summed[name])
+            bound = REORDER_C * n * U * abs_sums[name]
+            assert (np.abs(grads[name] - summed[name]) <= bound).all(), name
 
     def test_two_leading_axes(self):
         rng = np.random.default_rng(0)
@@ -111,3 +158,75 @@ class TestLayerNorm:
             assert np.array_equal(got, want)
         for got, want in zip(_nn.layernorm_bwd(dy, cache), reference_layernorm_bwd(dy, ref_cache)):
             assert np.array_equal(got, want)
+
+
+class TestFiniteDifferenceCheck:
+    """`finite_difference_check` on a separable loss with a known gradient:
+    sum_k c_k * sin(x_k) over the entries of two tensors."""
+
+    @staticmethod
+    def problem(rng):
+        arrays = {"w": rng.normal(size=(5, 13)), "v": rng.normal(size=3)}
+        coefficients = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
+        analytic = {name: coefficients[name] * np.cos(a) for name, a in arrays.items()}
+
+        def loss():
+            return sum(float((coefficients[n] * np.sin(a)).sum()) for n, a in arrays.items())
+
+        def batched_loss(name, stack):
+            rest = sum(float((coefficients[n] * np.sin(a)).sum()) for n, a in arrays.items() if n != name)
+            axes = tuple(range(1, stack.ndim))
+            return (coefficients[name] * np.sin(stack)).sum(axis=axes) + rest
+
+        return arrays, analytic, loss, batched_loss
+
+    def test_chunks_cover_every_entry_once(self):
+        arrays, analytic, loss, batched_loss = self.problem(np.random.default_rng(0))
+        originals = {name: a.copy() for name, a in arrays.items()}
+        seen, sizes = [], []
+
+        def recording(name, stack):
+            sizes.append((name, len(stack)))
+            for sign, copy in zip([1.0, -1.0] * len(stack), stack):
+                (i,) = np.flatnonzero(copy != arrays[name])
+                assert copy.reshape(-1)[i] == arrays[name].reshape(-1)[i] + sign * _nn.FD_STEP
+                seen.append((name, int(i)))
+            return batched_loss(name, stack)
+
+        checked, worst, failures, _ = _nn.finite_difference_check(
+            loss, arrays, analytic, batched_loss=recording
+        )
+        assert checked == 65 + 3 and not failures and worst < 1.0
+        assert seen[0::2] == seen[1::2]
+        assert seen[0::2] == [("w", i) for i in range(65)] + [("v", i) for i in range(3)]
+        chunk = 2 * _nn.FD_CHUNK
+        assert sizes == [("w", chunk), ("w", chunk), ("w", 2 * 65 - 2 * chunk), ("v", 6)]
+        for name, a in arrays.items():
+            assert np.array_equal(a, originals[name])
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "zero-argument"])
+    def test_corrupted_entry_is_the_one_failure(self, batched):
+        rng = np.random.default_rng(1)
+        arrays, analytic, loss, batched_loss = self.problem(rng)
+        originals = {name: a.copy() for name, a in arrays.items()}
+        analytic["w"].reshape(-1)[40] += 1e-3
+        checked, worst, failures, worst_entry = _nn.finite_difference_check(
+            loss, arrays, analytic, max_entries_per_tensor=50,
+            rng=np.random.default_rng(2), batched_loss=batched_loss if batched else None,
+        )
+        sampled = np.random.default_rng(2).choice(65, size=50, replace=False)
+        assert 40 in sampled and checked == 53
+        assert [f[:2] for f in failures] == [("w", 40)] and worst_entry == ("w", 40)
+        assert worst > 1.0
+        for name, a in arrays.items():
+            assert np.array_equal(a, originals[name])
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "zero-argument"])
+    def test_non_finite_loss_fails_every_entry(self, batched):
+        arrays, analytic, _, _ = self.problem(np.random.default_rng(3))
+        with np.errstate(invalid="ignore"):
+            checked, _, failures, _ = _nn.finite_difference_check(
+                lambda: float("nan"), arrays, analytic,
+                batched_loss=(lambda name, stack: np.full(len(stack), np.inf)) if batched else None,
+            )
+        assert checked == 68 and len(failures) == 68
