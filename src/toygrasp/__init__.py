@@ -5,7 +5,6 @@ from .analysis import (
     GripperModel,
     directional_width,
     min_caliper_width,
-    print_feasibility,
 )
 from .assembler import (
     Color,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ class FeasibilityReport:
     suggested_scale: float
     min_ring_wall: float | None
     thin_wall: bool
-    min_caliper_width: float | None = None
-    graspable: bool | None = None
+    min_caliper_width: float
+    graspable: bool
 
 
 def directional_width(mesh: TriMesh, direction: np.ndarray) -> float:
@@ -164,35 +164,6 @@ def _antipodal_edge_directions(hull) -> np.ndarray:
     return d[on_arcs]
 
 
-def print_feasibility(
-    toy: ToySpec,
-    mesh: TriMesh,
-    *,
-    build_edge: float,
-    min_wall: float,
-) -> FeasibilityReport:
-    """Build-volume fit, downscale suggestion, and thin-ring-wall flag."""
-    lo, hi = mesh.aabb()
-    extents = hi - lo
-    max_extent = float(extents.max())
-    fits = bool((extents <= build_edge).all())
-    scale = min(1.0, build_edge / max_extent) if max_extent > 0.0 else 1.0
-
-    walls = [
-        p.spec.dims["wall_thickness"]
-        for p in toy.parts
-        if p.spec.kind is PrimitiveKind.RING
-    ]
-    min_ring_wall = min(walls) if walls else None
-    thin = min_ring_wall is not None and min_ring_wall < min_wall
-    return FeasibilityReport(
-        fits_build_volume=fits,
-        suggested_scale=float(scale),
-        min_ring_wall=min_ring_wall,
-        thin_wall=thin,
-    )
-
-
 def analyze_toy(
     toy: ToySpec,
     mesh: TriMesh,
@@ -201,12 +172,26 @@ def analyze_toy(
     build_edge: float,
     min_wall: float,
 ) -> FeasibilityReport:
-    """Full report: print feasibility plus caliper width and graspability."""
+    """Build-volume fit, downscale suggestion, thin-ring-wall flag, caliper
+    width and graspability."""
     gripper = gripper or GripperModel()
-    base = print_feasibility(toy, mesh, build_edge=build_edge, min_wall=min_wall)
+    lo, hi = mesh.aabb()
+    extents = hi - lo
+    max_extent = float(extents.max())
+    scale = min(1.0, build_edge / max_extent) if max_extent > 0.0 else 1.0
+
+    walls = [
+        p.spec.dims["wall_thickness"]
+        for p in toy.parts
+        if p.spec.kind is PrimitiveKind.RING
+    ]
+    min_ring_wall = min(walls) if walls else None
     width, _ = min_caliper_width(mesh)
-    return replace(
-        base,
+    return FeasibilityReport(
+        fits_build_volume=bool((extents <= build_edge).all()),
+        suggested_scale=float(scale),
+        min_ring_wall=min_ring_wall,
+        thin_wall=min_ring_wall is not None and min_ring_wall < min_wall,
         min_caliper_width=width,
         graspable=gripper.min_opening <= width <= gripper.max_opening,
     )
@@ -233,8 +218,8 @@ def write_feasibility_csv(
             writer.writerow(
                 [
                     toy_id,
-                    repr(report.min_caliper_width) if report.min_caliper_width is not None else "",
-                    str(report.graspable).lower() if report.graspable is not None else "",
+                    repr(report.min_caliper_width),
+                    str(report.graspable).lower(),
                     str(report.fits_build_volume).lower(),
                     repr(report.suggested_scale),
                     repr(report.min_ring_wall) if report.min_ring_wall is not None else "",

@@ -164,7 +164,7 @@ def check_det_compact_equivalence(state: EncoderState) -> CheckResult:
         params = {k: v for k, v in state.params.items() if k != "cls_token"}
         if include_cls:
             params["cls_token"] = state.params.get("cls_token", rng.normal(size=config.embed_dim))
-        variant = EncoderState(config, state.seed, params)
+        variant = EncoderState(config, params)
         for _ in range(n_patterns):
             image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
             flags = np.zeros(config.n_patches, dtype=bool)

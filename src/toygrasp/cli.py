@@ -32,7 +32,6 @@ from .io import (
     read_document,
     read_manifest,
     read_pgm,
-    record_to_toy,
     stl_bytes,
     toy_record,
 )
@@ -110,19 +109,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for i, record in enumerate(manifest.toys):
-        try:
-            toy = record_to_toy(record)
-            mesh = mesh_toy(toy, config.tessellation)
-            report = analysis_mod.analyze_toy(
-                toy,
-                mesh,
-                config.gripper,
-                build_edge=config.build_edge,
-                min_wall=config.min_wall,
-            )
-        except ValueError as exc:
-            raise SchemaViolation(f"toys[{i}] ({record.id!r}): {exc}") from exc
+    for toy in manifest.toys:
+        report = analysis_mod.analyze_toy(
+            toy,
+            mesh_toy(toy, config.tessellation),
+            config.gripper,
+            build_edge=config.build_edge,
+            min_wall=config.min_wall,
+        )
         rows.append((toy.id, report))
 
     analysis_mod.write_feasibility_csv(rows, out_path)

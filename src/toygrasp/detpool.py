@@ -78,10 +78,9 @@ class PoolingMode(enum.Enum):
 
 @dataclass(eq=False)
 class EncoderState:
-    """All learnable tensors as a flat named table, plus the init seed."""
+    """All learnable tensors as a flat named table."""
 
     config: EncoderConfig
-    seed: int
     params: dict[str, np.ndarray] = field(repr=False)
 
 
@@ -102,7 +101,7 @@ def _param_table(config: EncoderConfig) -> dict:
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderState:
     params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
-    return EncoderState(config=config, seed=seed, params=params)
+    return EncoderState(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,8 @@ def stl_bytes(mesh: TriMesh) -> bytes:
     """Binary STL: 80-byte header, triangle count, 50-byte little-endian records."""
     if mesh.n_triangles == 0:
         raise EmptyMesh("refusing to export an empty mesh")
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    v1 = mesh.vertices[mesh.triangles[:, 1]]
-    v2 = mesh.vertices[mesh.triangles[:, 2]]
+    corners = mesh.vertices[mesh.triangles]
+    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
     normals = np.cross(v1 - v0, v2 - v0)
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = np.divide(normals, lengths, out=np.zeros_like(normals), where=lengths > 0)
@@ -56,9 +55,7 @@ def stl_bytes(mesh: TriMesh) -> bytes:
         ),
     )
     record["normal"] = normals.astype(np.float32)
-    record["verts"][:, 0] = v0.astype(np.float32)
-    record["verts"][:, 1] = v1.astype(np.float32)
-    record["verts"][:, 2] = v2.astype(np.float32)
+    record["verts"] = corners.astype(np.float32)
     return _STL_HEADER + struct.pack("<I", mesh.n_triangles) + record.tobytes()
 
 
@@ -66,17 +63,16 @@ def obj_bytes(mesh: TriMesh) -> bytes:
     """ASCII OBJ, one `g part_<k>` group per part label; coordinates round-trip exactly."""
     if mesh.n_triangles == 0:
         raise EmptyMesh("refusing to export an empty mesh")
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    blocks = ["v %r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())]
     labels = (
         mesh.part_labels
         if mesh.part_labels is not None
         else np.zeros(mesh.n_triangles, dtype=np.int64)
     )
     for label in np.unique(labels):
-        lines.append(f"g part_{label}")
-        for a, b, c in (mesh.triangles[labels == label] + 1).tolist():
-            lines.append(f"f {a} {b} {c}")
-    return ("\n".join(lines) + "\n").encode()
+        faces = (mesh.triangles[labels == label] + 1).ravel().tolist()
+        blocks.append(f"g part_{label}\n" + "f %d %d %d\n" * (len(faces) // 3) % tuple(faces))
+    return "".join(blocks).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +80,9 @@ def obj_bytes(mesh: TriMesh) -> bytes:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PartRecord:
-    kind: str
-    dims: tuple[tuple[str, float], ...]
-    quaternion: tuple[float, float, float, float]
-    translation: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class DerivedStats:
-    aabb_min: tuple[float, float, float]
-    aabb_max: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class ToyRecord:
-    id: str
-    seed: int
-    color: str
-    parts: tuple[PartRecord, ...]
-    derived: DerivedStats
-
-
-@dataclass(frozen=True)
 class Manifest:
-    format_version: str
     config: dict
-    toys: tuple[ToyRecord, ...]
+    toys: tuple[ToySpec, ...]
 
 
 def generation_config_to_dict(config: GenerationConfig) -> dict:
@@ -140,80 +112,53 @@ def generation_config_from_dict(data: dict) -> GenerationConfig:
     )
 
 
-def toy_record(toy: ToySpec, mesh: TriMesh) -> ToyRecord:
-    """Serialize one toy plus the bounding box of its mesh (from `mesh_toy`)."""
+def toy_record(toy: ToySpec, mesh: TriMesh) -> dict:
+    """One toy's manifest entry, with the bounding box of its mesh (from `mesh_toy`)."""
     lo, hi = mesh.aabb()
-    parts = tuple(
-        PartRecord(
-            kind=p.spec.kind.value,
-            dims=tuple((name, p.spec.dims[name]) for name in DIM_NAMES[p.spec.kind]),
-            quaternion=tuple(float(v) for v in p.pose.rotation),
-            translation=tuple(float(v) for v in p.pose.translation),
-        )
-        for p in toy.parts
-    )
-    return ToyRecord(
-        id=toy.id,
-        seed=toy.seed,
-        color=toy.color.value,
-        parts=parts,
-        derived=DerivedStats(
-            aabb_min=tuple(float(v) for v in lo),
-            aabb_max=tuple(float(v) for v in hi),
-        ),
-    )
+    return {
+        "id": toy.id,
+        "seed": toy.seed,
+        "color": toy.color.value,
+        "parts": [
+            {
+                "kind": p.spec.kind.value,
+                "dims": {name: p.spec.dims[name] for name in DIM_NAMES[p.spec.kind]},
+                "quaternion": p.pose.rotation.tolist(),
+                "translation": p.pose.translation.tolist(),
+            }
+            for p in toy.parts
+        ],
+        "derived": {"aabb_min": lo.tolist(), "aabb_max": hi.tolist()},
+    }
 
 
-def record_to_toy(record: ToyRecord) -> ToySpec:
+def record_to_toy(entry: dict) -> ToySpec:
+    """The toy of one checked manifest entry; ToySpec, PrimitiveSpec and Pose
+    raise ValueError for a toy they reject."""
     parts = tuple(
         PlacedPrimitive(
-            PrimitiveSpec(PrimitiveKind(p.kind), dict(p.dims)),
-            Pose(np.array(p.quaternion), np.array(p.translation)),
+            PrimitiveSpec(
+                PrimitiveKind(p["kind"]), {name: float(v) for name, v in p["dims"].items()}
+            ),
+            Pose(np.array(p["quaternion"]), np.array(p["translation"])),
         )
-        for p in record.parts
+        for p in entry["parts"]
     )
-    return ToySpec(id=record.id, seed=record.seed, parts=parts, color=Color(record.color))
+    return ToySpec(id=entry["id"], seed=entry["seed"], parts=parts, color=Color(entry["color"]))
 
 
-def build_manifest(
-    records: Sequence[ToyRecord], config: GenerationConfig, tess: Tessellation
-) -> Manifest:
-    """The manifest of `records` (from `toy_record`), echoing every setting
-    they depend on: the generation config and the tessellation."""
+def build_manifest(records: Sequence[dict], config: GenerationConfig, tess: Tessellation) -> dict:
+    """The manifest document of `records` (from `toy_record`), echoing every
+    setting they depend on: the generation config and the tessellation."""
     echo = generation_config_to_dict(config)
     echo["tessellation"] = {
         "sphere_subdivisions": tess.sphere_subdivisions,
         "radial_segments": tess.radial_segments,
     }
-    return Manifest(MANIFEST_FORMAT_VERSION, echo, tuple(records))
+    return {"format_version": MANIFEST_FORMAT_VERSION, "config": echo, "toys": list(records)}
 
 
-def manifest_json_bytes(manifest: Manifest) -> bytes:
-    doc = {
-        "format_version": manifest.format_version,
-        "config": manifest.config,
-        "toys": [
-            {
-                "id": t.id,
-                "seed": t.seed,
-                "color": t.color,
-                "parts": [
-                    {
-                        "kind": p.kind,
-                        "dims": dict(p.dims),
-                        "quaternion": list(p.quaternion),
-                        "translation": list(p.translation),
-                    }
-                    for p in t.parts
-                ],
-                "derived": {
-                    "aabb_min": list(t.derived.aabb_min),
-                    "aabb_max": list(t.derived.aabb_max),
-                },
-            }
-            for t in manifest.toys
-        ],
-    }
+def manifest_json_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
@@ -347,6 +292,12 @@ _MANIFEST = {
 
 
 def read_manifest(path: str | Path) -> Manifest:
+    """The echoed config and the `ToySpec` of every toy in the manifest at `path`.
+
+    The document is checked field by field first; a toy that ToySpec,
+    PrimitiveSpec or Pose rejects then fails as `toys[i] ('<id>'): ...`.
+    Every error is a SchemaViolation or an IoFailure.
+    """
     doc = read_document(path, "manifest")
 
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -355,27 +306,21 @@ def read_manifest(path: str | Path) -> Manifest:
     check(doc, _MANIFEST, root="manifest")
     toys = []
     for i, t in enumerate(doc["toys"]):
-        parts = []
         for j, p in enumerate(t["parts"]):
             ctx = f"toys[{i}].parts[{j}]"
-            dims = tuple(
-                (name, float(check(value, float, f"{ctx}.dims.{name}", root="manifest")))
-                for name, value in p["dims"].items()
-            )
-            lengths = [(f"{ctx}.dims.{name}", v) for name, v in dims]
+            lengths = [(f"{ctx}.dims.{name}", v) for name, v in p["dims"].items()]
+            lengths = [(where, float(check(v, float, where, root="manifest"))) for where, v in lengths]
             lengths += [(f"{ctx}.translation[{k}]", v) for k, v in enumerate(p["translation"])]
             for where, value in lengths:
                 if abs(value) > LENGTH_LIMIT:
                     raise SchemaViolation(
                         f"{where} = {value!r} is outside +-{LENGTH_LIMIT:g} m (toy {t['id']!r})"
                     )
-            parts.append(
-                PartRecord(p["kind"], dims, tuple(p["quaternion"]), tuple(p["translation"]))
-            )
-        d = t["derived"]
-        derived = DerivedStats(tuple(d["aabb_min"]), tuple(d["aabb_max"]))
-        toys.append(ToyRecord(t["id"], t["seed"], t["color"], tuple(parts), derived))
-    return Manifest(format_version=version, config=doc["config"], toys=tuple(toys))
+        try:
+            toys.append(record_to_toy(t))
+        except ValueError as exc:
+            raise SchemaViolation(f"toys[{i}] ({t['id']!r}): {exc}") from exc
+    return Manifest(config=doc["config"], toys=tuple(toys))
 
 
 # ---------------------------------------------------------------------------

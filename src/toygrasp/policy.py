@@ -85,22 +85,24 @@ class StepObservation:
 @dataclass(eq=False)
 class PolicyState:
     config: PolicyConfig
-    seed: int
     params: dict[str, np.ndarray] = field(repr=False)
     opt_m: dict[str, np.ndarray] = field(repr=False)
     opt_v: dict[str, np.ndarray] = field(repr=False)
     opt_step: int = 0
 
 
+#: AdamW's decoupled weight decay, moment decay rates and denominator floor.
+WEIGHT_DECAY = 0.01
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam with decoupled weight decay."""
+    """Adam with decoupled weight decay (see WEIGHT_DECAY, BETA1, BETA2, EPS)."""
 
     learning_rate: float = 5e-4
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _param_table(config: PolicyConfig) -> dict:
@@ -118,7 +120,6 @@ def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
     params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
     return PolicyState(
         config=config,
-        seed=seed,
         params=params,
         opt_m={k: np.zeros_like(v) for k, v in params.items()},
         opt_v={k: np.zeros_like(v) for k, v in params.items()},
@@ -149,7 +150,11 @@ def _stack_history(history, config):
 
 
 def _forward(stacked, state):
-    """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim)."""
+    """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim).
+
+    The leading axes of the result are those of the inputs broadcast against
+    any leading axes of the parameters, so a (B, *shape) stack of one
+    weight, or a (B, 1, d) stack of one vector, gives B chunks."""
     config = state.config
     projected, c_proj = _nn.mlp_fwd(stacked, state.params, "proj.")
     tokens = projected + _nn.sincos_1d(np.arange(config.history_len), config.width)
@@ -158,7 +163,7 @@ def _forward(stacked, state):
     )
     last = hidden[..., -1:, :]
     flat, c_head = _nn.linear_fwd(last, state.params["head.weight"], state.params["head.bias"])
-    chunk = flat.reshape(*stacked.shape[:-2], config.chunk_len, config.action_dim)
+    chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
     if not np.isfinite(chunk).all():
         raise NonFiniteActivation("policy produced non-finite values")
     return chunk, (c_proj, block_caches, c_head)
@@ -242,15 +247,13 @@ def train_step(
 
     state.opt_step += 1
     t = state.opt_step
-    bias1 = 1.0 - opt.beta1**t
-    bias2 = 1.0 - opt.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, param in state.params.items():
         g = grads[name]
-        state.opt_m[name] = opt.beta1 * state.opt_m[name] + (1.0 - opt.beta1) * g
-        state.opt_v[name] = opt.beta2 * state.opt_v[name] + (1.0 - opt.beta2) * g * g
+        state.opt_m[name] = BETA1 * state.opt_m[name] + (1.0 - BETA1) * g
+        state.opt_v[name] = BETA2 * state.opt_v[name] + (1.0 - BETA2) * g * g
         m_hat = state.opt_m[name] / bias1
         v_hat = state.opt_v[name] / bias2
-        param -= opt.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * param
-        )
+        param -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * param)
     return state, total_loss / len(batch)

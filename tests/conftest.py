@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
-from toygrasp import _nn
+from toygrasp import _nn, policy
 from toygrasp.analysis import GripperModel, min_caliper_width
 from toygrasp.detpool import _forward
 from toygrasp.policy import concat_observation
@@ -198,3 +199,23 @@ def assemble_token(obs, state) -> np.ndarray:
     x = concat_observation(obs, state.config)[None, :]
     out, _ = _nn.mlp_fwd(x, state.params, "proj.")
     return out[0]
+
+
+def policy_fd_losses(history, state, upstream):
+    """The pair (loss, batched_loss) of <upstream, policy_forward(history,
+    state)> for `_nn.finite_difference_check`. The zero-argument loss reads
+    the parameters in place; the batched loss runs a (B, *shape) stack of
+    copies of one parameter in one forward pass and returns the B losses,
+    each summed elementwise as the zero-argument loss is."""
+    stacked = policy._stack_history(history, state.config)
+
+    def loss() -> float:
+        return float((upstream * policy.policy_forward(history, state)).sum())
+
+    def batched_loss(name, stack):
+        if stack.ndim == 2:
+            stack = stack[:, None, :]  # vectors as (B, 1, d)
+        variant = replace(state, params={**state.params, name: stack})
+        return (policy._forward(stacked, variant)[0] * upstream).sum(axis=(-2, -1))
+
+    return loss, batched_loss

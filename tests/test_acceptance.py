@@ -11,13 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import analytic_min_width, identity_pose, within_ranges
+from conftest import analytic_min_width, identity_pose, policy_fd_losses, within_ranges
 from toygrasp import _nn
-from toygrasp.analysis import (
-    directional_width,
-    min_caliper_width,
-    print_feasibility,
-)
+from toygrasp.analysis import analyze_toy, directional_width, min_caliper_width
 from toygrasp.assembler import (
     GenerationConfig,
     assemble_toy,
@@ -43,7 +39,6 @@ from toygrasp.policy import (
     StepObservation,
     bc_l1_loss,
     init_policy,
-    policy_forward,
     policy_grad,
     train_step,
 )
@@ -221,11 +216,10 @@ def test_08_gradient_exactness():
     ]
     upstream = rng.normal(size=(config.chunk_len, config.action_dim))
     grads = policy_grad(history, state, upstream)
-
-    def loss():
-        return float((upstream * policy_forward(history, state)).sum())
-
-    checked, worst, failures, _ = _nn.finite_difference_check(loss, state.params, grads)
+    loss, batched_loss = policy_fd_losses(history, state, upstream)
+    checked, worst, failures, _ = _nn.finite_difference_check(
+        loss, state.params, grads, batched_loss=batched_loss
+    )
     assert not failures, failures[:3]
 
     # Det-mode background-pixel gradients are exactly zero.
@@ -313,7 +307,7 @@ def test_11_print_feasibility():
         PrimitiveKind.CUBOID, {"width": 0.30, "length": 0.10, "height": 0.10}
     )
     toy = ToySpec("toy_big", 0, (PlacedPrimitive(spec, identity_pose()),), Color.BLUE)
-    result = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.0)
+    result = analyze_toy(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.0)
     assert not result.fits_build_volume
     assert result.suggested_scale == pytest.approx(0.256 / 0.30, abs=1e-4)
     report(11, f"0.30 m toy flagged oversize, suggested_scale {result.suggested_scale:.4f} (0.8533 +/- 1e-4)")

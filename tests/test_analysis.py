@@ -15,7 +15,6 @@ from toygrasp.analysis import (
     analyze_toy,
     directional_width,
     min_caliper_width,
-    print_feasibility,
     write_feasibility_csv,
 )
 from toygrasp.assembler import GenerationConfig, assemble_toy
@@ -352,13 +351,13 @@ class TestPrintFeasibility:
 
     def test_oversize_toy_downscaled(self):
         toy, mesh = self._box_toy(0.10, 0.30, 0.10)
-        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.0)
+        report = analyze_toy(toy, mesh, build_edge=0.256, min_wall=0.0)
         assert not report.fits_build_volume
         assert report.suggested_scale == pytest.approx(0.256 / 0.30, abs=1e-4)
 
     def test_fitting_toy_scale_one(self):
         toy, mesh = self._box_toy(0.10, 0.20, 0.10)
-        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.0)
+        report = analyze_toy(toy, mesh, build_edge=0.256, min_wall=0.0)
         assert report.fits_build_volume
         assert report.suggested_scale == 1.0
 
@@ -371,13 +370,13 @@ class TestPrintFeasibility:
             {"outer_diameter": 0.08, "wall_thickness": 0.006, "height": 0.03},
         )
         toy = ToySpec("t", 0, (PlacedPrimitive(spec, identity_pose()),), Color.RED)
-        report = print_feasibility(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.008)
+        report = analyze_toy(toy, mesh_toy(toy), build_edge=0.256, min_wall=0.008)
         assert report.min_ring_wall == 0.006
         assert report.thin_wall
 
     def test_no_rings_no_wall_stat(self):
         toy, mesh = self._box_toy(0.05, 0.05, 0.05)
-        report = print_feasibility(toy, mesh, build_edge=0.256, min_wall=0.008)
+        report = analyze_toy(toy, mesh, build_edge=0.256, min_wall=0.008)
         assert report.min_ring_wall is None
         assert not report.thin_wall
 

@@ -38,9 +38,7 @@ def manifest_of(toys, config):
 
 
 def write_manifest(toys, config, path):
-    manifest = manifest_of(toys, config)
-    path.write_bytes(manifest_json_bytes(manifest))
-    return manifest
+    path.write_bytes(manifest_json_bytes(manifest_of(toys, config)))
 
 
 CUBOID = PrimitiveSpec(
@@ -100,11 +98,19 @@ class TestObj:
 
 class TestManifest:
     def test_roundtrip_structural_equality(self, tmp_path):
+        # The toys read back, meshed and written again with the echoed
+        # config, give the same bytes.
         toys, config = small_set()
         path = tmp_path / "manifest.json"
-        written = write_manifest(toys, config, path)
+        write_manifest(toys, config, path)
         loaded = read_manifest(path)
-        assert loaded == written
+        tess = Tessellation(**loaded.config["tessellation"])
+        rewritten = build_manifest(
+            [toy_record(t, mesh_toy(t, tess)) for t in loaded.toys],
+            generation_config_from_dict(loaded.config),
+            tess,
+        )
+        assert manifest_json_bytes(rewritten) == path.read_bytes()
 
     def test_unknown_version_rejected(self, tmp_path):
         toys, config = small_set()
@@ -159,6 +165,13 @@ class TestManifest:
             (lambda t: t["derived"]["aabb_min"].__setitem__(0, None),
              "toys[0].derived.aabb_min[0] must be a number"),
             (lambda t: t["parts"][0]["dims"].update(width="1"), "dims.width must be a number"),
+            # Well-typed, but ToySpec, PrimitiveSpec or Pose rejects the toy.
+            (lambda t: t["parts"][0].update(quaternion=[2.0, 0.0, 0.0, 0.0]),
+             "toys[0] ('toy_0000'): quaternion norm 2.0 is not 1"),
+            (lambda t: t.update(parts=t["parts"] * 6),
+             "toys[0] ('toy_0000'): toy must have 1-5 parts, got 6"),
+            (lambda t: t["parts"][0].update(kind="cone"),
+             "toys[0] ('toy_0000'): 'cone' is not a valid PrimitiveKind"),
         ],
     )
     def test_wrong_json_type_names_field(self, tmp_path, edit, field):
@@ -191,8 +204,8 @@ class TestManifest:
         assert generation_config_to_dict(rebuilt) == data
 
     def test_record_regenerated_from_manifest_config_and_seed(self, tmp_path):
-        # The manifest's config echo plus a record's index reproduce the
-        # record exactly, derived stats included.
+        # The manifest's config echo plus a toy's index reproduce its JSON
+        # entry exactly, derived stats included.
         from toygrasp.assembler import assemble_toy, category_plan, derive_seed
 
         toys, config, = small_set()
@@ -212,7 +225,7 @@ class TestManifest:
                 toy_id=f"toy_{index:04d}",
                 seed=seed,
             )
-            assert toy_record(toy, mesh_toy(toy)) == manifest.toys[index]
+            assert toy_record(toy, mesh_toy(toy)) == json.loads(path.read_text())["toys"][index]
 
     def test_deterministic_bytes(self):
         toys, config = small_set()
@@ -223,16 +236,12 @@ class TestManifest:
 
     def test_derived_stats_present(self):
         toys, config = small_set()
-        manifest = manifest_of(toys, config)
-        assert len(manifest.toys) == 6
-        for record in manifest.toys:
-            assert all(
-                lo <= hi
-                for lo, hi in zip(record.derived.aabb_min, record.derived.aabb_max)
-            )
-        doc = json.loads(manifest_json_bytes(manifest))
+        doc = json.loads(manifest_json_bytes(manifest_of(toys, config)))
+        assert len(doc["toys"]) == 6
         for toy in doc["toys"]:
             assert sorted(toy["derived"]) == ["aabb_max", "aabb_min"]
+            derived = toy["derived"]
+            assert all(lo <= hi for lo, hi in zip(derived["aabb_min"], derived["aabb_max"]))
 
 
 class TestPgm:

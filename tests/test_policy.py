@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import assemble_token
+from conftest import assemble_token, policy_fd_losses
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
 from toygrasp.errors import ShapeMismatch
 from toygrasp.policy import (
+    BETA1,
     OptimizerConfig,
     PolicyConfig,
     StepObservation,
@@ -24,6 +25,11 @@ from toygrasp.policy import (
 )
 
 TINY = PolicyConfig.tiny()
+#: Small enough that a full serial finite-difference sweep takes well under a second.
+MICRO = PolicyConfig(
+    history_len=2, chunk_len=2, action_dim=2, proprio_dim=2, cameras=1,
+    embed_dim=2, layers=1, width=4, heads=2, mlp_ratio=1.0,
+)
 
 
 def random_history(config, rng):
@@ -202,6 +208,104 @@ class TestPolicyGrad:
             assert grads[name].shape == state.params[name].shape
 
 
+def fd_problem(config, seed):
+    """A policy, one history and an upstream chunk for a gradient sweep."""
+    state = init_policy(config, seed)
+    rng = np.random.default_rng(seed + 1)
+    history = random_history(config, rng)
+    return state, history, rng.normal(size=(config.chunk_len, config.action_dim))
+
+
+class TestBatchedGradientSweep:
+    """The policy sweep of test_08 evaluates all perturbed copies of one
+    parameter in one forward pass per chunk (`conftest.policy_fd_losses`)."""
+
+    @pytest.mark.parametrize("config", [TINY, PolicyConfig()], ids=["tiny", "default"])
+    def test_batched_rows_equal_serial_loss(self, config):
+        # Every product with leading axes runs one product per copy, every
+        # reduction runs along the last axis, and each row's loss sums the
+        # same K * action_dim products as the zero-argument loss, so each
+        # row must equal that loss on its copy bitwise.
+        state, history, upstream = fd_problem(config, 40)
+        loss, batched_loss = policy_fd_losses(history, state, upstream)
+        rng = np.random.default_rng(41)
+        for name, array in state.params.items():
+            copies = np.repeat(array[None], 4, axis=0)
+            flat = copies.reshape(4, -1)
+            flat[np.arange(4), rng.integers(flat.shape[1], size=4)] += [
+                _nn.FD_STEP, -_nn.FD_STEP, 1e-2, -1e-2,
+            ]
+            batched = batched_loss(name, copies)
+            assert batched.shape == (4,)
+            original = array.copy()
+            serial = []
+            for copy in copies:
+                array[...] = copy
+                serial.append(loss())
+            array[...] = original
+            assert batched.tolist() == serial, name
+
+    @pytest.mark.parametrize(
+        "config, entries", [(TINY, 8), (MICRO, None)], ids=["tiny-sampled", "micro-full"]
+    )
+    def test_batched_and_serial_sweeps_check_the_same_entries(self, config, entries):
+        state, history, upstream = fd_problem(config, 42)
+        grads = policy_grad(history, state, upstream)
+        loss, batched_loss = policy_fd_losses(history, state, upstream)
+        perturbed = []
+
+        def recording(name, stack):
+            for copy in stack:
+                changed = np.flatnonzero(copy != state.params[name])
+                perturbed.extend((name, int(i)) for i in changed)
+            return batched_loss(name, stack)
+
+        checked, worst, failures, worst_entry = _nn.finite_difference_check(
+            loss, state.params, grads, entries, np.random.default_rng(43), recording
+        )
+
+        # The serial sweep, written out: one entry at a time, perturbed in place.
+        rng = np.random.default_rng(43)
+        serial_perturbed, serial_checked, serial_worst, serial_entry = [], 0, 0.0, None
+        for name, array in state.params.items():
+            flat = array.reshape(-1)
+            indices = range(flat.size)
+            if entries is not None and flat.size > entries:
+                indices = rng.choice(flat.size, size=entries, replace=False)
+            for i in indices:
+                original = flat[i]
+                flat[i] = original + _nn.FD_STEP
+                f_plus = loss()
+                flat[i] = original - _nn.FD_STEP
+                f_minus = loss()
+                flat[i] = original
+                serial_perturbed += [(name, int(i))] * 2
+                g_fd = (f_plus - f_minus) / (2.0 * _nn.FD_STEP)
+                g_an = float(grads[name].reshape(-1)[i])
+                tolerance = max(_nn.FD_REL_TOL * max(abs(g_fd), abs(g_an)), _nn.FD_ABS_FLOOR)
+                ratio = abs(g_fd - g_an) / tolerance
+                if serial_entry is None or ratio > serial_worst:
+                    serial_worst, serial_entry = ratio, (name, int(i))
+                serial_checked += 1
+        assert perturbed == serial_perturbed
+        assert (checked, worst, worst_entry) == (serial_checked, serial_worst, serial_entry)
+        assert failures == [] and serial_worst < 1.0
+
+    @pytest.mark.parametrize("name", ["proj.b1", "blocks.1.attn.w_k", "head.weight"])
+    def test_corrupted_analytic_entry_fails_by_name(self, name):
+        # Negative control: one analytic entry off by 1 fails the batched
+        # sweep of test_08, and the failure names that entry alone.
+        state, history, upstream = fd_problem(TINY, 88)
+        grads = policy_grad(history, state, upstream)
+        index = grads[name].size // 2
+        grads[name].flat[index] += 1.0
+        loss, batched_loss = policy_fd_losses(history, state, upstream)
+        _, _, failures, _ = _nn.finite_difference_check(
+            loss, state.params, grads, batched_loss=batched_loss
+        )
+        assert [(n, i) for n, i, _, _ in failures] == [(name, index)]
+
+
 class TestTrainStep:
     def test_batch_loss_gradient_finite_difference(self):
         # The training gradient is d(mean batch L1)/d(params); verify by
@@ -290,7 +394,7 @@ class TestTrainStep:
         opt = OptimizerConfig(learning_rate=0.0)
         train_step(data, state, opt)
         for name, value in expected.items():
-            got = state.opt_m[name] / (1.0 - opt.beta1)
+            got = state.opt_m[name] / (1.0 - BETA1)
             assert np.abs(got - value).max() <= 1e-14 * np.abs(value).max(), name
 
     def test_bad_target_in_last_slot_leaves_state_unchanged(self):
