@@ -12,7 +12,6 @@ CheckResult so callers can print one pass/fail line per property.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -200,51 +199,43 @@ def _first_stage(name: str, layers: int) -> int | None:
     return None
 
 
-def _staged_losses(image, state, mode, flags, upstream):
-    """Compute the input of every sublayer and of the pooling step once, for
-    the unperturbed tensors and with the attention mask and compact choice of
-    `encode`'s own embedding step. Returns `losses_from(stage)`, the pair
-    (loss, batched_loss) of <upstream, encode(...)> for
-    `_nn.finite_difference_check`, resumed at `stage` (the embedding step
-    when `stage` is None). The zero-argument loss reads the tensors in place
-    and equals the whole `encode` bitwise while no tensor upstream of
-    `stage` changes. The batched loss runs a (B, *shape) stack of copies of
-    one tensor, or of the image, in one pass and returns the B losses."""
+def _fd_losses(image, state, mode, flags, upstream):
+    """The pair (loss, batched_loss) of <upstream, encode(...)> for
+    `_nn.finite_difference_check`. The zero-argument loss is the whole
+    `encode`, reading the tensors and the image in place. The batched loss
+    runs a (B, *shape) stack of copies of one tensor, or of the image, in one
+    pass resumed at the tensor's first stage, and returns the B losses. Each
+    stage's input is computed once, from the unperturbed tensors, with
+    `encode`'s own attention mask and compact choice."""
     config = state.config
     tokens, allowed, _, compact = _embed(image, state, mode, flags)
     inputs = [tokens]
     for s in range(2 * config.layers):
         inputs.append(_nn.sublayer_fwd(s, inputs[-1], state.params, config.heads, allowed)[0])
 
-    def run(stage, params, image):
-        # Sublayer by sublayer, so no backward cache outlives its sublayer.
+    def loss() -> float:
+        return float(upstream @ encode(image, state, mode, flags))
+
+    def batched_loss(name, stack):
+        params, batch_image = state.params, image
+        if name == "image":
+            batch_image = stack
+        else:  # vectors as (B, 1, d)
+            params = {**params, name: stack[:, None, :] if stack.ndim == 2 else stack}
         variant = replace(state, params=params)
+        stage = _first_stage(name, config.layers)
         if stage is None:
-            x, stage = _embed(image, variant, mode, flags)[0], 0
+            x, stage = _embed(batch_image, variant, mode, flags)[0], 0
         else:
             x = inputs[stage]
+        # Sublayer by sublayer, so no backward cache outlives its sublayer.
         for s in range(stage, 2 * config.layers):
             x = _nn.sublayer_fwd(s, x, params, config.heads, allowed)[0]
-        return _pool(x, variant, mode, flags, compact)[0] @ upstream
+        # A tensor the mode never reads (Det's `cls_token`, a non-attention
+        # mode's `pool_query`) leaves one unbatched loss.
+        return np.broadcast_to(_pool(x, variant, mode, flags, compact)[0] @ upstream, (len(stack),))
 
-    def losses_from(stage):
-        def loss() -> float:
-            return float(run(stage, state.params, image))
-
-        def batched_loss(name, stack):
-            if name == "image":
-                losses = run(stage, state.params, stack)
-            else:
-                if stack.ndim == 2:
-                    stack = stack[:, None, :]  # vectors as (B, 1, d)
-                losses = run(stage, {**state.params, name: stack}, image)
-            # A tensor the mode never reads (Det's `cls_token`, a non-attention
-            # mode's `pool_query`) leaves one unbatched loss.
-            return np.broadcast_to(losses, (len(stack),))
-
-        return loss, batched_loss
-
-    return losses_from
+    return loss, batched_loss
 
 
 def check_gradients(seed: int = 3, max_entries_per_tensor: int | None = None) -> CheckResult:
@@ -277,24 +268,15 @@ def check_gradients(seed: int = 3, max_entries_per_tensor: int | None = None) ->
         analytic = dict(grads)
         analytic["image"] = image_grad
 
-        # Each contiguous run of tensors with one first stage resumes there;
-        # the runs keep the table's order, so `rng` draws the same entries.
-        losses_from = _staged_losses(image, state, mode, flags, upstream)
-        checked[mode.value] = 0
-        for stage, names in groupby(arrays, lambda name: _first_stage(name, mode_config.layers)):
-            loss, batched_loss = losses_from(stage)
-            n, w, fails, w_entry = _nn.finite_difference_check(
-                loss,
-                {name: arrays[name] for name in names},
-                analytic,
-                max_entries_per_tensor=max_entries_per_tensor,
-                rng=rng,
-                batched_loss=batched_loss,
-            )
-            checked[mode.value] += n
-            if w_entry is not None and (not worst_at or w > worst):
-                worst, worst_at = w, f"{mode.value}:{w_entry[0]}[{w_entry[1]}]"
-            failures += [f"{mode.value}:{name}[{i}]" for name, i, _, _ in fails]
+        loss, batched_loss = _fd_losses(image, state, mode, flags, upstream)
+        n, w, fails, w_entry = _nn.finite_difference_check(
+            loss, arrays, analytic, max_entries_per_tensor=max_entries_per_tensor, rng=rng,
+            batched_loss=batched_loss,
+        )
+        checked[mode.value] = n
+        if w_entry is not None and (not worst_at or w > worst):
+            worst, worst_at = w, f"{mode.value}:{w_entry[0]}[{w_entry[1]}]"
+        failures += [f"{mode.value}:{name}[{i}]" for name, i, _, _ in fails]
 
         if mode is PoolingMode.DET:
             background = ~flags_to_pixel_region(flags, mode_config)

@@ -26,6 +26,7 @@ from .config import CliConfig, load_config
 from .errors import NotWatertight, SchemaViolation, ToygraspError
 from .io import (
     build_manifest,
+    csv_count,
     csv_rows,
     manifest_json_bytes,
     obj_bytes,
@@ -202,15 +203,16 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for line, row in csv_rows(args.rows, "rows", ("label", "demos", "success_percent")):
+        demos = csv_count(line, "demos", row[1])
         try:
-            label, demos, percent = row[0], int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ValueError(f"line {line}: {exc}") from exc
-        if demos < 0:
-            raise ValueError(f"line {line}: demos must be >= 0, got {demos}")
-        if not math.isfinite(percent):
-            raise ValueError(f"line {line}: success_percent must be finite, got {row[2]!r}")
-        rows.append((label, demos, percent))
+            percent = float(row[2])
+        except ValueError:
+            percent = math.nan
+        if not (row[2].isascii() and "_" not in row[2] and 0.0 <= percent <= 100.0):
+            raise ValueError(
+                f"line {line}: success_percent must be a number from 0 to 100, got {row[2]!r}"
+            )
+        rows.append((row[0], demos, percent))
     grid_path = evalharness.scaling_report(rows, args.out)
     out = Path(args.out)
     print(f"wrote {out} and {grid_path} ({len(rows)} rows)")

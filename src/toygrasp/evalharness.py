@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyObjectList, EmptyOutcomes, IoFailure, SchemaViolation
-from .io import check, csv_rows, read_document
+from .io import check, csv_count, csv_rows, read_document
 
 
 class Protocol(enum.Enum):
@@ -251,10 +251,7 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
     for line, row in csv_rows(path, "outcomes", ("object", "trial_index", "success")):
         if not row[0]:
             raise ValueError(f"line {line}: object id must be non-empty")
-        index = row[1].strip()
-        if not (index.isascii() and index.isdigit()):
-            raise ValueError(f"line {line}: trial_index must be an integer >= 0, got {row[1]!r}")
-        key = (row[0], int(index))
+        key = (row[0], csv_count(line, "trial_index", row[1]))
         if key in first:
             raise ValueError(
                 f"line {line}: duplicate trial_index {key[1]} for object "

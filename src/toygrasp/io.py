@@ -275,6 +275,15 @@ def csv_rows(path: str | Path, what: str, columns: tuple[str, ...]):
         raise SchemaViolation(f"{what} {path} is not valid UTF-8 CSV: {exc}") from exc
 
 
+def csv_count(line: int, column: str, cell: str) -> int:
+    """`cell` read as an integer >= 0 written in ASCII digits, blanks around it
+    allowed; anything else is a ValueError naming `line` and `column`."""
+    digits = cell.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"line {line}: {column} must be an integer >= 0, got {cell!r}")
+    return int(digits)
+
+
 _PART = {"kind": str, "dims": dict, "quaternion": (float,) * 4, "translation": (float,) * 3}
 _MANIFEST = {
     "format_version": str,
@@ -308,6 +317,10 @@ def read_manifest(path: str | Path) -> Manifest:
     for i, t in enumerate(doc["toys"]):
         for j, p in enumerate(t["parts"]):
             ctx = f"toys[{i}].parts[{j}]"
+            if p["quaternion"][0] < 0:
+                raise SchemaViolation(
+                    f"{ctx}.quaternion[0] = {p['quaternion'][0]!r} must be >= 0 (toy {t['id']!r})"
+                )
             lengths = [(f"{ctx}.dims.{name}", v) for name, v in p["dims"].items()]
             lengths = [(where, float(check(v, float, where, root="manifest"))) for where, v in lengths]
             lengths += [(f"{ctx}.translation[{k}]", v) for k, v in enumerate(p["translation"])]

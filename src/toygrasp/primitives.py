@@ -213,9 +213,7 @@ class Pose:
             raise ValueError("pose requires a 4-quaternion and a 3-translation")
         if abs(float(q @ q) - 1.0) > 1e-12:
             raise ValueError(f"quaternion norm {math.sqrt(float(q@q))} is not 1 within 1e-12")
-        if q[0] < 0.0:
-            q = -q
-        object.__setattr__(self, "rotation", q)
+        object.__setattr__(self, "rotation", quat_canonical(q))
         object.__setattr__(self, "translation", t)
 
     def apply(self, points: np.ndarray) -> np.ndarray:

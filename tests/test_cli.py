@@ -573,7 +573,12 @@ class TestReport:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("main,-3,50", "line 3: demos must be >= 0, got -3"),
+            ("main,-3,50", "line 3: demos must be an integer >= 0, got '-3'"),
+            ("main,x,50", "line 3: demos must be an integer >= 0, got 'x'"),
+            ("main,1_0,50", "line 3: demos must be an integer >= 0, got '1_0'"),
+            ("main,\u0663,50", "line 3: demos must be an integer >= 0, got '\u0663'"),
+            ("main,3,abc", "line 3: success_percent must be a number from 0 to 100, got 'abc'"),
+            ("main,3,1e30", "line 3: success_percent must be a number from 0 to 100, got '1e30'"),
             ("main,3", "line 3: missing success_percent"),
             ("main", "line 3: missing demos, success_percent"),
         ],

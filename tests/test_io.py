@@ -165,6 +165,9 @@ class TestManifest:
             (lambda t: t["derived"]["aabb_min"].__setitem__(0, None),
              "toys[0].derived.aabb_min[0] must be a number"),
             (lambda t: t["parts"][0]["dims"].update(width="1"), "dims.width must be a number"),
+            # A unit quaternion whose sign breaks the format's w >= 0.
+            (lambda t: t["parts"][0].update(quaternion=[-1.0, 0.0, 0.0, 0.0]),
+             "toys[0].parts[0].quaternion[0] = -1.0 must be >= 0 (toy 'toy_0000')"),
             # Well-typed, but ToySpec, PrimitiveSpec or Pose rejects the toy.
             (lambda t: t["parts"][0].update(quaternion=[2.0, 0.0, 0.0, 0.0]),
              "toys[0] ('toy_0000'): quaternion norm 2.0 is not 1"),
