@@ -1,7 +1,12 @@
 """Float64 transformer building blocks with hand-derived backward passes.
 
 Forward functions return (output, cache); backward functions consume the
-cache and upstream gradient. Activations have shape (..., T, d): any number
+cache and upstream gradient. Where no backward pass follows,
+`transformer_out` runs the same sublayers with `keep=False`: no cache is
+built (None stands in its place), each sublayer's temporaries are freed as
+soon as it returns, and the ones a cache would have held are overwritten in
+place. Its output is the cached pass's, bit for bit; the two passes differ
+only in where they write. Activations have shape (..., T, d): any number
 of leading batch axes, T tokens, d channels; a single sequence is (T, d).
 A forward pass also accepts one batched parameter: a (B, d_in, d_out)
 stack of weights or a (B, 1, d) stack of vectors broadcasts like a leading
@@ -33,21 +38,21 @@ INIT_STD = 0.02
 # layers
 # ---------------------------------------------------------------------------
 
-def _plus(fresh, other):
-    """`fresh + other`, written into `fresh`, a temporary the caller owns,
-    when the sum has its shape. The forward passes work in place where they
-    can: each temporary of a batched pass is large enough that the
-    allocator maps it fresh, and a full finite-difference sweep spent about
-    a third of its time in the page faults that followed."""
+def _into(op, fresh, other):
+    """`op(fresh, other)` for a binary ufunc `op`, written into `fresh`, a
+    temporary the caller owns, when the result has its shape. The forward
+    passes work in place where they can: each temporary of a batched pass is
+    large enough that the allocator maps it fresh, and a full
+    finite-difference sweep spent about a third of its time in the page
+    faults that followed."""
     try:
-        fresh += other
+        return op(fresh, other, out=fresh)
     except ValueError:  # `other` carries a batch axis that `fresh` lacks
-        return fresh + other
-    return fresh
+        return op(fresh, other)
 
 
 def linear_fwd(x, w, b):
-    return _plus(x @ w, b), (x, w)
+    return _into(np.add, x @ w, b), (x, w)
 
 
 def linear_bwd(dy, cache):
@@ -63,14 +68,18 @@ def _last_axis_mean(x):
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def layernorm_fwd(x, gamma, beta):
+def layernorm_fwd(x, gamma, beta, keep=True):
+    """gamma * xhat + beta; with `keep` false the product overwrites xhat,
+    which no cache then holds."""
     mu = _last_axis_mean(x)
     xc = x - mu
     var = _last_axis_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xc *= inv
     xhat = xc
-    return _plus(gamma * xhat, beta), (xhat, inv, gamma)
+    if not keep:
+        return _into(np.add, _into(np.multiply, xhat, gamma), beta), None
+    return _into(np.add, gamma * xhat, beta), (xhat, inv, gamma)
 
 
 def layernorm_bwd(dy, cache):
@@ -85,14 +94,15 @@ def layernorm_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
-def gelu_fwd(x):
-    """0.5 * x * (1 + erf(x / sqrt 2)), in that order, in two temporaries."""
+def gelu_fwd(x, keep=True):
+    """0.5 * x * (1 + erf(x / sqrt 2)), in that order, in two temporaries;
+    with `keep` false the output overwrites `x`, which no cache then holds."""
     t = x / _SQRT2
     erf(t, out=t)
     t += 1.0
-    y = 0.5 * x
+    y = 0.5 * x if keep else np.multiply(x, 0.5, out=x)
     y *= t
-    return y, x
+    return y, (x if keep else None)
 
 
 def gelu_bwd(dy, x):
@@ -102,13 +112,14 @@ def gelu_bwd(dy, x):
 
 
 def masked_softmax(logits, allowed):
-    """Row softmax over the last axis; disallowed entries get weight exactly 0."""
+    """Row softmax over the last axis, written over `logits`, a temporary the
+    caller owns; disallowed entries get weight exactly 0."""
     if allowed is not None:
-        logits = np.where(allowed, logits, NEG_LIMIT)
-    w = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+        np.copyto(logits, NEG_LIMIT, where=~allowed)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def softmax_bwd(da, a):
@@ -128,7 +139,7 @@ def _merge_heads(xh):
     return xh.swapaxes(-2, -3).reshape(*lead, T, heads * dh)
 
 
-def mha_fwd(x, params, prefix, heads, allowed):
+def mha_fwd(x, params, prefix, heads, allowed, keep=True):
     scale = 1.0 / math.sqrt(x.shape[-1] // heads)
     q, cq = linear_fwd(x, params[prefix + "w_q"], params[prefix + "b_q"])
     # No key bias: it would add one constant to each query's logits, which
@@ -144,7 +155,7 @@ def mha_fwd(x, params, prefix, heads, allowed):
     attn = masked_softmax(logits, allowed)
     o = _merge_heads(attn @ vh)
     y, co = linear_fwd(o, params[prefix + "w_o"], params[prefix + "b_o"])
-    return y, (cq, ck, cv, co, qh, kh, vh, attn, scale, heads)
+    return y, ((cq, ck, cv, co, qh, kh, vh, attn, scale, heads) if keep else None)
 
 
 def mha_bwd(dy, cache, prefix, grads):
@@ -162,19 +173,20 @@ def mha_bwd(dy, cache, prefix, grads):
     return dx_q + dx_k + dx_v
 
 
-def attn_sublayer_fwd(x, params, prefix, heads, allowed):
+def attn_sublayer_fwd(x, params, prefix, heads, allowed, keep=True):
     """First residual sublayer of a pre-norm block: x + attn(LN1(x))."""
-    h, c_ln = layernorm_fwd(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
-    a, c_att = mha_fwd(h, params, prefix + "attn.", heads, allowed)
-    return _plus(a, x), (c_ln, c_att)
+    ln = (params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
+    h, c_ln = layernorm_fwd(x, *ln, keep=keep)
+    a, c_att = mha_fwd(h, params, prefix + "attn.", heads, allowed, keep=keep)
+    return _into(np.add, a, x), ((c_ln, c_att) if keep else None)
 
 
-def mlp_fwd(x, params, prefix):
+def mlp_fwd(x, params, prefix, keep=True):
     """Linear, GELU, linear, with parameters `<prefix>w1`, `b1`, `w2`, `b2`."""
     h, c_fc1 = linear_fwd(x, params[prefix + "w1"], params[prefix + "b1"])
-    g, c_gelu = gelu_fwd(h)
+    g, c_gelu = gelu_fwd(h, keep=keep)
     y, c_fc2 = linear_fwd(g, params[prefix + "w2"], params[prefix + "b2"])
-    return y, (c_fc1, c_gelu, c_fc2)
+    return y, ((c_fc1, c_gelu, c_fc2) if keep else None)
 
 
 def mlp_bwd(dy, cache, prefix, grads):
@@ -185,18 +197,22 @@ def mlp_bwd(dy, cache, prefix, grads):
     return dx
 
 
-def mlp_sublayer_fwd(x, params, prefix, heads, allowed):
+def mlp_sublayer_fwd(x, params, prefix, keep=True):
     """Second residual sublayer of a pre-norm block: x + mlp(LN2(x))."""
-    h, c_ln = layernorm_fwd(x, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
-    m, c_mlp = mlp_fwd(h, params, prefix + "mlp.")
-    return _plus(m, x), (c_ln, c_mlp)
+    ln = (params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
+    h, c_ln = layernorm_fwd(x, *ln, keep=keep)
+    m, c_mlp = mlp_fwd(h, params, prefix + "mlp.", keep=keep)
+    return _into(np.add, m, x), ((c_ln, c_mlp) if keep else None)
 
 
-def sublayer_fwd(s, x, params, heads, allowed):
+def sublayer_fwd(s, x, params, heads, allowed, keep=True):
     """Residual sublayer `s` of a block stack: block s // 2's attention
-    sublayer for even `s`, its MLP sublayer for odd `s`."""
-    fwd = mlp_sublayer_fwd if s % 2 else attn_sublayer_fwd
-    return fwd(x, params, f"blocks.{s // 2}.", heads, allowed)
+    sublayer for even `s`, its MLP sublayer for odd `s`. Neither writes
+    into `x`."""
+    prefix = f"blocks.{s // 2}."
+    if s % 2:
+        return mlp_sublayer_fwd(x, params, prefix, keep=keep)
+    return attn_sublayer_fwd(x, params, prefix, heads, allowed, keep=keep)
 
 
 def block_bwd(dout, cache, prefix, grads):
@@ -218,6 +234,15 @@ def transformer_fwd(tokens, params, layers, heads, allowed=None):
         x, cache = sublayer_fwd(s, x, params, heads, allowed)
         caches.append(cache)
     return x, caches
+
+
+def transformer_out(x, params, layers, heads, allowed=None, start=0):
+    """The output of sublayers `start` onward on `x`, with no backward cache
+    (`keep=False`). From `start=0` it equals `transformer_fwd`'s output bit
+    for bit; a later `start` resumes a pass at that sublayer's input."""
+    for s in range(start, 2 * layers):
+        x, _ = sublayer_fwd(s, x, params, heads, allowed, keep=False)
+    return x
 
 
 def transformer_bwd(dout, caches, grads):

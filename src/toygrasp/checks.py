@@ -21,7 +21,7 @@ from .detpool import (
     EncoderState,
     PoolingMode,
     _embed,
-    _forward,
+    _encode,
     _patchify,
     _pool,
     _positional_table,
@@ -69,7 +69,7 @@ def flags_to_pixel_region(flags: np.ndarray, config: EncoderConfig) -> np.ndarra
 
 def _masked_encode(image, state, mode, flags=None) -> np.ndarray:
     """`encode` through the full-sequence pass, Det under its flag mask."""
-    return _forward(image, state, mode, flags, masked_reference=True)[0]
+    return _encode(image, state, mode, flags, masked_reference=True)
 
 
 def _max_background_delta(state, mask, mode) -> float:
@@ -138,7 +138,7 @@ def check_single_token_oracle(state: EncoderState) -> CheckResult:
     )
     pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
     token = (tokens0[index] + pe[index])[None, :]
-    hidden, _ = _nn.transformer_fwd(token, state.params, config.layers, config.heads)
+    hidden = _nn.transformer_out(token, state.params, config.layers, config.heads)
     reference = hidden.mean(axis=0)
 
     deviation = float(np.abs(full - reference).max())
@@ -204,14 +204,16 @@ def _fd_losses(image, state, mode, flags, upstream):
     `_nn.finite_difference_check`. The zero-argument loss is the whole
     `encode`, reading the tensors and the image in place. The batched loss
     runs a (B, *shape) stack of copies of one tensor, or of the image, in one
-    pass resumed at the tensor's first stage, and returns the B losses. Each
-    stage's input is computed once, from the unperturbed tensors, with
-    `encode`'s own attention mask and compact choice."""
+    forward-only pass resumed at the tensor's first stage, and returns the B
+    losses. Each stage's input is computed once, from the unperturbed
+    tensors, with `encode`'s own attention mask and compact choice."""
     config = state.config
     tokens, allowed, _, compact = _embed(image, state, mode, flags)
     inputs = [tokens]
     for s in range(2 * config.layers):
-        inputs.append(_nn.sublayer_fwd(s, inputs[-1], state.params, config.heads, allowed)[0])
+        inputs.append(
+            _nn.sublayer_fwd(s, inputs[-1], state.params, config.heads, allowed, keep=False)[0]
+        )
 
     def loss() -> float:
         return float(upstream @ encode(image, state, mode, flags))
@@ -228,9 +230,7 @@ def _fd_losses(image, state, mode, flags, upstream):
             x, stage = _embed(batch_image, variant, mode, flags)[0], 0
         else:
             x = inputs[stage]
-        # Sublayer by sublayer, so no backward cache outlives its sublayer.
-        for s in range(stage, 2 * config.layers):
-            x = _nn.sublayer_fwd(s, x, params, config.heads, allowed)[0]
+        x = _nn.transformer_out(x, params, config.layers, config.heads, allowed, start=stage)
         # A tensor the mode never reads (Det's `cls_token`, a non-attention
         # mode's `pool_query`) leaves one unbatched loss.
         return np.broadcast_to(_pool(x, variant, mode, flags, compact)[0] @ upstream, (len(stack),))

@@ -6,8 +6,10 @@ object tokens then yields an embedding that depends only on the object's
 pixels and the flag geometry: background content cannot leak in, which is the
 checkable claim this module exists to demonstrate. Because of that, Det mode
 runs the blocks on the object tokens alone; the masked full-sequence pass is
-kept as the reference the verification checks run on. Gradients are exact
-reverse-mode; everything runs in float64.
+kept as the reference the verification checks run on. `encode` and the
+checks' masked passes run the blocks forward-only (`_nn.transformer_out`),
+building no backward cache; `encode_grad` alone runs the cached pass.
+Gradients are exact reverse-mode; everything runs in float64.
 """
 
 from __future__ import annotations
@@ -252,7 +254,23 @@ def _pool(hidden, state, mode, flags, compact):
     return patch_tokens[..., flags, :].mean(axis=-2), None
 
 
-def _forward(image, state, mode, flags, masked_reference=False):
+def _finite(embedding):
+    if not np.isfinite(embedding).all():
+        raise NonFiniteActivation("encoder produced non-finite values")
+    return embedding
+
+
+def _encode(image, state, mode, flags, masked_reference):
+    """The embedding alone, as `_forward` computes it bit for bit, with the
+    blocks run forward-only: no backward cache is built."""
+    config = state.config
+    image, flags = _check_inputs(image, state, mode, flags)
+    tokens, allowed, _, compact = _embed(image, state, mode, flags, masked_reference)
+    hidden = _nn.transformer_out(tokens, state.params, config.layers, config.heads, allowed)
+    return _finite(_pool(hidden, state, mode, flags, compact)[0])
+
+
+def _forward(image, state, mode, flags, masked_reference):
     """Forward pass, as embedding, blocks and pooling steps (see `_embed`);
     returns (embedding, cache) for backward and probes."""
     config = state.config
@@ -262,10 +280,8 @@ def _forward(image, state, mode, flags, masked_reference=False):
         tokens, state.params, config.layers, config.heads, allowed
     )
     embedding, pool_cache = _pool(hidden, state, mode, flags, compact)
-    if not np.isfinite(embedding).all():
-        raise NonFiniteActivation("encoder produced non-finite values")
     cache = (config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact)
-    return embedding, cache
+    return _finite(embedding), cache
 
 
 def _backward(cache, state, upstream):
@@ -317,8 +333,7 @@ def encode(
     under the flag attention mask, whose object tokens never read the
     background or CLS tokens (to within float rounding, ~1e-16).
     """
-    embedding, _ = _forward(image, state, mode, flags)
-    return embedding
+    return _encode(image, state, mode, flags, masked_reference=False)
 
 
 def encode_grad(
@@ -335,5 +350,5 @@ def encode_grad(
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (state.config.embed_dim,):
         raise DimensionMismatch("upstream must match the embedding dimension")
-    _, cache = _forward(image, state, mode, flags)
+    _, cache = _forward(image, state, mode, flags, masked_reference=False)
     return _backward(cache, state, upstream)

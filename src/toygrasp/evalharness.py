@@ -167,8 +167,10 @@ def read_schedule(path: str | Path) -> TrialSchedule:
 # ---------------------------------------------------------------------------
 
 def _round_half_up(value: float) -> str:
-    """`value` to two decimal places, halves rounded up."""
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """`value` to two decimal places, halves rounded up; a zero of either
+    sign reads 0.00 (adding 0.0 turns -0.0 into 0.0 and leaves any other
+    value as it is)."""
+    return str(Decimal(repr(value + 0.0)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -272,8 +274,16 @@ def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path)
     """Write (label, demos, success) rows as CSV plus an aligned text grid
     beside it (`.txt`), sorted by (label, demos) so output bytes are
     order-insensitive; returns the grid's path. A `csv_path` ending in
-    `.txt` is rejected, because the grid would overwrite it.
+    `.txt` is rejected, because the grid would overwrite it, and so is a
+    success that is not a finite number from 0 to 100, naming its row.
     """
+    for row in rows:
+        try:
+            valid = 0.0 <= row[2] <= 100.0  # False for a NaN
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"row {row!r}: success must be a number from 0 to 100")
     csv_path = Path(csv_path)
     grid_path = csv_path.with_suffix(".txt")
     if grid_path == csv_path:

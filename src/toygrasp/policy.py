@@ -4,12 +4,14 @@ Each timestep's camera embeddings and proprioception concatenate into one
 token; a small pre-norm transformer reads the C-token history with full
 attention and a linear head maps the last position to the next K actions.
 Training minimizes the mean absolute error over the chunk with decoupled
-weight decay; gradients are exact reverse-mode in float64.
+weight decay; gradients are exact reverse-mode in float64. `policy_forward`
+runs forward-only (`_nn.transformer_out`), building no backward cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -149,6 +151,31 @@ def _stack_history(history, config):
     return np.stack([concat_observation(o, config) for o in history])
 
 
+@lru_cache(maxsize=8)
+def _positional_table(history_len: int, width: int) -> np.ndarray:
+    """The fixed sinusoidal table of the history positions, built once per
+    shape and shared read-only."""
+    table = _nn.sincos_1d(np.arange(history_len), width)
+    table.flags.writeable = False
+    return table
+
+
+def _tokens(projected, config):
+    return projected + _positional_table(config.history_len, config.width)
+
+
+def _head(hidden, state):
+    """The chunk (..., K, action_dim) read from the last position, and the
+    head's cache."""
+    config = state.config
+    last = hidden[..., -1:, :]
+    flat, c_head = _nn.linear_fwd(last, state.params["head.weight"], state.params["head.bias"])
+    chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
+    if not np.isfinite(chunk).all():
+        raise NonFiniteActivation("policy produced non-finite values")
+    return chunk, c_head
+
+
 def _forward(stacked, state):
     """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim).
 
@@ -157,15 +184,10 @@ def _forward(stacked, state):
     weight, or a (B, 1, d) stack of one vector, gives B chunks."""
     config = state.config
     projected, c_proj = _nn.mlp_fwd(stacked, state.params, "proj.")
-    tokens = projected + _nn.sincos_1d(np.arange(config.history_len), config.width)
     hidden, block_caches = _nn.transformer_fwd(
-        tokens, state.params, config.layers, config.heads, allowed=None
+        _tokens(projected, config), state.params, config.layers, config.heads
     )
-    last = hidden[..., -1:, :]
-    flat, c_head = _nn.linear_fwd(last, state.params["head.weight"], state.params["head.bias"])
-    chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
-    if not np.isfinite(chunk).all():
-        raise NonFiniteActivation("policy produced non-finite values")
+    chunk, c_head = _head(hidden, state)
     return chunk, (c_proj, block_caches, c_head)
 
 
@@ -185,9 +207,14 @@ def _backward(dchunk, cache, state):
 
 
 def policy_forward(history: Sequence[StepObservation], state: PolicyState) -> np.ndarray:
-    """Predict the next K actions (K x action_dim) from the last C steps."""
-    chunk, _ = _forward(_stack_history(history, state.config), state)
-    return chunk
+    """Predict the next K actions (K x action_dim) from the last C steps:
+    `_forward`'s chunk bit for bit, with no backward cache built."""
+    config = state.config
+    projected, _ = _nn.mlp_fwd(_stack_history(history, config), state.params, "proj.", keep=False)
+    hidden = _nn.transformer_out(
+        _tokens(projected, config), state.params, config.layers, config.heads
+    )
+    return _head(hidden, state)[0]
 
 
 def policy_grad(

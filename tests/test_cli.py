@@ -554,6 +554,16 @@ class TestReport:
         assert main(["report", "--rows", str(shuffled), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_signed_zero_prints_unsigned(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("label,demos,success_percent\nm,1,-0\nm,2,-0.0\n")
+        out = tmp_path / "out.csv"
+        assert main(["report", "--rows", str(rows), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "label,demos,success_percent", "m,1,0.00", "m,2,0.00"
+        ]
+        assert "-0" not in out.with_suffix(".txt").read_text()
+
     def test_bad_header(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         rows.write_text("foo,bar\n1,2\n")

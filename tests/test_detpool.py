@@ -25,6 +25,7 @@ from toygrasp.detpool import (
     PoolingMode,
     _backward,
     _embed,
+    _encode,
     _forward,
     _pool,
     build_attention_mask,
@@ -661,6 +662,47 @@ class TestLeadingBatchAxis:
             assert np.array_equal(row, single)
             bound = REORDER_C * config.embed_dim * U * (np.abs(single) @ np.abs(upstream))
             assert abs(loss - upstream @ single) <= bound
+
+
+class TestForwardOnly:
+    """`encode` and the checks' masked passes run the blocks without a
+    backward cache; their embeddings must be the cached pass's bit for bit,
+    and no path outside the gradients may need the cached pass."""
+
+    @pytest.mark.parametrize("masked_reference", [False, True], ids=["compact", "masked"])
+    @pytest.mark.parametrize(
+        "mode, include_cls",
+        [(mode, False) for mode in PoolingMode if mode is not PoolingMode.CLS]
+        + [(mode, True) for mode in PoolingMode],
+        ids=lambda v: v.value if isinstance(v, PoolingMode) else ("cls" if v else "no-cls"),
+    )
+    def test_equals_cached_embedding_bitwise(self, mode, include_cls, masked_reference):
+        state = tiny_state(64, include_cls=include_cls)
+        image = random_image(state.config, 65)
+        flags = mixed_flags(state.config, 66) if mode is PoolingMode.DET else None
+        cached = _forward(image, state, mode, flags, masked_reference)[0]
+        assert np.array_equal(_encode(image, state, mode, flags, masked_reference), cached)
+        if not masked_reference:
+            assert np.array_equal(encode(image, state, mode, flags), cached)
+
+    def test_no_path_but_the_gradients_runs_the_cached_pass(self, monkeypatch):
+        def cached_pass(*args, **kwargs):
+            raise AssertionError("transformer_fwd called outside a gradient")
+
+        monkeypatch.setattr(_nn, "transformer_fwd", cached_pass)
+        state = tiny_state(67)
+        mask = default_check_mask(state.config, 67)
+        flags = mask_to_flags(mask, state.config)
+        image = random_image(state.config, 68)
+        for mode in (PoolingMode.MEAN, PoolingMode.ATTENTION, PoolingMode.DET):
+            encode(image, state, mode, flags if mode is PoolingMode.DET else None)
+        results = [
+            check_background_invariance(state, mask),
+            check_single_token_oracle(state),
+            check_pooling_contrast(state, mask),
+            checks.check_det_compact_equivalence(state),
+        ]
+        assert all(r.passed for r in results), results
 
 
 class TestEncoderConfigValidation:

@@ -248,6 +248,14 @@ class TestScalingReport:
             ".txt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("success", [1e30, -1.0, 100.5, float("inf"), float("nan"), "50"])
+    def test_success_out_of_range_names_the_row(self, tmp_path, success):
+        path = tmp_path / "report.csv"
+        row = ("x", 3, success)
+        with pytest.raises(ValueError, match=re.escape(f"row {row!r}: success must be")):
+            scaling_report([*self.ROWS, row], path)
+        assert not path.exists()
+
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         scaling_report([], path)

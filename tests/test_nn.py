@@ -136,6 +136,47 @@ class TestLeadingBatchAxis:
         assert np.abs(out.reshape(6, 4, DIM) - flat).max() <= 1e-14
 
 
+class TestForwardOnly:
+    """`transformer_out` builds no cache and overwrites its own temporaries,
+    but its output must equal `transformer_fwd`'s bit for bit, from every
+    resume point, and it must leave its input as it was."""
+
+    @pytest.mark.parametrize(
+        "stacked",
+        [None, "blocks.1.mlp.w1", "blocks.0.ln2.gamma"],
+        ids=["unbatched", "weight-stack", "vector-stack"],
+    )
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    @pytest.mark.parametrize(
+        "dim, hidden, heads, tokens",
+        [(DIM, MLP_HIDDEN, 2, 6), (64, 256, 4, 64)],
+        ids=["tiny", "default"],
+    )
+    def test_equals_cached_output_bitwise(self, dim, hidden, heads, tokens, masked, stacked):
+        rng = np.random.default_rng(7)
+        table = {}
+        for i in range(LAYERS):
+            table.update(_nn.block_shapes(f"blocks.{i}.", dim, hidden))
+        params = {name: rng.normal(size=shape) for name, (shape, _) in table.items()}
+        if stacked is not None:
+            # (B, d_in, d_out) for a weight, (B, 1, d) for a vector.
+            shape = params[stacked].shape
+            params[stacked] = rng.normal(size=(3, *shape) if len(shape) == 2 else (3, 1, *shape))
+        allowed = rng.random((tokens, tokens)) < 0.6 if masked else None
+        x = rng.normal(size=(tokens, dim))
+
+        out, _ = _nn.transformer_fwd(x, params, LAYERS, heads, allowed)
+        inputs = [x]
+        for s in range(2 * LAYERS):
+            inputs.append(_nn.sublayer_fwd(s, inputs[-1], params, heads, allowed)[0])
+        assert np.array_equal(inputs[-1], out)
+        for start, resumed in enumerate(inputs):
+            before = resumed.copy()
+            got = _nn.transformer_out(resumed, params, LAYERS, heads, allowed, start=start)
+            assert np.array_equal(got, out), start
+            assert np.array_equal(resumed, before), start
+
+
 class TestLayerNorm:
     @settings(max_examples=200, deadline=None)
     @given(

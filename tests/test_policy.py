@@ -16,6 +16,10 @@ from toygrasp.policy import (
     OptimizerConfig,
     PolicyConfig,
     StepObservation,
+    _backward,
+    _forward,
+    _positional_table,
+    _stack_history,
     bc_l1_loss,
     concat_observation,
     init_policy,
@@ -106,6 +110,28 @@ class TestAssembleToken:
 
 
 class TestPolicyForward:
+    @pytest.mark.parametrize("config", [TINY, PolicyConfig()], ids=["tiny", "default"])
+    def test_equals_cached_chunk_bitwise(self, config):
+        state = init_policy(config, 9)
+        history = random_history(config, np.random.default_rng(10))
+        cached = _forward(_stack_history(history, config), state)[0]
+        assert np.array_equal(policy_forward(history, state), cached)
+
+    def test_runs_without_the_cached_pass(self, monkeypatch):
+        def cached_pass(*args, **kwargs):
+            raise AssertionError("transformer_fwd called outside a gradient")
+
+        monkeypatch.setattr(_nn, "transformer_fwd", cached_pass)
+        state = init_policy(TINY, 11)
+        history = random_history(TINY, np.random.default_rng(12))
+        assert np.isfinite(policy_forward(history, state)).all()
+
+    def test_positional_table_is_built_once_and_read_only(self):
+        table = _positional_table(TINY.history_len, TINY.width)
+        assert _positional_table(TINY.history_len, TINY.width) is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, _nn.sincos_1d(np.arange(TINY.history_len), TINY.width))
+
     def test_output_shape_and_determinism(self):
         state = init_policy(TINY, 3)
         history = random_history(TINY, np.random.default_rng(4))
@@ -315,8 +341,6 @@ class TestTrainStep:
 
         grads = _nn.zero_grads(state.params)
         scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
-        from toygrasp.policy import _backward, _forward, _stack_history
-
         for history, target in data:
             chunk, cache = _forward(_stack_history(history, TINY), state)
             for name, g in _backward(np.sign(chunk - target) * scale, cache, state).items():
