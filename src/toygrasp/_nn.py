@@ -1,13 +1,13 @@
 """Float64 transformer building blocks with hand-derived backward passes.
 
 Forward functions return (output, cache); backward functions consume the
-cache and upstream gradient. Where no backward pass follows,
-`transformer_out` runs the same sublayers with `keep=False`: no cache is
-built (None stands in its place), each sublayer's temporaries are freed as
-soon as it returns, and the ones a cache would have held are overwritten in
-place. Its output is the cached pass's, bit for bit; the two passes differ
-only in where they write. Activations have shape (..., T, d): any number
-of leading batch axes, T tokens, d channels; a single sequence is (T, d).
+cache and upstream gradient. Each forward function takes `keep`: where no
+backward pass follows, `keep=False` builds no cache (None stands in its
+place), frees each sublayer's temporaries as soon as it returns, and
+overwrites in place the ones a cache would have held. The output is the
+same bit for bit either way; the two differ only in where they write.
+Activations have shape (..., T, d): any number of leading batch axes, T
+tokens, d channels; a single sequence is (T, d).
 A forward pass also accepts one batched parameter: a (B, d_in, d_out)
 stack of weights or a (B, 1, d) stack of vectors broadcasts like a leading
 batch axis, so B perturbed copies of one tensor run in one pass (the
@@ -225,24 +225,16 @@ def block_bwd(dout, cache, prefix, grads):
     return dx1 + dx_ln
 
 
-def transformer_fwd(tokens, params, layers, heads, allowed=None):
-    """Run every sublayer on `tokens`. Returns the output and one cache per
-    sublayer, for `transformer_bwd`."""
+def transformer_fwd(x, params, layers, heads, allowed=None, start=0, keep=True):
+    """Run sublayers `start` onward on `x`; a later `start` resumes a pass at
+    that sublayer's input. Returns the output and, with `keep`, one cache per
+    sublayer for `transformer_bwd` (which needs a pass from `start=0`);
+    without `keep` it returns None for the caches. `x` is never written."""
     caches = []
-    x = tokens
-    for s in range(2 * layers):
-        x, cache = sublayer_fwd(s, x, params, heads, allowed)
-        caches.append(cache)
-    return x, caches
-
-
-def transformer_out(x, params, layers, heads, allowed=None, start=0):
-    """The output of sublayers `start` onward on `x`, with no backward cache
-    (`keep=False`). From `start=0` it equals `transformer_fwd`'s output bit
-    for bit; a later `start` resumes a pass at that sublayer's input."""
     for s in range(start, 2 * layers):
-        x, _ = sublayer_fwd(s, x, params, heads, allowed, keep=False)
-    return x
+        x, cache = sublayer_fwd(s, x, params, heads, allowed, keep=keep)
+        caches.append(cache)
+    return x, (caches if keep else None)
 
 
 def transformer_bwd(dout, caches, grads):

@@ -21,7 +21,7 @@ from .detpool import (
     EncoderState,
     PoolingMode,
     _embed,
-    _encode,
+    _forward,
     _patchify,
     _pool,
     _positional_table,
@@ -69,7 +69,7 @@ def flags_to_pixel_region(flags: np.ndarray, config: EncoderConfig) -> np.ndarra
 
 def _masked_encode(image, state, mode, flags=None) -> np.ndarray:
     """`encode` through the full-sequence pass, Det under its flag mask."""
-    return _encode(image, state, mode, flags, masked_reference=True)
+    return _forward(image, state, mode, flags, masked_reference=True, keep=False)[0]
 
 
 def _max_background_delta(state, mask, mode) -> float:
@@ -138,7 +138,7 @@ def check_single_token_oracle(state: EncoderState) -> CheckResult:
     )
     pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
     token = (tokens0[index] + pe[index])[None, :]
-    hidden = _nn.transformer_out(token, state.params, config.layers, config.heads)
+    hidden, _ = _nn.transformer_fwd(token, state.params, config.layers, config.heads, keep=False)
     reference = hidden.mean(axis=0)
 
     deviation = float(np.abs(full - reference).max())
@@ -230,7 +230,9 @@ def _fd_losses(image, state, mode, flags, upstream):
             x, stage = _embed(batch_image, variant, mode, flags)[0], 0
         else:
             x = inputs[stage]
-        x = _nn.transformer_out(x, params, config.layers, config.heads, allowed, start=stage)
+        x, _ = _nn.transformer_fwd(
+            x, params, config.layers, config.heads, allowed, start=stage, keep=False
+        )
         # A tensor the mode never reads (Det's `cls_token`, a non-attention
         # mode's `pool_query`) leaves one unbatched loss.
         return np.broadcast_to(_pool(x, variant, mode, flags, compact)[0] @ upstream, (len(stack),))
@@ -305,12 +307,14 @@ def run_detpool_checks(
     Invariance, oracle, contrast and compact equivalence run at the given
     configuration; the finite-difference gradient suite always runs at the
     small pinned GRADIENT_CHECK_CONFIG, where sweeping every parameter is
-    tractable.
+    tractable. A mask must leave a background patch to perturb.
     """
     config = config or EncoderConfig()
     state = init_encoder(config, seed)
     if mask is None:
         mask = default_check_mask(config, seed)
+    if mask_to_flags(mask, config).all():
+        raise ValueError(f"mask flags all {config.n_patches} patches, leaving no background")
     results = [
         check_background_invariance(state, mask),
         check_single_token_oracle(state),

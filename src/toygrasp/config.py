@@ -55,6 +55,11 @@ def config_from_dict(raw: dict) -> CliConfig:
         merged = check(raw, DEFAULT_CONFIG, root="config", fill=True)
     except SchemaViolation as exc:
         raise ConfigError(str(exc)) from exc
+    build_edge, min_wall = merged["print"]["build_edge"], merged["print"]["min_wall"]
+    if not build_edge > 0:
+        raise ConfigError(f"print.build_edge must be > 0, got {build_edge!r}")
+    if min_wall < 0:
+        raise ConfigError(f"print.min_wall must be >= 0, got {min_wall!r}")
     encoder = merged["encoder"]
     encoder_seed = encoder.pop("seed")
     if encoder_seed < 0:
@@ -63,8 +68,8 @@ def config_from_dict(raw: dict) -> CliConfig:
         generation=_checked("generation", generation_config_from_dict, merged["generation"]),
         tessellation=_checked("tessellation", Tessellation, **merged["tessellation"]),
         gripper=_checked("gripper", GripperModel, **merged["gripper"]),
-        build_edge=float(merged["print"]["build_edge"]),
-        min_wall=float(merged["print"]["min_wall"]),
+        build_edge=float(build_edge),
+        min_wall=float(min_wall),
         encoder=_checked("encoder", EncoderConfig, **encoder),
         encoder_seed=encoder_seed,
         output_dir=merged["output_dir"],

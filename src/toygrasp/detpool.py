@@ -6,9 +6,9 @@ object tokens then yields an embedding that depends only on the object's
 pixels and the flag geometry: background content cannot leak in, which is the
 checkable claim this module exists to demonstrate. Because of that, Det mode
 runs the blocks on the object tokens alone; the masked full-sequence pass is
-kept as the reference the verification checks run on. `encode` and the
-checks' masked passes run the blocks forward-only (`_nn.transformer_out`),
-building no backward cache; `encode_grad` alone runs the cached pass.
+kept as the reference the verification checks run on. One `_forward`
+serves every pass: `encode` and the checks' masked passes call it with
+`keep=False`, building no backward cache; `encode_grad` alone keeps one.
 Gradients are exact reverse-mode; everything runs in float64.
 """
 
@@ -45,8 +45,8 @@ class EncoderConfig:
         for name in ("image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.mlp_ratio <= 0:
-            raise ValueError("mlp_ratio must be > 0")
+        if not self.embed_dim * self.mlp_ratio >= 1:  # NaN fails too
+            raise ValueError(f"mlp_ratio {self.mlp_ratio!r} makes int(embed_dim * mlp_ratio) < 1")
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image size must be divisible by patch_size")
         if self.embed_dim % self.heads:
@@ -254,34 +254,23 @@ def _pool(hidden, state, mode, flags, compact):
     return patch_tokens[..., flags, :].mean(axis=-2), None
 
 
-def _finite(embedding):
-    if not np.isfinite(embedding).all():
-        raise NonFiniteActivation("encoder produced non-finite values")
-    return embedding
-
-
-def _encode(image, state, mode, flags, masked_reference):
-    """The embedding alone, as `_forward` computes it bit for bit, with the
-    blocks run forward-only: no backward cache is built."""
-    config = state.config
-    image, flags = _check_inputs(image, state, mode, flags)
-    tokens, allowed, _, compact = _embed(image, state, mode, flags, masked_reference)
-    hidden = _nn.transformer_out(tokens, state.params, config.layers, config.heads, allowed)
-    return _finite(_pool(hidden, state, mode, flags, compact)[0])
-
-
-def _forward(image, state, mode, flags, masked_reference):
+def _forward(image, state, mode, flags, masked_reference, keep):
     """Forward pass, as embedding, blocks and pooling steps (see `_embed`);
-    returns (embedding, cache) for backward and probes."""
+    returns (embedding, cache) for backward and probes. With `keep` false
+    the blocks build no backward cache and the cache is None; the embedding
+    is the same bit for bit."""
     config = state.config
     image, flags = _check_inputs(image, state, mode, flags)
     tokens, allowed, c_embed, compact = _embed(image, state, mode, flags, masked_reference)
     hidden, block_caches = _nn.transformer_fwd(
-        tokens, state.params, config.layers, config.heads, allowed
+        tokens, state.params, config.layers, config.heads, allowed, keep=keep
     )
     embedding, pool_cache = _pool(hidden, state, mode, flags, compact)
-    cache = (config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact)
-    return _finite(embedding), cache
+    if not np.isfinite(embedding).all():
+        raise NonFiniteActivation("encoder produced non-finite values")
+    if not keep:
+        return embedding, None
+    return embedding, (config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact)
 
 
 def _backward(cache, state, upstream):
@@ -333,7 +322,7 @@ def encode(
     under the flag attention mask, whose object tokens never read the
     background or CLS tokens (to within float rounding, ~1e-16).
     """
-    return _encode(image, state, mode, flags, masked_reference=False)
+    return _forward(image, state, mode, flags, masked_reference=False, keep=False)[0]
 
 
 def encode_grad(
@@ -350,5 +339,5 @@ def encode_grad(
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (state.config.embed_dim,):
         raise DimensionMismatch("upstream must match the embedding dimension")
-    _, cache = _forward(image, state, mode, flags, masked_reference=False)
+    _, cache = _forward(image, state, mode, flags, masked_reference=False, keep=True)
     return _backward(cache, state, upstream)

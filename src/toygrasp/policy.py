@@ -4,8 +4,9 @@ Each timestep's camera embeddings and proprioception concatenate into one
 token; a small pre-norm transformer reads the C-token history with full
 attention and a linear head maps the last position to the next K actions.
 Training minimizes the mean absolute error over the chunk with decoupled
-weight decay; gradients are exact reverse-mode in float64. `policy_forward`
-runs forward-only (`_nn.transformer_out`), building no backward cache.
+weight decay; gradients are exact reverse-mode in float64. One `_forward`
+serves every pass: `policy_forward` calls it with `keep=False`, building no
+backward cache.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class PolicyConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not self.width * self.mlp_ratio >= 1:  # NaN fails too
+            raise ValueError(f"mlp_ratio {self.mlp_ratio!r} makes int(width * mlp_ratio) < 1")
         if self.width % self.heads:
             raise ValueError("width must be divisible by heads")
         if self.width % 2:
@@ -160,35 +163,26 @@ def _positional_table(history_len: int, width: int) -> np.ndarray:
     return table
 
 
-def _tokens(projected, config):
-    return projected + _positional_table(config.history_len, config.width)
-
-
-def _head(hidden, state):
-    """The chunk (..., K, action_dim) read from the last position, and the
-    head's cache."""
-    config = state.config
-    last = hidden[..., -1:, :]
-    flat, c_head = _nn.linear_fwd(last, state.params["head.weight"], state.params["head.bias"])
-    chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
-    if not np.isfinite(chunk).all():
-        raise NonFiniteActivation("policy produced non-finite values")
-    return chunk, c_head
-
-
-def _forward(stacked, state):
-    """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim).
+def _forward(stacked, state, keep):
+    """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim),
+    and the cache for `_backward` (None with `keep` false, which builds none
+    and gives the same chunks bit for bit).
 
     The leading axes of the result are those of the inputs broadcast against
     any leading axes of the parameters, so a (B, *shape) stack of one
     weight, or a (B, 1, d) stack of one vector, gives B chunks."""
     config = state.config
-    projected, c_proj = _nn.mlp_fwd(stacked, state.params, "proj.")
+    params = state.params
+    projected, c_proj = _nn.mlp_fwd(stacked, params, "proj.", keep=keep)
+    tokens = projected + _positional_table(config.history_len, config.width)
     hidden, block_caches = _nn.transformer_fwd(
-        _tokens(projected, config), state.params, config.layers, config.heads
+        tokens, params, config.layers, config.heads, keep=keep
     )
-    chunk, c_head = _head(hidden, state)
-    return chunk, (c_proj, block_caches, c_head)
+    flat, c_head = _nn.linear_fwd(hidden[..., -1:, :], params["head.weight"], params["head.bias"])
+    chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
+    if not np.isfinite(chunk).all():
+        raise NonFiniteActivation("policy produced non-finite values")
+    return chunk, ((c_proj, block_caches, c_head) if keep else None)
 
 
 def _backward(dchunk, cache, state):
@@ -207,14 +201,8 @@ def _backward(dchunk, cache, state):
 
 
 def policy_forward(history: Sequence[StepObservation], state: PolicyState) -> np.ndarray:
-    """Predict the next K actions (K x action_dim) from the last C steps:
-    `_forward`'s chunk bit for bit, with no backward cache built."""
-    config = state.config
-    projected, _ = _nn.mlp_fwd(_stack_history(history, config), state.params, "proj.", keep=False)
-    hidden = _nn.transformer_out(
-        _tokens(projected, config), state.params, config.layers, config.heads
-    )
-    return _head(hidden, state)[0]
+    """Predict the next K actions (K x action_dim) from the last C steps."""
+    return _forward(_stack_history(history, state.config), state, keep=False)[0]
 
 
 def policy_grad(
@@ -227,7 +215,7 @@ def policy_grad(
     config = state.config
     if upstream.shape != (config.chunk_len, config.action_dim):
         raise ShapeMismatch("upstream must match the chunk shape")
-    _, cache = _forward(_stack_history(history, config), state)
+    _, cache = _forward(_stack_history(history, config), state, keep=True)
     return _backward(upstream, cache, state)
 
 
@@ -267,7 +255,7 @@ def train_step(
             raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk_shape}")
     targets = np.stack(targets)
 
-    chunks, cache = _forward(stacked, state)
+    chunks, cache = _forward(stacked, state, keep=True)
     total_loss = sum(bc_l1_loss(chunk, target) for chunk, target in zip(chunks, targets))
     scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
     grads = _backward(np.sign(chunks - targets) * scale, cache, state)

@@ -189,7 +189,7 @@ def grasp_feasibility(mesh, gripper: GripperModel | None = None) -> bool:
 def attention_weights(image, state, mode, flags=None) -> list[np.ndarray]:
     """Per-layer attention matrices (heads, T, T) of the encoder's full
     sequence (Det under its flag mask)."""
-    _, cache = _forward(image, state, mode, flags, masked_reference=True)
+    _, cache = _forward(image, state, mode, flags, masked_reference=True, keep=True)
     attention_caches = cache[3][::2]
     return [c_att[7] for (_, c_att) in attention_caches]
 
@@ -216,6 +216,20 @@ def policy_fd_losses(history, state, upstream):
         if stack.ndim == 2:
             stack = stack[:, None, :]  # vectors as (B, 1, d)
         variant = replace(state, params={**state.params, name: stack})
-        return (policy._forward(stacked, variant)[0] * upstream).sum(axis=(-2, -1))
+        return (policy._forward(stacked, variant, keep=False)[0] * upstream).sum(axis=(-2, -1))
 
     return loss, batched_loss
+
+
+def record_forward_keeps(monkeypatch) -> list[bool]:
+    """Patch `_nn.transformer_fwd` to record the `keep` of every call, in
+    order, into the returned list; the calls still run."""
+    keeps = []
+    original = _nn.transformer_fwd
+
+    def recording(*args, keep=True, **kwargs):
+        keeps.append(keep)
+        return original(*args, keep=keep, **kwargs)
+
+    monkeypatch.setattr(_nn, "transformer_fwd", recording)
+    return keeps

@@ -159,6 +159,11 @@ class TestGenerate:
              "generation: sphere.diameter interval must have exactly 2 entries"),
             ("generation", {"ranges": {"sphere": {"diameter": []}}},
              "generation: sphere.diameter interval must have exactly 2 entries"),
+            ("print", {"build_edge": -1.0}, "print.build_edge"),
+            ("print", {"build_edge": 0}, "print.build_edge"),
+            ("print", {"min_wall": -0.001}, "print.min_wall"),
+            ("encoder", {"mlp_ratio": 1e-300}, "encoder: mlp_ratio"),
+            ("encoder", {"embed_dim": 4, "heads": 1, "mlp_ratio": 0.2}, "encoder: mlp_ratio"),
         ],
     )
     def test_malformed_config_values_rejected(self, tmp_path, capsys, section, values, path):
@@ -395,6 +400,23 @@ class TestDetpoolCheck:
         config = write_config(tmp_path, encoder={"precision": "float32"})
         assert main(["detpool-check", "--config", str(config)]) == 2
         assert "encoder.precision" in capsys.readouterr().err
+
+    def test_mask_flagging_every_patch_exits_2(self, tmp_path, capsys):
+        # No background is left to perturb, so invariance would pass vacuously
+        # and contrast would fail; like an empty mask, it is an input error.
+        config = write_config(
+            tmp_path,
+            encoder={
+                "image_height": 16, "image_width": 16, "embed_dim": 32,
+                "mlp_ratio": 2.0,
+            },
+        )
+        mask_path = tmp_path / "mask.pgm"
+        mask_path.write_bytes(b"P5\n16 16\n255\n" + b"\x01" * 256)
+        assert main(["detpool-check", "--config", str(config), "--mask", str(mask_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("toygrasp: [CONFIG] mask flags all 16 patches"), captured.err
 
     def test_pgm_mask_accepted(self, tmp_path, capsys):
         config = write_config(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REORDER_C, U, attention_weights
+from conftest import REORDER_C, U, attention_weights, record_forward_keeps
 from toygrasp import _nn, checks, detpool
 from toygrasp.checks import (
     GRADIENT_CHECK_CONFIG,
@@ -25,7 +25,6 @@ from toygrasp.detpool import (
     PoolingMode,
     _backward,
     _embed,
-    _encode,
     _forward,
     _pool,
     build_attention_mask,
@@ -373,7 +372,7 @@ class TestCompactDet:
 
         compact = encode(image, state, PoolingMode.DET, flags)
         reference, ref_cache = _forward(
-            image, state, PoolingMode.DET, flags, masked_reference=True
+            image, state, PoolingMode.DET, flags, masked_reference=True, keep=True
         )
         np.testing.assert_allclose(compact, reference, rtol=0, atol=1e-12)
 
@@ -614,7 +613,9 @@ def _encoder_outputs_digest(base):
             for name in sorted(grads):
                 digest.update(grads[name].tobytes())
             digest.update(image_grad.tobytes())
-        embedding, cache = _forward(image, state, PoolingMode.DET, flags, masked_reference=True)
+        embedding, cache = _forward(
+            image, state, PoolingMode.DET, flags, masked_reference=True, keep=True
+        )
         digest.update(embedding.tobytes())
         grads, image_grad = _backward(cache, state, upstream)
         for name in sorted(grads):
@@ -658,16 +659,17 @@ class TestLeadingBatchAxis:
         assert embeddings.shape == (5, config.embed_dim)
         losses = embeddings @ upstream
         for image, row, loss in zip(images, embeddings, losses):
-            single = _forward(image, state, mode, flags, masked_reference)[0]
+            single = _forward(image, state, mode, flags, masked_reference, keep=True)[0]
             assert np.array_equal(row, single)
             bound = REORDER_C * config.embed_dim * U * (np.abs(single) @ np.abs(upstream))
             assert abs(loss - upstream @ single) <= bound
 
 
 class TestForwardOnly:
-    """`encode` and the checks' masked passes run the blocks without a
-    backward cache; their embeddings must be the cached pass's bit for bit,
-    and no path outside the gradients may need the cached pass."""
+    """`encode` and the checks' masked passes run `_forward` with
+    `keep=False`, building no backward cache; their embeddings must be the
+    `keep=True` pass's bit for bit, and no path outside the gradients may
+    keep a cache."""
 
     @pytest.mark.parametrize("masked_reference", [False, True], ids=["compact", "masked"])
     @pytest.mark.parametrize(
@@ -680,16 +682,16 @@ class TestForwardOnly:
         state = tiny_state(64, include_cls=include_cls)
         image = random_image(state.config, 65)
         flags = mixed_flags(state.config, 66) if mode is PoolingMode.DET else None
-        cached = _forward(image, state, mode, flags, masked_reference)[0]
-        assert np.array_equal(_encode(image, state, mode, flags, masked_reference), cached)
-        if not masked_reference:
+        cached = _forward(image, state, mode, flags, masked_reference, keep=True)[0]
+        embedding, cache = _forward(image, state, mode, flags, masked_reference, keep=False)
+        assert np.array_equal(embedding, cached) and cache is None
+        if masked_reference:
+            assert np.array_equal(checks._masked_encode(image, state, mode, flags), cached)
+        else:
             assert np.array_equal(encode(image, state, mode, flags), cached)
 
     def test_no_path_but_the_gradients_runs_the_cached_pass(self, monkeypatch):
-        def cached_pass(*args, **kwargs):
-            raise AssertionError("transformer_fwd called outside a gradient")
-
-        monkeypatch.setattr(_nn, "transformer_fwd", cached_pass)
+        keeps = record_forward_keeps(monkeypatch)
         state = tiny_state(67)
         mask = default_check_mask(state.config, 67)
         flags = mask_to_flags(mask, state.config)
@@ -703,6 +705,7 @@ class TestForwardOnly:
             checks.check_det_compact_equivalence(state),
         ]
         assert all(r.passed for r in results), results
+        assert keeps and not any(keeps), keeps
 
 
 class TestEncoderConfigValidation:
@@ -717,6 +720,12 @@ class TestEncoderConfigValidation:
     def test_sincos_divisibility(self):
         with pytest.raises(ValueError):
             EncoderConfig(embed_dim=6, heads=2)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, 1e-300, 0.01, float("nan")])
+    def test_mlp_width_must_be_at_least_one(self, ratio):
+        with pytest.raises(ValueError, match="mlp_ratio"):
+            EncoderConfig(embed_dim=64, mlp_ratio=ratio)
+        assert EncoderConfig(embed_dim=64, mlp_ratio=1 / 64).mlp_hidden == 1
 
     @pytest.mark.parametrize(
         "name", ["image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"]

@@ -137,9 +137,9 @@ class TestLeadingBatchAxis:
 
 
 class TestForwardOnly:
-    """`transformer_out` builds no cache and overwrites its own temporaries,
-    but its output must equal `transformer_fwd`'s bit for bit, from every
-    resume point, and it must leave its input as it was."""
+    """With `keep=False`, `transformer_fwd` builds no cache and overwrites its
+    own temporaries, but its output must equal the `keep=True` output bit for
+    bit, from every resume point, and it must leave its input as it was."""
 
     @pytest.mark.parametrize(
         "stacked",
@@ -172,8 +172,13 @@ class TestForwardOnly:
         assert np.array_equal(inputs[-1], out)
         for start, resumed in enumerate(inputs):
             before = resumed.copy()
-            got = _nn.transformer_out(resumed, params, LAYERS, heads, allowed, start=start)
+            kept, caches = _nn.transformer_fwd(resumed, params, LAYERS, heads, allowed, start)
+            got, no_caches = _nn.transformer_fwd(
+                resumed, params, LAYERS, heads, allowed, start, keep=False
+            )
+            assert np.array_equal(kept, out), start
             assert np.array_equal(got, out), start
+            assert len(caches) == 2 * LAYERS - start and no_caches is None, start
             assert np.array_equal(resumed, before), start
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import assemble_token, policy_fd_losses
+from conftest import assemble_token, policy_fd_losses, record_forward_keeps
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
@@ -114,17 +114,18 @@ class TestPolicyForward:
     def test_equals_cached_chunk_bitwise(self, config):
         state = init_policy(config, 9)
         history = random_history(config, np.random.default_rng(10))
-        cached = _forward(_stack_history(history, config), state)[0]
+        stacked = _stack_history(history, config)
+        cached = _forward(stacked, state, keep=True)[0]
+        chunk, cache = _forward(stacked, state, keep=False)
+        assert np.array_equal(chunk, cached) and cache is None
         assert np.array_equal(policy_forward(history, state), cached)
 
     def test_runs_without_the_cached_pass(self, monkeypatch):
-        def cached_pass(*args, **kwargs):
-            raise AssertionError("transformer_fwd called outside a gradient")
-
-        monkeypatch.setattr(_nn, "transformer_fwd", cached_pass)
+        keeps = record_forward_keeps(monkeypatch)
         state = init_policy(TINY, 11)
         history = random_history(TINY, np.random.default_rng(12))
         assert np.isfinite(policy_forward(history, state)).all()
+        assert keeps == [False]
 
     def test_positional_table_is_built_once_and_read_only(self):
         table = _positional_table(TINY.history_len, TINY.width)
@@ -342,7 +343,7 @@ class TestTrainStep:
         grads = _nn.zero_grads(state.params)
         scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
         for history, target in data:
-            chunk, cache = _forward(_stack_history(history, TINY), state)
+            chunk, cache = _forward(_stack_history(history, TINY), state, keep=True)
             for name, g in _backward(np.sign(chunk - target) * scale, cache, state).items():
                 grads[name] += g
 
@@ -483,6 +484,12 @@ class TestPolicyConfigValidation:
     def test_width_head_divisibility(self):
         with pytest.raises(ValueError):
             PolicyConfig(width=30, heads=4)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, 1e-300, 0.01, float("nan")])
+    def test_mlp_width_must_be_at_least_one(self, ratio):
+        with pytest.raises(ValueError, match="mlp_ratio"):
+            PolicyConfig(width=64, mlp_ratio=ratio)
+        assert PolicyConfig(width=64, mlp_ratio=1 / 64).mlp_hidden == 1
 
     @pytest.mark.parametrize("name", ["width", "heads", "layers", "embed_dim"])
     def test_sizes_checked_before_modulo(self, name):
