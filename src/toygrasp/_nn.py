@@ -18,6 +18,18 @@ axis of the activations. Attention supports a boolean
 logits are replaced by the most negative finite float before the softmax,
 so their weights underflow to exactly zero and no gradient crosses a
 disallowed pair.
+
+GELU's erf is computed here, not imported from scipy, so that only the
+commands that need scipy load it. It is Cephes' `ndtr.c` erf (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), step for step
+as scipy.special evaluates it, and gives scipy's bits: t P(t^2) / Q(t^2)
+for |t| <= 1, 1 - exp(-t^2) P(|t|) / Q(|t|) with the sign of t below 6,
+exactly ±1 from 6 on (erfc(6) < 2^-54), and NaN for NaN. The exp is the C
+library's (`math.exp`), as in scipy; numpy's vectorised exp differs from
+it in the last bit on a few percent of arguments. erf keeps two
+module-level scratch buffers, grown to the largest input seen, because the
+allocator maps and unmaps fresh full-size temporaries on every call. The
+buffers make erf non-reentrant; toygrasp is single-threaded.
 """
 
 from __future__ import annotations
@@ -25,13 +37,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 NEG_LIMIT = float(np.finfo(np.float64).min)
 LN_EPS = 1e-6
 INIT_STD = 0.02
+#: Widest MLP hidden layer a model config may ask for: 64 times the default
+#: encoder's and policy's 256, so a (64, MAX_MLP_HIDDEN) weight is 8 MB.
+MAX_MLP_HIDDEN = 16384
+
+
+def check_mlp_ratio(dim_name, dim, ratio):
+    """Reject an `mlp_ratio` for which int(dim * ratio), the MLP's hidden
+    width, is not from 1 to MAX_MLP_HIDDEN; NaN is rejected too."""
+    if not 1 <= dim * ratio < MAX_MLP_HIDDEN + 1:
+        raise ValueError(
+            f"mlp_ratio {ratio!r} must make int({dim_name} * mlp_ratio) "
+            f"from 1 to {MAX_MLP_HIDDEN}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +118,88 @@ def layernorm_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
+# Cephes `ndtr.c` coefficients, leading first. A monic polynomial's
+# leading 1 is written out: 1 * x is exact, so Horner's rule on it is
+# Cephes' p1evl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_ONE_FROM = 6.0
+_scratch = [np.empty(0), np.empty(0)]
+
+
+def _polevl(x, coefs, out):
+    """Cephes' polevl: the polynomial by Horner's rule, leading coefficient
+    first, written into `out` (a new array when None)."""
+    out = np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_tail(t):
+    """erf of elements with |t| > 1, as Cephes gets it: 1 - erfc(|t|) with
+    the sign of `t`, where erfc(a) = exp(-a^2) P(a) / Q(a) below 6."""
+    result = np.abs(t)
+    mid = result < _ERF_ONE_FROM
+    a = result[mid]
+    result[~mid] = 1.0
+    exp = np.fromiter(map(math.exp, -(a * a)), np.float64, a.size)
+    erfc = _polevl(a, _ERFC_P, None)
+    erfc *= exp
+    erfc /= _polevl(a, _ERFC_Q, exp)
+    result[mid] = np.subtract(1.0, erfc, out=erfc)
+    return np.copysign(result, t, out=result)
+
+
+def erf(t, out):
+    """scipy.special.erf of float64 `t`, bit for bit, written into `out`
+    (which may be `t`); see the module docstring."""
+    n = t.size
+    if _scratch[0].size < n:
+        _scratch[:] = [np.empty(n), np.empty(n)]
+    z, poly = (buffer[:n].reshape(t.shape) for buffer in _scratch)
+    np.absolute(t, out=z)
+    big = None
+    if n and not z.max() <= 1.0:  # a NaN anywhere makes the max NaN
+        big = z > 1.0  # a NaN, not among them, stays NaN in the |t| <= 1 formula
+        tail = _erf_tail(t[big])
+        # Zeros keep the |t| <= 1 formula finite where its result is unused.
+        np.copyto(out, t)
+        t = out
+        t[big] = z[big] = 0.0
+    z *= z  # t * t, bit for bit
+    np.multiply(t, _polevl(z, _ERF_T, poly), out=out)
+    out /= _polevl(z, _ERF_U, poly)
+    if big is not None:
+        out[big] = tail
+    return out
+
+
 def gelu_fwd(x, keep=True):
-    """0.5 * x * (1 + erf(x / sqrt 2)), in that order, in two temporaries;
-    with `keep` false the output overwrites `x`, which no cache then holds."""
+    """0.5 * x * (1 + erf(x / sqrt 2)), in that order. The cache holds `x`
+    and the `1 + erf` factor, so `gelu_bwd` computes no erf; with `keep`
+    false the output overwrites `x`, and the factor is the one temporary."""
     t = x / _SQRT2
     erf(t, out=t)
     t += 1.0
     y = 0.5 * x if keep else np.multiply(x, 0.5, out=x)
     y *= t
-    return y, (x if keep else None)
+    return y, ((x, t) if keep else None)
 
 
-def gelu_bwd(dy, x):
-    return dy * (
-        0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    )
+def gelu_bwd(dy, cache):
+    x, one_plus_erf = cache
+    return dy * (0.5 * one_plus_erf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI)
 
 
 def masked_softmax(logits, allowed):

@@ -45,8 +45,7 @@ class EncoderConfig:
         for name in ("image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.embed_dim * self.mlp_ratio >= 1:  # NaN fails too
-            raise ValueError(f"mlp_ratio {self.mlp_ratio!r} makes int(embed_dim * mlp_ratio) < 1")
+        _nn.check_mlp_ratio("embed_dim", self.embed_dim, self.mlp_ratio)
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image size must be divisible by patch_size")
         if self.embed_dim % self.heads:

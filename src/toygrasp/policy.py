@@ -41,8 +41,7 @@ class PolicyConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.width * self.mlp_ratio >= 1:  # NaN fails too
-            raise ValueError(f"mlp_ratio {self.mlp_ratio!r} makes int(width * mlp_ratio) < 1")
+        _nn.check_mlp_ratio("width", self.width, self.mlp_ratio)
         if self.width % self.heads:
             raise ValueError("width must be divisible by heads")
         if self.width % 2:
@@ -147,11 +146,19 @@ def concat_observation(obs: StepObservation, config: PolicyConfig) -> np.ndarray
     return np.concatenate([obs.embeddings.reshape(-1), obs.proprio])
 
 
+def _stack_histories(histories, config):
+    """Histories as their (len(histories), C, token_in_dim) stack of
+    concatenated inputs, checked and then joined by one concatenate."""
+    for history in histories:
+        if len(history) != config.history_len:
+            raise ShapeMismatch(f"history must have exactly {config.history_len} steps")
+    tokens = [concat_observation(o, config) for history in histories for o in history]
+    return np.concatenate(tokens).reshape(len(histories), config.history_len, config.token_in_dim)
+
+
 def _stack_history(history, config):
     """One history as its (C, token_in_dim) stack of concatenated inputs."""
-    if len(history) != config.history_len:
-        raise ShapeMismatch(f"history must have exactly {config.history_len} steps")
-    return np.stack([concat_observation(o, config) for o in history])
+    return _stack_histories([history], config)[0]
 
 
 @lru_cache(maxsize=8)
@@ -223,13 +230,16 @@ def policy_grad(
 # loss and training
 # ---------------------------------------------------------------------------
 
-def bc_l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute difference over all K * action_dim entries."""
+def bc_l1_loss(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mean absolute difference over the K * action_dim entries of each
+    (..., K, action_dim) chunk: an array of the leading shape, a float64
+    scalar for one chunk."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"chunk shapes differ: {pred.shape} vs {target.shape}")
-    return float(np.abs(pred - target).mean())
+    diff = np.abs(pred - target)
+    return diff.reshape(*diff.shape[:-2], -1).mean(axis=-1)
 
 
 def train_step(
@@ -248,7 +258,7 @@ def train_step(
     opt = opt or OptimizerConfig()
     config = state.config
     chunk_shape = (config.chunk_len, config.action_dim)
-    stacked = np.stack([_stack_history(history, config) for history, _ in batch])
+    stacked = _stack_histories([history for history, _ in batch], config)
     targets = [np.asarray(target, dtype=np.float64) for _, target in batch]
     for target in targets:
         if target.shape != chunk_shape:
@@ -256,7 +266,7 @@ def train_step(
     targets = np.stack(targets)
 
     chunks, cache = _forward(stacked, state, keep=True)
-    total_loss = sum(bc_l1_loss(chunk, target) for chunk, target in zip(chunks, targets))
+    total_loss = sum(bc_l1_loss(chunks, targets).tolist())  # in batch order
     scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
     grads = _backward(np.sign(chunks - targets) * scale, cache, state)
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,8 @@ class TestGenerate:
             ("print", {"min_wall": -0.001}, "print.min_wall"),
             ("encoder", {"mlp_ratio": 1e-300}, "encoder: mlp_ratio"),
             ("encoder", {"embed_dim": 4, "heads": 1, "mlp_ratio": 0.2}, "encoder: mlp_ratio"),
+            ("encoder", {"mlp_ratio": 1e300}, "encoder: mlp_ratio"),
+            ("encoder", {"embed_dim": 64, "mlp_ratio": 1e6}, "encoder: mlp_ratio"),
         ],
     )
     def test_malformed_config_values_rejected(self, tmp_path, capsys, section, values, path):
@@ -650,3 +655,43 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "toygrasp: [INTERNAL] RuntimeError: boom" in err
         assert "Traceback" not in err
+
+
+#: Runs every command but `analyze` in one interpreter, then `analyze`, and
+#: prints the exit codes and the scipy modules loaded before `analyze`.
+IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+from pathlib import Path
+from toygrasp.cli import main
+
+tmp, config = Path(sys.argv[1]), sys.argv[2]
+(tmp / "objects.txt").write_text("cup\\nball\\n")
+(tmp / "outcomes.csv").write_text("object,trial_index,success\\ncup,0,1\\nball,0,0\\n")
+(tmp / "rows.csv").write_text("label,demos,success_percent\\nm,10,50\\n")
+codes = [
+    main(["detpool-check"]),
+    main(["generate", "--config", config]),
+    main(["schedule", "--protocol", "sim_maniskill", "--objects", str(tmp / "objects.txt"),
+          "--out", str(tmp / "schedule.json")]),
+    main(["aggregate", "--outcomes", str(tmp / "outcomes.csv")]),
+    main(["report", "--rows", str(tmp / "rows.csv"), "--out", str(tmp / "report.csv")]),
+]
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+codes.append(main(["analyze", "--manifest", str(tmp / "out" / "manifest.json"),
+                   "--config", config, "--out", str(tmp / "analysis.csv")]))
+print(json.dumps({"codes": codes, "scipy_before_analyze": before}))
+"""
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    # GELU's erf is in-tree, so only analyze's convex hull and KD-tree need scipy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path), str(write_config(tmp_path))],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * 6, "scipy_before_analyze": []}
+    assert len((tmp_path / "analysis.csv").read_text().splitlines()) == 1 + 5

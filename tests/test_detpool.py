@@ -727,6 +727,14 @@ class TestEncoderConfigValidation:
             EncoderConfig(embed_dim=64, mlp_ratio=ratio)
         assert EncoderConfig(embed_dim=64, mlp_ratio=1 / 64).mlp_hidden == 1
 
+    @pytest.mark.parametrize("ratio", [1e6, 1e300, float("inf"), (_nn.MAX_MLP_HIDDEN + 1) / 64])
+    def test_mlp_width_is_bounded(self, ratio):
+        # A config is checked before any array is built, so this allocates nothing.
+        with pytest.raises(ValueError, match="mlp_ratio"):
+            EncoderConfig(embed_dim=64, mlp_ratio=ratio)
+        limit = EncoderConfig(embed_dim=64, mlp_ratio=_nn.MAX_MLP_HIDDEN / 64)
+        assert limit.mlp_hidden == _nn.MAX_MLP_HIDDEN
+
     @pytest.mark.parametrize(
         "name", ["image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"]
     )

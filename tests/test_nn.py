@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import erf as scipy_erf  # the oracle; `_nn` does not import scipy
 
 from conftest import REORDER_C, U
 from toygrasp import _nn
@@ -204,6 +208,124 @@ class TestLayerNorm:
             assert np.array_equal(got, want)
         for got, want in zip(_nn.layernorm_bwd(dy, cache), reference_layernorm_bwd(dy, ref_cache)):
             assert np.array_equal(got, want)
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns, with any NaN standing for any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def erf(t):
+    return _nn.erf(t, np.empty_like(t))
+
+
+class TestErf:
+    """`_nn.erf` gives scipy.special.erf's bits on every float64."""
+
+    def test_dense_grid(self):
+        t = np.linspace(-8.0, 8.0, 2_000_001)
+        assert_same_bits(erf(t), scipy_erf(t))
+
+    @pytest.mark.parametrize("scale", [0.3, 1.5, 2.0])
+    def test_random_arguments(self, scale):
+        t = np.random.default_rng(int(scale * 10)).normal(size=500_000) * scale
+        assert_same_bits(erf(t), scipy_erf(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(width=64)))
+    def test_any_floats(self, t):
+        # st.floats draws NaN, ±inf and subnormals too.
+        assert_same_bits(erf(t), scipy_erf(t))
+
+    def test_neighbours_of_each_branch_point(self):
+        points = []
+        for edge in (1.0, _nn._ERF_ONE_FROM, 8.0):
+            for value in (edge, -edge):
+                points += [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+        tiny = np.finfo(np.float64).tiny
+        points += [tiny, -tiny, 5e-324, -5e-324, np.inf, -np.inf]
+        t = np.array(points)
+        assert_same_bits(erf(t), scipy_erf(t))
+
+    def test_signed_zero_and_nan(self):
+        got = erf(np.array([0.0, -0.0, np.nan]))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert np.isnan(got[2])
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (), (5, 7, 3)])
+    def test_in_place_and_any_shape(self, shape):
+        t = np.asarray(np.random.default_rng(4).normal(size=shape) * 2.0)
+        want = scipy_erf(t)
+        assert _nn.erf(t, t) is t
+        assert_same_bits(t, want)
+
+
+def scipy_gelu_fwd(x):
+    # `_nn.gelu_fwd` as it was written on scipy.special.erf.
+    t = x / math.sqrt(2.0)
+    scipy_erf(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
+
+
+def scipy_gelu_bwd(dy, x):
+    return dy * (
+        0.5 * (1.0 + scipy_erf(x / math.sqrt(2.0)))
+        + x * np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    )
+
+
+class TestGelu:
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 4.0])
+    def test_equals_scipy_formula_bitwise(self, scale):
+        rng = np.random.default_rng(int(scale * 100))
+        x = rng.normal(size=(3, 64, 256)) * scale
+        dy = rng.normal(size=x.shape)
+        kept, cache = _nn.gelu_fwd(x.copy())
+        assert_same_bits(kept, scipy_gelu_fwd(x))
+        assert_same_bits(_nn.gelu_bwd(dy, cache), scipy_gelu_bwd(dy, x))
+        overwritten = x.copy()
+        got, no_cache = _nn.gelu_fwd(overwritten, keep=False)
+        assert got is overwritten and no_cache is None
+        assert_same_bits(got, scipy_gelu_fwd(x))
+
+    @pytest.mark.parametrize(
+        "scale, bound",
+        [(0.2, lambda x: x.nbytes + 4096), (1.0, lambda x: 2 * x.nbytes)],
+        ids=["inner-branch", "mixed-branches"],
+    )
+    def test_forward_only_allocates_one_temporary(self, scale, bound):
+        # erf works in its scratch buffers, so a forward-only GELU makes only
+        # its 1 + erf factor at full size: a second full-size temporary per
+        # call is what the allocator maps and unmaps call after call.
+        x = np.random.default_rng(5).normal(size=(64, 256)) * scale
+        _nn.gelu_fwd(x.copy(), keep=False)  # grows the scratch buffers
+        tracemalloc.start()
+        try:
+            _nn.gelu_fwd(x, keep=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound(x)
+
+
+class TestMlpRatio:
+    @pytest.mark.parametrize("ratio", [0.0, 1e-300, float("nan"), 1e6, 1e300, float("inf")])
+    def test_hidden_width_outside_the_limit_is_rejected(self, ratio):
+        with pytest.raises(ValueError, match="mlp_ratio"):
+            _nn.check_mlp_ratio("embed_dim", 64, ratio)
+
+    def test_limit_is_inclusive(self):
+        _nn.check_mlp_ratio("width", 64, _nn.MAX_MLP_HIDDEN / 64)
+        _nn.check_mlp_ratio("width", 64, (_nn.MAX_MLP_HIDDEN + 0.99) / 64)
+        with pytest.raises(ValueError, match=f"from 1 to {_nn.MAX_MLP_HIDDEN}"):
+            _nn.check_mlp_ratio("width", 64, (_nn.MAX_MLP_HIDDEN + 1) / 64)
 
 
 class TestFiniteDifferenceCheck:

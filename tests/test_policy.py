@@ -195,6 +195,14 @@ class TestBcL1Loss:
         with pytest.raises(ShapeMismatch):
             bc_l1_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_leading_axes_give_each_chunks_mean_bitwise(self):
+        rng = np.random.default_rng(9)
+        pred, target = rng.normal(size=(2, 2, 3, 16, 8))
+        losses = bc_l1_loss(pred, target)
+        assert losses.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert losses[index] == float(np.abs(pred[index] - target[index]).mean())
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6))
     def test_metric_properties(self, seed):
@@ -422,6 +430,39 @@ class TestTrainStep:
             got = state.opt_m[name] / (1.0 - BETA1)
             assert np.abs(got - value).max() <= 1e-14 * np.abs(value).max(), name
 
+    def test_loss_is_the_batch_order_mean_bitwise(self):
+        state = init_policy(TINY, 34)
+        data = linear_task_data(TINY, 6, 35)
+        stacked = np.stack([_stack_history(history, TINY) for history, _ in data])
+        chunks, _ = _forward(stacked, state, keep=False)
+        total = 0.0
+        for chunk, (_, target) in zip(chunks, data):
+            total += float(np.abs(chunk - target).mean())
+        _, loss = train_step(data, state, OptimizerConfig())
+        assert loss == total / len(data)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda h: h[:-1], f"history must have exactly {TINY.history_len} steps"),
+            (lambda h: h[:-1] + [StepObservation(np.zeros((2, TINY.embed_dim)), h[-1].proprio)],
+             rf"embeddings shape \(2, {TINY.embed_dim}\) != \({TINY.cameras}, {TINY.embed_dim}\)"),
+            (lambda h: h[:-1] + [StepObservation(h[-1].embeddings, np.zeros(TINY.proprio_dim + 1))],
+             rf"proprio shape \({TINY.proprio_dim + 1},\) != \({TINY.proprio_dim},\)"),
+        ],
+        ids=["history-length", "embeddings", "proprio"],
+    )
+    def test_bad_observation_in_last_slot_is_named(self, damage, message):
+        state = init_policy(TINY, 36)
+        data = linear_task_data(TINY, 3, 37)
+        history, target = data[-1]
+        bad = data[:-1] + [(damage(list(history)), target)]
+        with pytest.raises(ShapeMismatch, match=message):
+            policy_forward(bad[-1][0], state)
+        with pytest.raises(ShapeMismatch, match=message):
+            train_step(bad, state, OptimizerConfig())
+        assert state.opt_step == 0
+
     def test_bad_target_in_last_slot_leaves_state_unchanged(self):
         state = init_policy(TINY, 32)
         data = linear_task_data(TINY, 4, 33)
@@ -490,6 +531,14 @@ class TestPolicyConfigValidation:
         with pytest.raises(ValueError, match="mlp_ratio"):
             PolicyConfig(width=64, mlp_ratio=ratio)
         assert PolicyConfig(width=64, mlp_ratio=1 / 64).mlp_hidden == 1
+
+    @pytest.mark.parametrize("ratio", [1e6, 1e300, float("inf"), (_nn.MAX_MLP_HIDDEN + 1) / 64])
+    def test_mlp_width_is_bounded(self, ratio):
+        # A config is checked before any array is built, so this allocates nothing.
+        with pytest.raises(ValueError, match="mlp_ratio"):
+            PolicyConfig(width=64, mlp_ratio=ratio)
+        limit = PolicyConfig(width=64, mlp_ratio=_nn.MAX_MLP_HIDDEN / 64)
+        assert limit.mlp_hidden == _nn.MAX_MLP_HIDDEN
 
     @pytest.mark.parametrize("name", ["width", "heads", "layers", "embed_dim"])
     def test_sizes_checked_before_modulo(self, name):
