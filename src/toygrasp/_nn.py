@@ -1,11 +1,17 @@
 """Float64 transformer building blocks with hand-derived backward passes.
 
-Forward functions return (output, cache); backward functions consume the
-cache and upstream gradient. Each forward function takes `keep`: where no
-backward pass follows, `keep=False` builds no cache (None stands in its
-place), frees each sublayer's temporaries as soon as it returns, and
-overwrites in place the ones a cache would have held. The output is the
-same bit for bit either way; the two differ only in where they write.
+A block stack of `layers` pre-norm blocks is 2 * layers residual
+sublayers x + f(LN(x)), attention and MLP in turn (Xiong et al., "On Layer
+Normalization in the Transformer Architecture", ICML 2020).
+`sublayer_prefixes` alone names each sublayer's parameters, and
+`transformer_shapes` lays them out. Forward functions return (output,
+cache); backward functions consume the cache and upstream gradient, so a
+backward pass runs over the caches of any forward run, resumed or not.
+Each forward function takes `keep`: where no backward pass follows,
+`keep=False` builds no cache (None stands in its place), frees each
+sublayer's temporaries as soon as it returns, and overwrites in place the
+ones a cache would have held. The output is the same bit for bit either
+way; the two differ only in where they write.
 Activations have shape (..., T, d): any number of leading batch axes, T
 tokens, d channels; a single sequence is (T, d).
 A forward pass also accepts one batched parameter: a (B, d_in, d_out)
@@ -35,6 +41,7 @@ buffers make erf non-reentrant; toygrasp is single-threaded.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,14 +271,6 @@ def mha_bwd(dy, cache, prefix, grads):
     return dx_q + dx_k + dx_v
 
 
-def attn_sublayer_fwd(x, params, prefix, heads, allowed, keep=True):
-    """First residual sublayer of a pre-norm block: x + attn(LN1(x))."""
-    ln = (params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"])
-    h, c_ln = layernorm_fwd(x, *ln, keep=keep)
-    a, c_att = mha_fwd(h, params, prefix + "attn.", heads, allowed, keep=keep)
-    return _into(np.add, a, x), ((c_ln, c_att) if keep else None)
-
-
 def mlp_fwd(x, params, prefix, keep=True):
     """Linear, GELU, linear, with parameters `<prefix>w1`, `b1`, `w2`, `b2`."""
     h, c_fc1 = linear_fwd(x, params[prefix + "w1"], params[prefix + "b1"])
@@ -288,39 +287,43 @@ def mlp_bwd(dy, cache, prefix, grads):
     return dx
 
 
-def mlp_sublayer_fwd(x, params, prefix, keep=True):
-    """Second residual sublayer of a pre-norm block: x + mlp(LN2(x))."""
-    ln = (params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"])
-    h, c_ln = layernorm_fwd(x, *ln, keep=keep)
-    m, c_mlp = mlp_fwd(h, params, prefix + "mlp.", keep=keep)
-    return _into(np.add, m, x), ((c_ln, c_mlp) if keep else None)
+def sublayer_prefixes(s):
+    """The parameter-name prefixes of residual sublayer `s` of a block stack,
+    its layer norm's and then its function's: block s // 2's `ln1.` and
+    `attn.` for even `s`, its `ln2.` and `mlp.` for odd `s`. No other code
+    names a block's parameters."""
+    block = f"blocks.{s // 2}."
+    return (block + "ln2.", block + "mlp.") if s % 2 else (block + "ln1.", block + "attn.")
 
 
 def sublayer_fwd(s, x, params, heads, allowed, keep=True):
-    """Residual sublayer `s` of a block stack: block s // 2's attention
-    sublayer for even `s`, its MLP sublayer for odd `s`. Neither writes
-    into `x`."""
-    prefix = f"blocks.{s // 2}."
+    """Residual sublayer `s` of a block stack, x + f(LN(x)), where f is
+    attention for even `s` and the MLP for odd `s`; `x` is not written. The
+    cache starts with `s`, so `sublayer_bwd` needs nothing else."""
+    ln, f = sublayer_prefixes(s)
+    h, c_ln = layernorm_fwd(x, params[ln + "gamma"], params[ln + "beta"], keep=keep)
     if s % 2:
-        return mlp_sublayer_fwd(x, params, prefix, keep=keep)
-    return attn_sublayer_fwd(x, params, prefix, heads, allowed, keep=keep)
+        y, c_f = mlp_fwd(h, params, f, keep=keep)
+    else:
+        y, c_f = mha_fwd(h, params, f, heads, allowed, keep=keep)
+    return _into(np.add, y, x), ((s, c_ln, c_f) if keep else None)
 
 
-def block_bwd(dout, cache, prefix, grads):
-    c_ln1, c_att, c_ln2, c_mlp = cache
-    dh2 = mlp_bwd(dout, c_mlp, prefix + "mlp.", grads)
-    dx1_ln, grads[prefix + "ln2.gamma"], grads[prefix + "ln2.beta"] = layernorm_bwd(dh2, c_ln2)
-    dx1 = dout + dx1_ln
-    dh1 = mha_bwd(dx1, c_att, prefix + "attn.", grads)
-    dx_ln, grads[prefix + "ln1.gamma"], grads[prefix + "ln1.beta"] = layernorm_bwd(dh1, c_ln1)
-    return dx1 + dx_ln
+def sublayer_bwd(dout, cache, grads):
+    """Backward through one `sublayer_fwd`; writes its parameters' gradients
+    into `grads` and returns the input's."""
+    s, c_ln, c_f = cache
+    ln, f = sublayer_prefixes(s)
+    dh = (mlp_bwd if s % 2 else mha_bwd)(dout, c_f, f, grads)
+    dx, grads[ln + "gamma"], grads[ln + "beta"] = layernorm_bwd(dh, c_ln)
+    return dout + dx
 
 
 def transformer_fwd(x, params, layers, heads, allowed=None, start=0, keep=True):
     """Run sublayers `start` onward on `x`; a later `start` resumes a pass at
     that sublayer's input. Returns the output and, with `keep`, one cache per
-    sublayer for `transformer_bwd` (which needs a pass from `start=0`);
-    without `keep` it returns None for the caches. `x` is never written."""
+    sublayer run for `transformer_bwd`; without `keep` it returns None for
+    the caches. `x` is never written."""
     caches = []
     for s in range(start, 2 * layers):
         x, cache = sublayer_fwd(s, x, params, heads, allowed, keep=keep)
@@ -329,34 +332,44 @@ def transformer_fwd(x, params, layers, heads, allowed=None, start=0, keep=True):
 
 
 def transformer_bwd(dout, caches, grads):
-    """Backward through every block of a `transformer_fwd` run."""
-    dx = dout
-    for i in reversed(range(len(caches) // 2)):
-        dx = block_bwd(dx, caches[2 * i] + caches[2 * i + 1], f"blocks.{i}.", grads)
-    return dx
+    """Backward through the sublayers of a `transformer_fwd` run, last first."""
+    for cache in reversed(caches):
+        dout = sublayer_bwd(dout, cache, grads)
+    return dout
 
 
 # ---------------------------------------------------------------------------
 # fixed positional encodings and parameter init
 # ---------------------------------------------------------------------------
 
-def sincos_1d(positions, dim):
-    """Fixed sinusoidal encoding; first half sines, second half cosines."""
+def _read_only(table):
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def sincos_1d(n, dim):
+    """Fixed sinusoidal encoding of positions 0 to n - 1, first half sines,
+    second half cosines. Each table is built once per shape and shared
+    read-only: building the 2-D one took about a fifth of a compact Det
+    `encode` at the default size."""
     if dim % 2 != 0:
         raise ValueError("sinusoidal encoding needs an even dimension")
     half = dim // 2
     freqs = 1.0 / (10000.0 ** (np.arange(half, dtype=np.float64) / half))
-    args = np.outer(np.asarray(positions, dtype=np.float64), freqs)
-    return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+    args = np.outer(np.arange(n, dtype=np.float64), freqs)
+    return _read_only(np.concatenate([np.sin(args), np.cos(args)], axis=1))
 
 
+@lru_cache(maxsize=8)
 def sincos_2d(n_rows, n_cols, dim):
-    """2-D grid encoding: half the channels encode the row, half the column."""
+    """Row-major grid encoding, cached and read-only like `sincos_1d`: half
+    the channels encode the row, half the column."""
     if dim % 4 != 0:
         raise ValueError("2-D sinusoidal encoding needs dim divisible by 4")
-    rows = np.repeat(np.arange(n_rows), n_cols)
-    cols = np.tile(np.arange(n_cols), n_rows)
-    return np.concatenate([sincos_1d(rows, dim // 2), sincos_1d(cols, dim // 2)], axis=1)
+    rows = np.repeat(sincos_1d(n_rows, dim // 2), n_cols, axis=0)
+    cols = np.tile(sincos_1d(n_cols, dim // 2), (n_rows, 1))
+    return _read_only(np.concatenate([rows, cols], axis=1))
 
 
 def mlp_shapes(prefix, dim_in, hidden, dim_out):
@@ -369,17 +382,20 @@ def mlp_shapes(prefix, dim_in, hidden, dim_out):
     }
 
 
-def block_shapes(prefix, dim, mlp_hidden):
-    """Parameter table of one pre-norm block: name -> (shape, fill)."""
-    return {
-        prefix + "ln1.gamma": ((dim,), 1.0),
-        prefix + "ln1.beta": ((dim,), 0.0),
-        **{prefix + "attn." + name: ((dim, dim), None) for name in ("w_q", "w_k", "w_v", "w_o")},
-        **{prefix + "attn." + name: ((dim,), 0.0) for name in ("b_q", "b_v", "b_o")},
-        prefix + "ln2.gamma": ((dim,), 1.0),
-        prefix + "ln2.beta": ((dim,), 0.0),
-        **mlp_shapes(prefix + "mlp.", dim, mlp_hidden, dim),
-    }
+def transformer_shapes(layers, dim, hidden):
+    """Parameter table of a stack of `layers` pre-norm blocks of width `dim`
+    and MLP width `hidden`: name -> (shape, fill), block by block."""
+    table = {}
+    for s in range(2 * layers):
+        ln, f = sublayer_prefixes(s)
+        table[ln + "gamma"] = ((dim,), 1.0)
+        table[ln + "beta"] = ((dim,), 0.0)
+        if s % 2:
+            table.update(mlp_shapes(f, dim, hidden, dim))
+        else:
+            table.update({f + name: ((dim, dim), None) for name in ("w_q", "w_k", "w_v", "w_o")})
+            table.update({f + name: ((dim,), 0.0) for name in ("b_q", "b_v", "b_o")})
+    return table
 
 
 def init_params(rng, table):

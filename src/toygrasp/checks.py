@@ -24,7 +24,6 @@ from .detpool import (
     _forward,
     _patchify,
     _pool,
-    _positional_table,
     encode,
     encode_grad,
     init_encoder,
@@ -136,7 +135,7 @@ def check_single_token_oracle(state: EncoderState) -> CheckResult:
     tokens0, _ = _nn.linear_fwd(
         patches, state.params["patch_embed.weight"], state.params["patch_embed.bias"]
     )
-    pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
+    pe = _nn.sincos_2d(config.n_rows, config.n_cols, config.embed_dim)
     token = (tokens0[index] + pe[index])[None, :]
     hidden, _ = _nn.transformer_fwd(token, state.params, config.layers, config.heads, keep=False)
     reference = hidden.mean(axis=0)
@@ -187,16 +186,13 @@ GRADIENT_CHECK_CONFIG = EncoderConfig(
 
 
 def _first_stage(name: str, layers: int) -> int | None:
-    """The first stage of the encoder that tensor `name` feeds: sublayer 2i
-    for `blocks.i.ln1.*` and `blocks.i.attn.*`, 2i + 1 for `blocks.i.ln2.*`
-    and `blocks.i.mlp.*`, 2 * layers (pooling alone) for `pool_query`, and
-    None (the embedding step) for the embedding tensors and the image."""
+    """The first stage of the encoder that tensor `name` feeds: the sublayer
+    whose `_nn.sublayer_prefixes` it starts with, 2 * layers (pooling alone)
+    for `pool_query`, and None (the embedding step) for any other tensor."""
     if name == "pool_query":
         return 2 * layers
-    if name.startswith("blocks."):
-        _, block, part, _ = name.split(".", 3)
-        return 2 * int(block) + (part in ("ln2", "mlp"))
-    return None
+    stages = (s for s in range(2 * layers) if name.startswith(_nn.sublayer_prefixes(s)))
+    return next(stages, None)
 
 
 def _fd_losses(image, state, mode, flags, upstream):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,8 +93,7 @@ def _param_table(config: EncoderConfig) -> dict:
     }
     if config.include_cls:
         table["cls_token"] = ((dim,), None)
-    for i in range(config.layers):
-        table.update(_nn.block_shapes(f"blocks.{i}.", dim, config.mlp_hidden))
+    table.update(_nn.transformer_shapes(config.layers, dim, config.mlp_hidden))
     table["pool_query"] = ((dim,), None)
     return table
 
@@ -134,16 +132,6 @@ def build_attention_mask(flags: np.ndarray, include_cls: bool) -> np.ndarray:
     if include_cls:
         flags = np.concatenate([[False], flags])
     return flags[:, None] == flags[None, :]
-
-
-@lru_cache(maxsize=8)
-def _positional_table(n_rows: int, n_cols: int, dim: int) -> np.ndarray:
-    """The fixed 2-D sinusoidal table of a patch grid, built once per grid
-    and shared read-only. Building it took about a fifth of a compact Det
-    `encode` at the default size."""
-    table = _nn.sincos_2d(n_rows, n_cols, dim)
-    table.flags.writeable = False
-    return table
 
 
 def _patchify(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
@@ -210,7 +198,7 @@ def _embed(image, state, mode, flags, masked_reference=False):
     compact = mode is PoolingMode.DET and not masked_reference
 
     patches = _patchify(image, config)
-    pe = _positional_table(config.n_rows, config.n_cols, config.embed_dim)
+    pe = _nn.sincos_2d(config.n_rows, config.n_cols, config.embed_dim)
     if compact:
         patches, pe = patches[..., flags, :], pe[flags]
     tokens0, c_embed = _nn.linear_fwd(

@@ -12,7 +12,6 @@ backward cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,8 +111,7 @@ class OptimizerConfig:
 def _param_table(config: PolicyConfig) -> dict:
     """Every parameter's name -> (shape, fill), in order (see `_nn.init_params`)."""
     table = _nn.mlp_shapes("proj.", config.token_in_dim, config.width, config.width)
-    for i in range(config.layers):
-        table.update(_nn.block_shapes(f"blocks.{i}.", config.width, config.mlp_hidden))
+    table.update(_nn.transformer_shapes(config.layers, config.width, config.mlp_hidden))
     out = config.chunk_len * config.action_dim
     table["head.weight"] = ((config.width, out), None)
     table["head.bias"] = ((out,), 0.0)
@@ -156,20 +154,6 @@ def _stack_histories(histories, config):
     return np.concatenate(tokens).reshape(len(histories), config.history_len, config.token_in_dim)
 
 
-def _stack_history(history, config):
-    """One history as its (C, token_in_dim) stack of concatenated inputs."""
-    return _stack_histories([history], config)[0]
-
-
-@lru_cache(maxsize=8)
-def _positional_table(history_len: int, width: int) -> np.ndarray:
-    """The fixed sinusoidal table of the history positions, built once per
-    shape and shared read-only."""
-    table = _nn.sincos_1d(np.arange(history_len), width)
-    table.flags.writeable = False
-    return table
-
-
 def _forward(stacked, state, keep):
     """Stacked inputs (..., C, token_in_dim) -> chunks (..., K, action_dim),
     and the cache for `_backward` (None with `keep` false, which builds none
@@ -181,7 +165,7 @@ def _forward(stacked, state, keep):
     config = state.config
     params = state.params
     projected, c_proj = _nn.mlp_fwd(stacked, params, "proj.", keep=keep)
-    tokens = projected + _positional_table(config.history_len, config.width)
+    tokens = projected + _nn.sincos_1d(config.history_len, config.width)
     hidden, block_caches = _nn.transformer_fwd(
         tokens, params, config.layers, config.heads, keep=keep
     )
@@ -209,21 +193,7 @@ def _backward(dchunk, cache, state):
 
 def policy_forward(history: Sequence[StepObservation], state: PolicyState) -> np.ndarray:
     """Predict the next K actions (K x action_dim) from the last C steps."""
-    return _forward(_stack_history(history, state.config), state, keep=False)[0]
-
-
-def policy_grad(
-    history: Sequence[StepObservation],
-    state: PolicyState,
-    upstream: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of <upstream, policy_forward(...)> for all parameters."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    config = state.config
-    if upstream.shape != (config.chunk_len, config.action_dim):
-        raise ShapeMismatch("upstream must match the chunk shape")
-    _, cache = _forward(_stack_history(history, config), state, keep=True)
-    return _backward(upstream, cache, state)
+    return _forward(_stack_histories([history], state.config)[0], state, keep=False)[0]
 
 
 # ---------------------------------------------------------------------------

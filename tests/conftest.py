@@ -191,7 +191,7 @@ def attention_weights(image, state, mode, flags=None) -> list[np.ndarray]:
     sequence (Det under its flag mask)."""
     _, cache = _forward(image, state, mode, flags, masked_reference=True, keep=True)
     attention_caches = cache[3][::2]
-    return [c_att[7] for (_, c_att) in attention_caches]
+    return [c_att[7] for (_, _, c_att) in attention_caches]
 
 
 def assemble_token(obs, state) -> np.ndarray:
@@ -201,13 +201,21 @@ def assemble_token(obs, state) -> np.ndarray:
     return out[0]
 
 
+def policy_grad(history, state, upstream) -> dict[str, np.ndarray]:
+    """Exact gradients of <upstream, policy_forward(history, state)> for every
+    parameter: `train_step`'s forward and backward passes on one history."""
+    stacked = policy._stack_histories([history], state.config)[0]
+    _, cache = policy._forward(stacked, state, keep=True)
+    return policy._backward(np.asarray(upstream, dtype=np.float64), cache, state)
+
+
 def policy_fd_losses(history, state, upstream):
     """The pair (loss, batched_loss) of <upstream, policy_forward(history,
     state)> for `_nn.finite_difference_check`. The zero-argument loss reads
     the parameters in place; the batched loss runs a (B, *shape) stack of
     copies of one parameter in one forward pass and returns the B losses,
     each summed elementwise as the zero-argument loss is."""
-    stacked = policy._stack_history(history, state.config)
+    stacked = policy._stack_histories([history], state.config)[0]
 
     def loss() -> float:
         return float((upstream * policy.policy_forward(history, state)).sum())

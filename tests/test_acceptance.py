@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import analytic_min_width, identity_pose, policy_fd_losses, within_ranges
+from conftest import (
+    analytic_min_width,
+    identity_pose,
+    policy_fd_losses,
+    policy_grad,
+    within_ranges,
+)
 from toygrasp import _nn
 from toygrasp.analysis import analyze_toy, directional_width, min_caliper_width
 from toygrasp.assembler import (
@@ -39,7 +45,6 @@ from toygrasp.policy import (
     StepObservation,
     bc_l1_loss,
     init_policy,
-    policy_grad,
     train_step,
 )
 from toygrasp.primitives import (

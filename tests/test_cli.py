@@ -14,7 +14,13 @@ from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
 from toygrasp.errors import NotWatertight
 from toygrasp.io import build_manifest, manifest_json_bytes, toy_record
-from toygrasp.mesh import TriMesh, mesh_primitive, mesh_toy
+from toygrasp.mesh import (
+    MAX_RADIAL_SEGMENTS,
+    MAX_SPHERE_SUBDIVISIONS,
+    TriMesh,
+    mesh_primitive,
+    mesh_toy,
+)
 from toygrasp.primitives import PrimitiveKind
 
 SMALL_COMPOSITION = {
@@ -176,6 +182,33 @@ class TestGenerate:
         assert main(["generate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"toygrasp: [CONFIG] {path} "), err
+
+    @pytest.mark.parametrize("command", ["generate", "analyze"])
+    @pytest.mark.parametrize(
+        "field, low, limit",
+        [
+            ("sphere_subdivisions", 0, MAX_SPHERE_SUBDIVISIONS),
+            ("radial_segments", 8, MAX_RADIAL_SEGMENTS),
+        ],
+    )
+    def test_tessellation_above_its_limit_exits_2_before_meshing(
+        self, tmp_path, capsys, monkeypatch, command, field, low, limit
+    ):
+        # A finer tessellation could exhaust memory (exit 4); the config is
+        # rejected before any mesh is built, or any manifest is read.
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr("toygrasp.cli.mesh_primitive", no_mesh)
+        monkeypatch.setattr("toygrasp.cli.mesh_toy", no_mesh)
+        config = write_config(tmp_path, tessellation={field: limit + 1})
+        argv = [command, "--config", str(config)]
+        if command == "analyze":
+            argv += ["--manifest", str(tmp_path / "missing.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"toygrasp: [CONFIG] tessellation: {field} must be from {low} to {limit}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "name, data, command",

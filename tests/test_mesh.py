@@ -11,6 +11,8 @@ from toygrasp.assembler import GenerationConfig, assemble_toy, generate_set
 from toygrasp.errors import NotWatertight
 from toygrasp.io import stl_bytes
 from toygrasp.mesh import (
+    MAX_RADIAL_SEGMENTS,
+    MAX_SPHERE_SUBDIVISIONS,
     Tessellation,
     TriMesh,
     _mesh_cylinder,
@@ -326,3 +328,15 @@ class TestTriMeshValidation:
             Tessellation(sphere_subdivisions=-1)
         with pytest.raises(ValueError):
             Tessellation(radial_segments=4)
+
+    def test_tessellation_limits(self):
+        # Checked on construction; no mesh is built at these sizes.
+        Tessellation(MAX_SPHERE_SUBDIVISIONS, MAX_RADIAL_SEGMENTS)
+        message = f"sphere_subdivisions must be from 0 to {MAX_SPHERE_SUBDIVISIONS}"
+        with pytest.raises(ValueError, match=message):
+            Tessellation(sphere_subdivisions=MAX_SPHERE_SUBDIVISIONS + 1)
+        message = f"radial_segments must be from 8 to {MAX_RADIAL_SEGMENTS}"
+        with pytest.raises(ValueError, match=message):
+            Tessellation(radial_segments=MAX_RADIAL_SEGMENTS + 1)
+        with pytest.raises(ValueError, match="radial_segments"):
+            Tessellation(radial_segments=400_000_000)

@@ -18,10 +18,46 @@ LAYERS = 2
 
 def random_params(rng):
     # Unit-scale weights, so the blocks mix strongly and any batching slip shows.
-    params = {}
-    for i in range(LAYERS):
-        params.update(_nn.init_params(rng, _nn.block_shapes(f"blocks.{i}.", DIM, MLP_HIDDEN)))
+    params = _nn.init_params(rng, _nn.transformer_shapes(LAYERS, DIM, MLP_HIDDEN))
     return {name: rng.normal(size=value.shape) for name, value in params.items()}
+
+
+class TestTransformerShapes:
+    """The parameter layout, pinned without any matrix product: the order
+    fixes `init_params`' draws, so every model's initial tensors."""
+
+    def test_equals_the_literal_block_layout(self):
+        d, h = 8, 16
+        expected = []
+        for i in range(2):
+            b = f"blocks.{i}."
+            expected += [
+                (b + "ln1.gamma", (d,), 1.0),
+                (b + "ln1.beta", (d,), 0.0),
+                (b + "attn.w_q", (d, d), None),
+                (b + "attn.w_k", (d, d), None),
+                (b + "attn.w_v", (d, d), None),
+                (b + "attn.w_o", (d, d), None),
+                (b + "attn.b_q", (d,), 0.0),
+                (b + "attn.b_v", (d,), 0.0),
+                (b + "attn.b_o", (d,), 0.0),
+                (b + "ln2.gamma", (d,), 1.0),
+                (b + "ln2.beta", (d,), 0.0),
+                (b + "mlp.w1", (d, h), None),
+                (b + "mlp.b1", (h,), 0.0),
+                (b + "mlp.w2", (h, d), None),
+                (b + "mlp.b2", (d,), 0.0),
+            ]
+        table = _nn.transformer_shapes(2, d, h)
+        assert [(name, shape, fill) for name, (shape, fill) in table.items()] == expected
+
+    def test_sublayer_prefixes_cover_the_table(self):
+        # Every tensor starts with exactly one sublayer's prefixes.
+        for name in _nn.transformer_shapes(3, 8, 16):
+            owners = [s for s in range(6) if name.startswith(_nn.sublayer_prefixes(s))]
+            assert len(owners) == 1, name
+        assert _nn.sublayer_prefixes(2) == ("blocks.1.ln1.", "blocks.1.attn.")
+        assert _nn.sublayer_prefixes(5) == ("blocks.2.ln2.", "blocks.2.mlp.")
 
 
 def reference_layernorm_fwd(x, gamma, beta):
@@ -158,9 +194,7 @@ class TestForwardOnly:
     )
     def test_equals_cached_output_bitwise(self, dim, hidden, heads, tokens, masked, stacked):
         rng = np.random.default_rng(7)
-        table = {}
-        for i in range(LAYERS):
-            table.update(_nn.block_shapes(f"blocks.{i}.", dim, hidden))
+        table = _nn.transformer_shapes(LAYERS, dim, hidden)
         params = {name: rng.normal(size=shape) for name, (shape, _) in table.items()}
         if stacked is not None:
             # (B, d_in, d_out) for a weight, (B, 1, d) for a vector.
@@ -184,6 +218,33 @@ class TestForwardOnly:
             assert np.array_equal(got, out), start
             assert len(caches) == 2 * LAYERS - start and no_caches is None, start
             assert np.array_equal(resumed, before), start
+
+
+class TestResumedBackward:
+    def test_resumed_pass_backward_equals_the_full_pass_tail_bitwise(self):
+        # `transformer_bwd` walks whatever caches it is given, so a pass
+        # resumed at sublayer `start` has the full pass's gradients for the
+        # sublayers from `start` on, and for that sublayer's input.
+        rng = np.random.default_rng(3)
+        params = random_params(rng)
+        x = rng.normal(size=(2, 5, DIM))
+        dout = rng.normal(size=(2, 5, DIM))
+        _, caches = _nn.transformer_fwd(x, params, LAYERS, 2)
+        for start in range(2 * LAYERS + 1):
+            full = {}
+            dx_full = _nn.transformer_bwd(dout, caches[start:], full)
+            resumed_input = x
+            for s in range(start):
+                resumed_input = _nn.sublayer_fwd(s, resumed_input, params, 2, None)[0]
+            _, resumed_caches = _nn.transformer_fwd(resumed_input, params, LAYERS, 2, start=start)
+            grads = {}
+            dx = _nn.transformer_bwd(dout, resumed_caches, grads)
+            assert dx.tobytes() == dx_full.tobytes(), start
+            run = [_nn.sublayer_prefixes(s) for s in range(start, 2 * LAYERS)]
+            assert set(grads) == {n for n in params if n.startswith(sum(run, ()))}, start
+            assert grads.keys() == full.keys(), start
+            for name in grads:
+                assert grads[name].tobytes() == full[name].tobytes(), (start, name)
 
 
 class TestLayerNorm:

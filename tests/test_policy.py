@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import assemble_token, policy_fd_losses, record_forward_keeps
+from conftest import assemble_token, policy_fd_losses, policy_grad, record_forward_keeps
 from toygrasp import _nn
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
@@ -18,13 +18,11 @@ from toygrasp.policy import (
     StepObservation,
     _backward,
     _forward,
-    _positional_table,
-    _stack_history,
+    _stack_histories,
     bc_l1_loss,
     concat_observation,
     init_policy,
     policy_forward,
-    policy_grad,
     train_step,
 )
 
@@ -34,6 +32,46 @@ MICRO = PolicyConfig(
     history_len=2, chunk_len=2, action_dim=2, proprio_dim=2, cameras=1,
     embed_dim=2, layers=1, width=4, heads=2, mlp_ratio=1.0,
 )
+
+
+def outer_product_sincos(positions, dim):
+    # The sinusoidal encoding as it was built before its tables were cached:
+    # the sines, then the cosines, of the positions' outer product with the
+    # frequencies 10000^(-i / half).
+    half = dim // 2
+    freqs = 1.0 / (10000.0 ** (np.arange(half, dtype=np.float64) / half))
+    args = np.outer(np.asarray(positions, dtype=np.float64), freqs)
+    return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+
+
+class TestSinCosTables:
+    """The cached tables equal the outer-product formula bit for bit; these
+    pins hold on any BLAS kernel, since no matrix product is involved."""
+
+    @pytest.mark.parametrize("n, dim", [(1, 2), (4, 32), (16, 64), (37, 10)])
+    def test_1d_equals_outer_product_bitwise(self, n, dim):
+        table = _nn.sincos_1d(n, dim)
+        assert _nn.sincos_1d(n, dim) is table and not table.flags.writeable
+        assert table.tobytes() == outer_product_sincos(np.arange(n), dim).tobytes()
+
+    @pytest.mark.parametrize("n_rows, n_cols, dim", [(1, 1, 4), (8, 8, 64), (4, 4, 32), (3, 5, 8)])
+    def test_2d_equals_repeated_positions_bitwise(self, n_rows, n_cols, dim):
+        # The encoder's grid: each row-major patch's row position encoded in
+        # the first half of the channels, its column position in the second.
+        table = _nn.sincos_2d(n_rows, n_cols, dim)
+        assert _nn.sincos_2d(n_rows, n_cols, dim) is table and not table.flags.writeable
+        rows = np.repeat(np.arange(n_rows), n_cols)
+        cols = np.tile(np.arange(n_cols), n_rows)
+        expected = np.concatenate(
+            [outer_product_sincos(rows, dim // 2), outer_product_sincos(cols, dim // 2)], axis=1
+        )
+        assert table.tobytes() == expected.tobytes()
+
+    def test_odd_widths_rejected(self):
+        with pytest.raises(ValueError):
+            _nn.sincos_1d(4, 7)
+        with pytest.raises(ValueError):
+            _nn.sincos_2d(2, 2, 6)
 
 
 def random_history(config, rng):
@@ -114,7 +152,7 @@ class TestPolicyForward:
     def test_equals_cached_chunk_bitwise(self, config):
         state = init_policy(config, 9)
         history = random_history(config, np.random.default_rng(10))
-        stacked = _stack_history(history, config)
+        stacked = _stack_histories([history], config)[0]
         cached = _forward(stacked, state, keep=True)[0]
         chunk, cache = _forward(stacked, state, keep=False)
         assert np.array_equal(chunk, cached) and cache is None
@@ -128,10 +166,11 @@ class TestPolicyForward:
         assert keeps == [False]
 
     def test_positional_table_is_built_once_and_read_only(self):
-        table = _positional_table(TINY.history_len, TINY.width)
-        assert _positional_table(TINY.history_len, TINY.width) is table
+        table = _nn.sincos_1d(TINY.history_len, TINY.width)
+        assert _nn.sincos_1d(TINY.history_len, TINY.width) is table
         assert not table.flags.writeable
-        assert np.array_equal(table, _nn.sincos_1d(np.arange(TINY.history_len), TINY.width))
+        expected = outer_product_sincos(np.arange(TINY.history_len), TINY.width)
+        assert table.tobytes() == expected.tobytes()
 
     def test_output_shape_and_determinism(self):
         state = init_policy(TINY, 3)
@@ -351,7 +390,7 @@ class TestTrainStep:
         grads = _nn.zero_grads(state.params)
         scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
         for history, target in data:
-            chunk, cache = _forward(_stack_history(history, TINY), state, keep=True)
+            chunk, cache = _forward(_stack_histories([history], TINY)[0], state, keep=True)
             for name, g in _backward(np.sign(chunk - target) * scale, cache, state).items():
                 grads[name] += g
 
@@ -433,7 +472,7 @@ class TestTrainStep:
     def test_loss_is_the_batch_order_mean_bitwise(self):
         state = init_policy(TINY, 34)
         data = linear_task_data(TINY, 6, 35)
-        stacked = np.stack([_stack_history(history, TINY) for history, _ in data])
+        stacked = np.stack([_stack_histories([history], TINY)[0] for history, _ in data])
         chunks, _ = _forward(stacked, state, keep=False)
         total = 0.0
         for chunk, (_, target) in zip(chunks, data):

@@ -15,10 +15,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 #: Names kept although nothing under `src/` or `bench/` refers to them.
 UNREFERENCED_ALLOWED = {
-    # The policy's exact gradient of one history, which the policy
-    # finite-difference sweep verifies; `train_step` runs the same
-    # `_backward` on a whole batch.
-    "policy.policy_grad",
     # The checked reader of the schedule format that docs/formats.md
     # specifies; no command reads a schedule back yet.
     "evalharness.read_schedule",
