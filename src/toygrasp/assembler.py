@@ -38,6 +38,10 @@ class Color(enum.Enum):
 
 DEFAULT_PALETTE: tuple[Color, ...] = (Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW)
 
+#: Most toys one set may hold: 40 times the default 250, and the most that
+#: the four-digit ids `toy_0000` to `toy_9999` number in sorted order.
+MAX_TOYS = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class ToySpec:
@@ -71,6 +75,11 @@ class SetComposition:
         for name, count in self.counts().items():
             if count < 0:
                 raise InvalidComposition(f"negative count for {name}: {count}")
+        total = sum(self.counts().values())
+        if total > MAX_TOYS:
+            raise InvalidComposition(
+                f"composition total = {total} toys is above the limit of {MAX_TOYS}"
+            )
 
     def counts(self) -> dict[str, int]:
         return asdict(self)

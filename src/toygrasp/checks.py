@@ -168,9 +168,9 @@ def check_det_compact_equivalence(state: EncoderState) -> CheckResult:
             flags = np.zeros(config.n_patches, dtype=bool)
             count = int(rng.integers(1, config.n_patches + 1))
             flags[rng.choice(config.n_patches, count, replace=False)] = True
-            compact = encode(image, variant, PoolingMode.DET, flags)
+            det = encode(image, variant, PoolingMode.DET, flags)
             reference = _masked_encode(image, variant, PoolingMode.DET, flags)
-            worst = max(worst, float(np.abs(compact - reference).max()))
+            worst = max(worst, float(np.abs(det - reference).max()))
     return CheckResult(
         "det-compact-equivalence",
         worst <= DET_TOL,
@@ -202,9 +202,9 @@ def _fd_losses(image, state, mode, flags, upstream):
     runs a (B, *shape) stack of copies of one tensor, or of the image, in one
     forward-only pass resumed at the tensor's first stage, and returns the B
     losses. Each stage's input is computed once, from the unperturbed
-    tensors, with `encode`'s own attention mask and compact choice."""
+    tensors, with `encode`'s own attention mask and pooled rows."""
     config = state.config
-    tokens, allowed, _, compact = _embed(image, state, mode, flags)
+    tokens, allowed, rows, _ = _embed(image, state, mode, flags)
     inputs = [tokens]
     for s in range(2 * config.layers):
         inputs.append(
@@ -231,7 +231,7 @@ def _fd_losses(image, state, mode, flags, upstream):
         )
         # A tensor the mode never reads (Det's `cls_token`, a non-attention
         # mode's `pool_query`) leaves one unbatched loss.
-        return np.broadcast_to(_pool(x, variant, mode, flags, compact)[0] @ upstream, (len(stack),))
+        return np.broadcast_to(_pool(x, variant, mode, rows)[0] @ upstream, (len(stack),))
 
     return loss, batched_loss
 

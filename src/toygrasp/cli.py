@@ -113,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for toy in manifest.toys:
         report = analysis_mod.analyze_toy(
             toy,
-            mesh_toy(toy, config.tessellation),
+            mesh_toy(toy, manifest.tessellation),
             config.gripper,
             build_edge=config.build_edge,
             min_wall=config.min_wall,

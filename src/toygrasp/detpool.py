@@ -28,6 +28,21 @@ from .errors import (
 
 CHANNELS = 3
 
+#: Upper bounds of the encoder's sizes, far above the 32 x 32 image, 64-wide,
+#: 2-layer, 4-head default. Each bounds one field: a config near every
+#: limit at once can still need more memory than a machine has.
+MAX_IMAGE_SIDE = 1024
+MAX_EMBED_DIM = 1024
+MAX_LAYERS = 64
+MAX_HEADS = 64
+_SIZE_LIMITS = {
+    "image_height": MAX_IMAGE_SIDE,
+    "image_width": MAX_IMAGE_SIDE,
+    "embed_dim": MAX_EMBED_DIM,
+    "layers": MAX_LAYERS,
+    "heads": MAX_HEADS,
+}
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -44,6 +59,9 @@ class EncoderConfig:
         for name in ("image_height", "image_width", "patch_size", "embed_dim", "layers", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name, limit in _SIZE_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} = {getattr(self, name)} is above the limit of {limit}")
         _nn.check_mlp_ratio("embed_dim", self.embed_dim, self.mlp_ratio)
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
             raise ValueError("image size must be divisible by patch_size")
@@ -179,8 +197,9 @@ def _check_inputs(image, state, mode, flags):
 
 def _embed(image, state, mode, flags, masked_reference=False):
     """Embedding step: the token sequence the blocks run on, its attention
-    mask (None for full attention), the projection cache and whether the
-    pass is compact.
+    mask (None for full attention), the rows of the blocks' output that the
+    pooling reads, and the cache for backward: the projection cache, the
+    flags the sequence was compacted to (or None) and the CLS offset.
 
     Det mode keeps the flagged patch tokens alone (the compact path):
     object tokens attend only to object tokens and Det pools only them, so
@@ -195,17 +214,18 @@ def _embed(image, state, mode, flags, masked_reference=False):
     """
     config = state.config
     params = state.params
-    compact = mode is PoolingMode.DET and not masked_reference
+    compact = flags if mode is PoolingMode.DET and not masked_reference else None
+    offset = 1 if config.include_cls and compact is None else 0
 
     patches = _patchify(image, config)
     pe = _nn.sincos_2d(config.n_rows, config.n_cols, config.embed_dim)
-    if compact:
-        patches, pe = patches[..., flags, :], pe[flags]
+    if compact is not None:
+        patches, pe = patches[..., compact, :], pe[compact]
     tokens0, c_embed = _nn.linear_fwd(
         patches, params["patch_embed.weight"], params["patch_embed.bias"]
     )
     tokens = tokens0 + pe
-    if config.include_cls and not compact:
+    if offset:
         # CLS carries no spatial position, so no positional term is added.
         cls = params["cls_token"]
         lead = np.broadcast_shapes(tokens.shape[:-2], cls.shape[:-2])
@@ -218,27 +238,27 @@ def _embed(image, state, mode, flags, masked_reference=False):
         )
 
     allowed = None
-    if mode is PoolingMode.DET and masked_reference:
-        allowed = build_attention_mask(flags, config.include_cls)
-    return tokens, allowed, c_embed, compact
-
-
-def _pool(hidden, state, mode, flags, compact):
-    """Pooling step: the embedding of the blocks' output `hidden` and the
-    cache for backward. `hidden` and `pool_query` may carry leading batch
-    axes (see `_embed`); the embedding then has shape (B, d)."""
-    offset = 1 if state.config.include_cls and not compact else 0
-    patch_tokens = hidden[..., offset:, :]
-    if mode is PoolingMode.MEAN or compact:
-        return patch_tokens.mean(axis=-2), None
+    rows = slice(offset, None)
     if mode is PoolingMode.CLS:
-        return hidden[..., 0, :], None
-    if mode is PoolingMode.ATTENTION:
-        # The query as a column: (d, 1), or (B, d, 1) for a (B, 1, d) stack.
-        query = np.atleast_2d(state.params["pool_query"]).swapaxes(-1, -2)
-        weights = _nn.masked_softmax((patch_tokens @ query)[..., 0], None)
-        return (weights[..., None, :] @ patch_tokens)[..., 0, :], (weights, patch_tokens)
-    return patch_tokens[..., flags, :].mean(axis=-2), None
+        rows = slice(0, 1)
+    elif mode is PoolingMode.DET and masked_reference:
+        allowed = build_attention_mask(flags, config.include_cls)
+        rows = np.flatnonzero(flags) + offset
+    return tokens, allowed, rows, (c_embed, compact, offset)
+
+
+def _pool(hidden, state, mode, rows):
+    """Pooling step: the embedding of the blocks' output `hidden`, read from
+    its token `rows` (see `_embed`), and the cache for backward. `hidden`
+    and `pool_query` may carry leading batch axes (see `_embed`); the
+    embedding then has shape (B, d)."""
+    tokens = hidden[..., rows, :]
+    if mode is not PoolingMode.ATTENTION:
+        return tokens.mean(axis=-2), None
+    # The query as a column: (d, 1), or (B, d, 1) for a (B, 1, d) stack.
+    query = np.atleast_2d(state.params["pool_query"]).swapaxes(-1, -2)
+    weights = _nn.masked_softmax((tokens @ query)[..., 0], None)
+    return (weights[..., None, :] @ tokens)[..., 0, :], (weights, tokens)
 
 
 def _forward(image, state, mode, flags, masked_reference, keep):
@@ -248,38 +268,33 @@ def _forward(image, state, mode, flags, masked_reference, keep):
     is the same bit for bit."""
     config = state.config
     image, flags = _check_inputs(image, state, mode, flags)
-    tokens, allowed, c_embed, compact = _embed(image, state, mode, flags, masked_reference)
+    tokens, allowed, rows, embed_cache = _embed(image, state, mode, flags, masked_reference)
     hidden, block_caches = _nn.transformer_fwd(
         tokens, state.params, config.layers, config.heads, allowed, keep=keep
     )
-    embedding, pool_cache = _pool(hidden, state, mode, flags, compact)
+    embedding, pool_cache = _pool(hidden, state, mode, rows)
     if not np.isfinite(embedding).all():
         raise NonFiniteActivation("encoder produced non-finite values")
     if not keep:
         return embedding, None
-    return embedding, (config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact)
+    return embedding, (config, embed_cache, rows, block_caches, hidden, pool_cache)
 
 
 def _backward(cache, state, upstream):
     """Exact gradients of <upstream, embedding> from a `_forward` cache."""
-    config, flags, c_embed, block_caches, hidden, pool_cache, mode, compact = cache
-    offset = 1 if config.include_cls and not compact else 0
+    config, (c_embed, compact, offset), rows, block_caches, hidden, pool_cache = cache
 
     grads = _nn.zero_grads(state.params)
     dhidden = np.zeros_like(hidden)
-    if mode is PoolingMode.MEAN or compact:
-        dhidden[offset:] += upstream / (len(hidden) - offset)
-    elif mode is PoolingMode.CLS:
-        dhidden[0] = upstream
-    elif mode is PoolingMode.ATTENTION:
-        weights, patch_tokens = pool_cache
-        dweights = patch_tokens @ upstream
-        dhidden[offset:] += np.outer(weights, upstream)
+    if pool_cache is None:
+        dhidden[rows] += upstream / len(hidden[rows])
+    else:  # attention
+        weights, tokens = pool_cache
+        dweights = tokens @ upstream
+        dhidden[rows] += np.outer(weights, upstream)
         dscores = _nn.softmax_bwd(dweights, weights)
-        grads["pool_query"] += patch_tokens.T @ dscores
-        dhidden[offset:] += np.outer(dscores, state.params["pool_query"])
-    else:
-        dhidden[offset:][flags] += upstream / int(flags.sum())
+        grads["pool_query"] += tokens.T @ dscores
+        dhidden[rows] += np.outer(dscores, state.params["pool_query"])
 
     dtokens = _nn.transformer_bwd(dhidden, block_caches, grads)
     if offset:
@@ -288,11 +303,11 @@ def _backward(cache, state, upstream):
     dpatches, dw, db = _nn.linear_bwd(dtokens, c_embed)
     grads["patch_embed.weight"] += dw
     grads["patch_embed.bias"] += db
-    if compact:
+    if compact is not None:
         # Background patches never entered the compact pass: their pixel
         # gradients are exactly 0.
         dpatches_all = np.zeros((config.n_patches, dpatches.shape[1]))
-        dpatches_all[flags] = dpatches
+        dpatches_all[compact] = dpatches
         dpatches = dpatches_all
     return grads, _unpatchify(dpatches, config)
 

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -82,6 +82,7 @@ def obj_bytes(mesh: TriMesh) -> bytes:
 @dataclass(frozen=True)
 class Manifest:
     config: dict
+    tessellation: Tessellation
     toys: tuple[ToySpec, ...]
 
 
@@ -301,10 +302,12 @@ _MANIFEST = {
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """The echoed config and the `ToySpec` of every toy in the manifest at `path`.
+    """The echoed config, the tessellation the meshes were written at and
+    the `ToySpec` of every toy in the manifest at `path`.
 
-    The document is checked field by field first; a toy that ToySpec,
-    PrimitiveSpec or Pose rejects then fails as `toys[i] ('<id>'): ...`.
+    The document is checked field by field first; a tessellation that
+    Tessellation rejects fails as `config.tessellation.<field> ...`, and a
+    toy that ToySpec, PrimitiveSpec or Pose rejects as `toys[i] ('<id>'): ...`.
     Every error is a SchemaViolation or an IoFailure.
     """
     doc = read_document(path, "manifest")
@@ -313,6 +316,14 @@ def read_manifest(path: str | Path) -> Manifest:
     if version not in (None, MANIFEST_FORMAT_VERSION):
         raise SchemaViolation(f"unknown manifest format_version {version!r}")
     check(doc, _MANIFEST, root="manifest")
+    tess = check(
+        doc["config"].get("tessellation"), asdict(Tessellation()), "config.tessellation",
+        root="manifest",
+    )
+    try:
+        tessellation = Tessellation(**tess)
+    except ValueError as exc:  # its messages start with the field's name
+        raise SchemaViolation(f"config.tessellation.{exc}") from exc
     toys = []
     for i, t in enumerate(doc["toys"]):
         for j, p in enumerate(t["parts"]):
@@ -333,7 +344,7 @@ def read_manifest(path: str | Path) -> Manifest:
             toys.append(record_to_toy(t))
         except ValueError as exc:
             raise SchemaViolation(f"toys[{i}] ({t['id']!r}): {exc}") from exc
-    return Manifest(config=doc["config"], toys=tuple(toys))
+    return Manifest(config=doc["config"], tessellation=tessellation, toys=tuple(toys))
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,10 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if q.shape != (4,) or t.shape != (3,):
             raise ValueError("pose requires a 4-quaternion and a 3-translation")
-        if abs(float(q @ q) - 1.0) > 1e-12:
-            raise ValueError(f"quaternion norm {math.sqrt(float(q@q))} is not 1 within 1e-12")
+        with np.errstate(over="ignore"):  # a huge quaternion's norm reads inf
+            norm2 = float(q @ q)
+        if abs(norm2 - 1.0) > 1e-12:
+            raise ValueError(f"quaternion norm {math.sqrt(norm2)} is not 1 within 1e-12")
         object.__setattr__(self, "rotation", quat_canonical(q))
         object.__setattr__(self, "translation", t)
 

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from toygrasp import detpool
-from toygrasp.assembler import generate_set
+from toygrasp.analysis import min_caliper_width
+from toygrasp.assembler import MAX_TOYS, generate_set
 from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
 from toygrasp.errors import NotWatertight
-from toygrasp.io import build_manifest, manifest_json_bytes, toy_record
+from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, toy_record
 from toygrasp.mesh import (
     MAX_RADIAL_SEGMENTS,
     MAX_SPHERE_SUBDIVISIONS,
+    Tessellation,
     TriMesh,
     mesh_primitive,
     mesh_toy,
@@ -27,6 +29,15 @@ SMALL_COMPOSITION = {
     "cuboids": 1, "spheres": 1, "cylinders": 1, "rings": 1,
     "two_part": 1, "three_part": 0, "four_part": 0, "five_part": 0,
 }
+
+NO_TOYS = dict.fromkeys(SMALL_COMPOSITION, 0)
+ENCODER_LIMITS = [
+    ("image_height", detpool.MAX_IMAGE_SIDE),
+    ("image_width", detpool.MAX_IMAGE_SIDE),
+    ("embed_dim", detpool.MAX_EMBED_DIM),
+    ("layers", detpool.MAX_LAYERS),
+    ("heads", detpool.MAX_HEADS),
+]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -211,6 +222,47 @@ class TestGenerate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "section, overrides, message",
+        [
+            ("encoder", {field: limit + 1}, f"encoder: {field} = {limit + 1} is above the limit of {limit}")
+            for field, limit in ENCODER_LIMITS
+        ]
+        + [
+            (
+                "generation",
+                {"composition": {**NO_TOYS, "cuboids": MAX_TOYS, "rings": 1}},
+                f"generation: composition total = {MAX_TOYS + 1} toys is above the limit of {MAX_TOYS}",
+            )
+        ],
+        ids=[field for field, _ in ENCODER_LIMITS] + ["composition"],
+    )
+    @pytest.mark.parametrize("command", ["generate", "detpool-check"])
+    def test_size_above_its_limit_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, section, overrides, message
+    ):
+        # Each size is checked where the config is read: no encoder is
+        # initialised and no toy is drawn.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for target in ("toygrasp.cli.generate_set", "toygrasp.checks.init_encoder"):
+            monkeypatch.setattr(target, no_work)
+        config = write_config(tmp_path, **{section: overrides})
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"toygrasp: [CONFIG] {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sizes_at_their_limits_load(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            encoder=dict(ENCODER_LIMITS),
+            generation={"composition": {**NO_TOYS, "cuboids": MAX_TOYS}},
+        )
+        loaded = load_config(config)
+        assert loaded.encoder.embed_dim == detpool.MAX_EMBED_DIM
+        assert sum(loaded.generation.composition.counts().values()) == MAX_TOYS
+
+    @pytest.mark.parametrize(
         "name, data, command",
         [
             ("config.json", b'{"output_dir": "\xff"}', ["generate", "--config"]),
@@ -389,6 +441,75 @@ class TestAnalyze:
         )
         assert code == 0
         assert len(calls) == 5
+
+    def test_quaternion_norm_overflow_prints_one_line(self, tmp_path):
+        # The squared norm of [1e200, 0, 0, 0] overflows; the run must print
+        # its one [CONFIG] line and no numpy warning.
+        config = write_config(tmp_path)
+        assert main(["generate", "--config", str(config)]) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["toys"][0]["parts"][0]["quaternion"] = [1e200, 0.0, 0.0, 0.0]
+        manifest.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "toygrasp.cli", "analyze",
+             "--manifest", str(manifest), "--out", str(tmp_path / "analysis.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "toygrasp: [CONFIG] toys[0] ('toy_0000'): quaternion norm inf is not 1 within 1e-12\n"
+        )
+
+    def test_meshes_at_the_manifest_tessellation(self, tmp_path, capsys):
+        # Two cylinders meshed at 8 radial segments: analyze measures those
+        # meshes, whatever tessellation its own --config names.
+        coarse = write_config(
+            tmp_path,
+            generation={"composition": {**NO_TOYS, "cylinders": 2}},
+            tessellation={"sphere_subdivisions": 0, "radial_segments": 8},
+        )
+        assert main(["generate", "--config", str(coarse)]) == 0
+        manifest = str(tmp_path / "out" / "manifest.json")
+        fine = write_config(tmp_path, "fine.json", tessellation={"radial_segments": 64})
+        outputs = []
+        for extra in ([], ["--config", str(coarse)], ["--config", str(fine)]):
+            out = tmp_path / f"analysis{len(outputs)}.csv"
+            assert main(["analyze", "--manifest", manifest, "--out", str(out), *extra]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        toys = read_manifest(manifest).toys
+        widths = [float(line.split(",")[1]) for line in outputs[0].decode().splitlines()[1:]]
+        assert widths == [min_caliper_width(mesh_toy(toy, Tessellation(0, 8)))[0] for toy in toys]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.update(radial_segments=7),
+             "config.tessellation.radial_segments must be from 8 to 65536"),
+            (lambda t: t.update(sphere_subdivisions=MAX_SPHERE_SUBDIVISIONS + 1),
+             f"config.tessellation.sphere_subdivisions must be from 0 to {MAX_SPHERE_SUBDIVISIONS}"),
+            (lambda t: t.update(radial_segments=16.0),
+             "config.tessellation.radial_segments must be an integer, got float"),
+            (lambda t: t.pop("radial_segments"),
+             "config.tessellation: missing field 'radial_segments'"),
+            (lambda t: t.clear() or t.update(x=1), "unknown manifest key 'config.tessellation.x'"),
+        ],
+        ids=["low", "high", "float", "missing", "unknown"],
+    )
+    def test_bad_manifest_tessellation_names_the_field(self, tmp_path, capsys, edit, message):
+        err = self._analyze_edited(
+            tmp_path, capsys, lambda doc: edit(doc["config"]["tessellation"])
+        )
+        assert err == f"toygrasp: [CONFIG] {message}\n"
+
+    def test_manifest_without_tessellation_rejected(self, tmp_path, capsys):
+        err = self._analyze_edited(
+            tmp_path, capsys, lambda doc: doc["config"].pop("tessellation")
+        )
+        assert err == "toygrasp: [CONFIG] config.tessellation must be an object, got NoneType\n"
 
 
 class TestDetpoolCheck:

@@ -653,9 +653,9 @@ class TestLeadingBatchAxis:
         flags = mixed_flags(config, 63) if mode is PoolingMode.DET else None
         upstream = rng.normal(size=config.embed_dim)
 
-        tokens, allowed, _, compact = _embed(images, state, mode, flags, masked_reference)
+        tokens, allowed, rows, _ = _embed(images, state, mode, flags, masked_reference)
         hidden, _ = _nn.transformer_fwd(tokens, state.params, config.layers, config.heads, allowed)
-        embeddings = _pool(hidden, state, mode, flags, compact)[0]
+        embeddings = _pool(hidden, state, mode, rows)[0]
         assert embeddings.shape == (5, config.embed_dim)
         losses = embeddings @ upstream
         for image, row, loss in zip(images, embeddings, losses):
