@@ -4,13 +4,16 @@ Widths are support-function (caliper) widths: the extent of the vertex set
 along a direction, which is the closure width a parallel-jaw gripper sees
 when spanning the whole object. `min_caliper_width` is the exact minimum of
 that width over all directions, taken on the Qhull convex hull (Barber,
-Dobkin & Huhdanpaa 1996) from its antipodal face-vertex and edge-edge pairs.
+Dobkin & Huhdanpaa 1996). Projecting the hull vertices along every facet
+normal gives the face-vertex widths and each facet's antipodal vertex;
+those vertices bound the width along each edge's Gauss arc, and only the
+edges that may beat the best facet enter one pairwise antipodal edge-edge
+test.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,10 +58,6 @@ def directional_width(mesh: TriMesh, direction: np.ndarray) -> float:
     return float(proj.max() - proj.min())
 
 
-# Gauss arcs with half-angles up to this (rad) are paired through a KD-tree
-# on their midpoints; longer ones go through a dense straddle test. Only
-# speed depends on it: default-set widths are bit-identical from 0.05 to 0.4.
-_SHORT_ARC = 0.1
 # Directions scored per projection block, so memory stays O(hull vertices).
 _BLOCK = 128
 
@@ -67,11 +66,13 @@ def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
     """Exact minimum width of the mesh's convex hull, and its unit direction.
 
     The minimum lies along a hull facet normal (a face-vertex pair) or along
-    the cross product of an antipodal edge pair (Houle & Toussaint 1988).
-    Every candidate is scored by projecting the hull vertices, and the width
-    returned is `directional_width(mesh, direction)` exactly. Flat input
-    (fewer than four points, or all coplanar) is measured along the smallest
-    right-singular vector of the centred vertices.
+    the cross product u1 x u2 of an antipodal edge pair (Houle & Toussaint
+    1988): edges whose Gauss arcs, which run between the normals of each
+    edge's two facets, hold d and -d. Every candidate is scored by
+    projecting the hull vertices, and the width returned is
+    `directional_width(mesh, direction)` exactly. Flat input (fewer than four
+    points, or all coplanar) is measured along the smallest right-singular
+    vector of the centred vertices.
     """
     if mesh.n_vertices == 0:
         raise EmptyMesh("min caliper width of an empty mesh")
@@ -85,83 +86,70 @@ def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
         direction = np.linalg.svd(centred, full_matrices=False)[2][-1]
         return directional_width(mesh, direction), direction
 
-    candidates = np.concatenate(
-        [hull.equations[:, :3], _antipodal_edge_directions(hull)]
-    )
     points = hull.points[hull.vertices]
-    best_width, best_direction = math.inf, candidates[0]
-    for start in range(0, len(candidates), _BLOCK):
-        block = candidates[start : start + _BLOCK]
-        proj = points @ block.T
-        widths = proj.max(axis=0) - proj.min(axis=0)
-        k = int(np.argmin(widths))
-        if widths[k] < best_width:
-            best_width, best_direction = float(widths[k]), block[k]
-    return directional_width(mesh, best_direction), best_direction
-
-
-def _antipodal_edge_directions(hull) -> np.ndarray:
-    """Unit directions u1 x u2 of hull edge pairs with antipodal Gauss arcs.
-
-    An edge's Gauss arc runs between the normals of its two facets; a pair
-    counts when d lies on edge 1's arc and -d on edge 2's. Near-parallel
-    edges can give a direction that is rounding noise. Projection scoring
-    makes that harmless, since no direction is narrower than the minimum.
-    """
-    from scipy.spatial import cKDTree
-
     normals = hull.equations[:, :3]
-    # The edge opposite corner k of facet f is shared with facet neighbors[f, k].
+    facet_widths, antipode = _projected_widths(normals, points)
+    # The edge opposite corner k of facet f is shared with facet neighbors[f, k];
+    # its Gauss arc runs between the two facets' normals.
     f = np.repeat(np.arange(len(hull.simplices)), 3)
     g = hull.neighbors.reshape(-1)
-    a = hull.simplices[:, [1, 2, 0]].reshape(-1)
-    b = hull.simplices[:, [2, 0, 1]].reshape(-1)
-    # Each edge once; an edge inside a triangulated planar facet has no arc.
-    keep = (f < g) & np.any(normals[f] != normals[g], axis=1)
-    n1, n2 = normals[f[keep]], normals[g[keep]]
-    edges = hull.points[b[keep]] - hull.points[a[keep]]
-    mid = n1 + n2
-    half = 0.5 * np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
+    a = hull.points[hull.simplices[:, [1, 2, 0]].reshape(-1)]
+    edges = hull.points[hull.simplices[:, [2, 0, 1]].reshape(-1)] - a
+    # Along its arc an edge's width is at least max(d.(a - v1), d.(a - v2)),
+    # for its endpoint a and its facets' antipodal (lowest) vertices v1, v2.
+    # That bound is least at an arc end, a facet normal, or where the terms
+    # meet, at d = +-(e x (v2 - v1)); |.| gives its value at the sign on the
+    # arc. Keep each edge once, and only if that value is below the best
+    # facet width plus a 1e-9 share of it, for rounding. Facets that share
+    # v1 = v2 give e x 0 = 0 and drop the edge: its arc stays in v1's
+    # normal cone.
+    v1 = points[antipode[f]]
+    meet = np.cross(edges, points[antipode[g]] - v1)
+    bound = np.abs(np.einsum("ij,ij->i", meet, a - v1))
+    best = facet_widths.min() * (1.0 + 1e-9)
+    keep = (f < g) & (bound < best * np.linalg.norm(meet, axis=1))
+    n1, n2, edges = normals[f[keep]], normals[g[keep]], edges[keep]
 
     # Arc i meets -arc j only if each arc has its endpoints strictly on
     # opposite sides of the other's great circle (the plane normal to its
-    # edge). Two short arcs can meet only if their midpoints are at most
-    # twice the longest short half-angle apart, so a KD-tree finds them.
-    short = np.flatnonzero(half <= _SHORT_ARC)
-    unit_mid = mid[short] / np.linalg.norm(mid[short], axis=1, keepdims=True)
-    reach = float(half[short].max()) if len(short) else 0.0
-    near = cKDTree(unit_mid).sparse_distance_matrix(
-        cKDTree(-unit_mid), 2.0 * math.sin(reach) + 1e-12, output_type="ndarray"
-    )
-    i, j = short[near["i"]], short[near["j"]]
-    i, j = i[i < j], j[i < j]
-    across = (
-        np.einsum("ij,ij->i", edges[j], n1[i]) * np.einsum("ij,ij->i", edges[j], n2[i]) < 0
-    ) & (
-        np.einsum("ij,ij->i", edges[i], n1[j]) * np.einsum("ij,ij->i", edges[i], n2[j]) < 0
-    )
-    firsts, seconds = [i[across]], [j[across]]
-    # Each long arc is tested against every edge, in row blocks of ~64k pairs.
-    long_arcs = np.flatnonzero(half > _SHORT_ARC)
-    step = max(1, 65536 // len(edges))
-    for start in range(0, len(long_arcs), step):
-        rows = long_arcs[start : start + step]
-        across = ((n1[rows] @ edges.T) * (n2[rows] @ edges.T) < 0) & (
-            (edges[rows] @ n1.T) * (edges[rows] @ n2.T) < 0
-        )
-        r, c = np.nonzero(across)
-        firsts.append(rows[r])
-        seconds.append(c)
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
-
+    # edge). Each pair i < j is tested once, in row blocks of ~64k pairs.
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    step = max(1, 65536 // max(1, len(edges)))
+    for start in range(0, len(edges), step):
+        rows, cols = slice(start, start + step), slice(start, None)
+        across = (n1[rows] @ edges[cols].T) * (n2[rows] @ edges[cols].T) < 0
+        across &= (edges[rows] @ n1[cols].T) * (edges[rows] @ n2[cols].T) < 0
+        pairs.append(np.argwhere(np.triu(across, 1)) + start)
+    i, j = np.concatenate(pairs).T
     d = np.cross(edges[i], edges[j])
     length = np.linalg.norm(d, axis=1)
     ok = length > 0.0
     d, i, j = d[ok] / length[ok, None], i[ok], j[ok]
     # With both straddles, +-d are the arcs' only crossings: d lies on arc i
     # and -d on arc j iff d meets the two arc midpoints with opposite signs.
-    on_arcs = np.einsum("ij,ij->i", d, mid[i]) * np.einsum("ij,ij->i", d, mid[j]) < 0
-    return d[on_arcs]
+    # Near-parallel edges can give a direction that is rounding noise;
+    # projection scoring makes that harmless, as no direction is narrower
+    # than the minimum.
+    mid = n1 + n2
+    d = d[np.einsum("ij,ij->i", d, mid[i]) * np.einsum("ij,ij->i", d, mid[j]) < 0]
+
+    candidates = np.concatenate([normals, d])
+    widths = np.concatenate([facet_widths, _projected_widths(d, points)[0]])
+    direction = candidates[int(np.argmin(widths))]
+    return directional_width(mesh, direction), direction
+
+
+def _projected_widths(directions: np.ndarray, points: np.ndarray):
+    """Width of the points along each direction, and the index of the point
+    lowest along it, projected in row blocks of `_BLOCK` directions."""
+    widths = np.empty(len(directions))
+    lowest = np.empty(len(directions), dtype=np.intp)
+    for start in range(0, len(directions), _BLOCK):
+        proj = directions[start : start + _BLOCK] @ points.T
+        rows = slice(start, start + len(proj))
+        lowest[rows] = proj.argmin(axis=1)
+        widths[rows] = proj.max(axis=1) - proj[np.arange(len(proj)), lowest[rows]]
+    return widths, lowest
 
 
 def analyze_toy(

@@ -15,6 +15,7 @@ Gradients are exact reverse-mode; everything runs in float64.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,16 @@ from .errors import (
 CHANNELS = 3
 
 #: Upper bounds of the encoder's sizes, far above the 32 x 32 image, 64-wide,
-#: 2-layer, 4-head default. Each bounds one field: a config near every
-#: limit at once can still need more memory than a machine has.
+#: 2-layer, 4-head default. Each bounds one field; the two budgets below
+#: bound their products, so a config near several limits at once is refused.
 MAX_IMAGE_SIDE = 1024
 MAX_EMBED_DIM = 1024
 MAX_LAYERS = 64
 MAX_HEADS = 64
+#: heads x tokens^2 (CLS included): one float64 attention tensor is 128 MB.
+MAX_ATTENTION_ENTRIES = 2**24
+#: Learnable entries, 256 MB as float64 (a 1024-wide 2-layer encoder has 25.2M).
+MAX_PARAMETERS = 2**25
 _SIZE_LIMITS = {
     "image_height": MAX_IMAGE_SIDE,
     "image_width": MAX_IMAGE_SIDE,
@@ -69,6 +74,19 @@ class EncoderConfig:
             raise ValueError("embed_dim must be divisible by heads")
         if self.embed_dim % 4:
             raise ValueError("embed_dim must be divisible by 4 (2-D sinusoidal encoding)")
+        tokens = self.n_patches + self.include_cls
+        if self.heads * tokens**2 > MAX_ATTENTION_ENTRIES:
+            raise ValueError(
+                f"heads x tokens^2 = {self.heads} x {tokens}^2 = {self.heads * tokens**2} is "
+                f"above the limit of {MAX_ATTENTION_ENTRIES} attention entries (tokens from "
+                "image_height, image_width, patch_size and include_cls)"
+            )
+        count = sum(math.prod(shape) for shape, _ in _param_table(self).values())
+        if count > MAX_PARAMETERS:
+            raise ValueError(
+                f"parameter count = {count} is above the limit of {MAX_PARAMETERS} (from "
+                "embed_dim, layers, mlp_ratio, patch_size and include_cls)"
+            )
 
     @property
     def n_rows(self) -> int:

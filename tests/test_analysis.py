@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     analytic_min_width,
@@ -207,7 +209,8 @@ class TestExactMinWidth:
     def test_matches_all_edge_pairs_oracle(self, tess, stride):
         # Default toys, incl. single cylinders such as toy_0066 whose parallel
         # side edges give near-zero cross products. Coarse Gauss arcs are
-        # mostly long, fine ones mostly short: both pairing routes run.
+        # mostly long, fine ones mostly short; both go through the edge
+        # bound and the one pair test.
         from toygrasp.assembler import generate_set
 
         toys = generate_set(GenerationConfig())[::stride]
@@ -222,11 +225,30 @@ class TestExactMinWidth:
             assert width == directional_width(mesh, direction)
             assert abs(float(np.linalg.norm(direction)) - 1.0) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        seed=st.integers(0, 2**32 - 1),
+        scales=st.tuples(*[st.floats(0.005, 0.1)] * 3),
+    )
+    def test_random_clouds_match_all_edge_pairs_oracle(self, n, seed, scales):
+        # Gaussian clouds are in general position almost surely, and on about
+        # two thirds of them the minimum lies along an edge-edge direction.
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, 3)) * scales @ quat_to_matrix(sample_rotation(rng)).T
+        mesh = TriMesh(points, np.empty((0, 3), dtype=np.int64))
+        width, direction = min_caliper_width(mesh)
+        assert abs(width - all_edge_pairs_width(mesh)) <= 1e-12
+        assert width == directional_width(mesh, direction)
+
     @pytest.mark.parametrize("kind", KIND_ORDER)
     @pytest.mark.parametrize(
-        "tess", [Tessellation(), Tessellation(1, 16)], ids=["default", "coarse"]
+        "tess",
+        [Tessellation(), Tessellation(1, 16), Tessellation(3, 256)],
+        ids=["default", "coarse", "fine"],
     )
     def test_closed_forms_under_rotation(self, kind, tess):
+        # At 256 segments hundreds of near-tied prism edges pass the edge bound.
         rng = np.random.default_rng(600 + KIND_ORDER.index(kind))
         for _ in range(30):
             spec = random_spec(kind, rng)

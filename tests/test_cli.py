@@ -38,6 +38,15 @@ ENCODER_LIMITS = [
     ("layers", detpool.MAX_LAYERS),
     ("heads", detpool.MAX_HEADS),
 ]
+# Configs at the two encoder budgets, with the other fields at their defaults:
+# 4 heads x 2048^2 tokens is exactly MAX_ATTENTION_ENTRIES, and a 1024-wide
+# 2-layer encoder with a 6124-wide MLP is the widest under MAX_PARAMETERS.
+ENCODER_AT_BUDGETS = [
+    {"image_height": 1024},
+    {"embed_dim": 1024, "mlp_ratio": 6124 / 1024},
+]
+ATTENTION_SOURCES = "(tokens from image_height, image_width, patch_size and include_cls)"
+PARAMETER_SOURCES = "(from embed_dim, layers, mlp_ratio, patch_size and include_cls)"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -232,9 +241,28 @@ class TestGenerate:
                 "generation",
                 {"composition": {**NO_TOYS, "cuboids": MAX_TOYS, "rings": 1}},
                 f"generation: composition total = {MAX_TOYS + 1} toys is above the limit of {MAX_TOYS}",
-            )
+            ),
+            (
+                "encoder",
+                {"image_height": 1024, "include_cls": True},
+                f"encoder: heads x tokens^2 = 4 x 2049^2 = 16793604 is above the limit of "
+                f"{detpool.MAX_ATTENTION_ENTRIES} attention entries {ATTENTION_SOURCES}",
+            ),
+            (
+                "encoder",
+                {"image_height": 1024, "image_width": 1024, "patch_size": 2},
+                f"encoder: heads x tokens^2 = 4 x 262144^2 = 274877906944 is above the limit of "
+                f"{detpool.MAX_ATTENTION_ENTRIES} attention entries {ATTENTION_SOURCES}",
+            ),
+            (
+                "encoder",
+                {"embed_dim": 1024, "mlp_ratio": 6125 / 1024},
+                f"encoder: parameter count = 33556442 is above the limit of "
+                f"{detpool.MAX_PARAMETERS} {PARAMETER_SOURCES}",
+            ),
         ],
-        ids=[field for field, _ in ENCODER_LIMITS] + ["composition"],
+        ids=[field for field, _ in ENCODER_LIMITS]
+        + ["composition", "attention-with-cls", "attention-2px-patches", "parameters"],
     )
     @pytest.mark.parametrize("command", ["generate", "detpool-check"])
     def test_size_above_its_limit_exits_2_before_any_work(
@@ -253,13 +281,13 @@ class TestGenerate:
         assert not (tmp_path / "out").exists()
 
     def test_sizes_at_their_limits_load(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            encoder=dict(ENCODER_LIMITS),
-            generation={"composition": {**NO_TOYS, "cuboids": MAX_TOYS}},
-        )
+        # Each encoder size at its limit with the others at their defaults:
+        # every per-field limit at once is above both budgets.
+        for encoder in [{field: limit} for field, limit in ENCODER_LIMITS] + ENCODER_AT_BUDGETS:
+            loaded = load_config(write_config(tmp_path, encoder=encoder))
+            assert {field: getattr(loaded.encoder, field) for field in encoder} == encoder
+        config = write_config(tmp_path, generation={"composition": {**NO_TOYS, "cuboids": MAX_TOYS}})
         loaded = load_config(config)
-        assert loaded.encoder.embed_dim == detpool.MAX_EMBED_DIM
         assert sum(loaded.generation.composition.counts().values()) == MAX_TOYS
 
     @pytest.mark.parametrize(
@@ -838,7 +866,7 @@ print(json.dumps({"codes": codes, "scipy_before_analyze": before}))
 
 
 def test_only_analyze_loads_scipy(tmp_path):
-    # GELU's erf is in-tree, so only analyze's convex hull and KD-tree need scipy.
+    # GELU's erf is in-tree, so only analyze's convex hull needs scipy.
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

@@ -5,9 +5,11 @@ The entries are the three schedules for the 250 default toy ids at seed 7,
 `aggregate`'s stdout on seeded outcomes, `report`'s CSV and grid on fixed
 rows, `detpool-check`'s five verdicts with its finite-difference entry
 counts (its float details depend on the kernel, so they are left out), and
-the tiny policy's steps to its training target on seeds 0 and 1. The
-geometry digests wait until `generate` and `analyze` give the same bytes on
-every kernel.
+the tiny policy's steps to its training target on seeds 0 and 1, and the
+exact minimum caliper width of each of the 250 default toys. The widths are
+compared within 1e-15 m, a few ulps: their last bits, like the geometry
+digests, still depend on the BLAS kernel, and those digests wait until
+`generate` and `analyze` give the same bytes on every kernel.
 
 A change that moves an entry on purpose rewrites the file and says why:
 
@@ -26,8 +28,11 @@ import numpy as np
 import pytest
 
 from toygrasp import OptimizerConfig, PolicyConfig, StepObservation, init_policy, train_step
+from toygrasp.analysis import min_caliper_width
+from toygrasp.assembler import GenerationConfig, generate_set
 from toygrasp.cli import main
 from toygrasp.evalharness import Protocol
+from toygrasp.mesh import mesh_toy
 
 GOLDEN = Path(__file__).with_name("golden.json")
 DEFAULT_IDS = [f"toy_{i:04d}" for i in range(250)]
@@ -113,13 +118,21 @@ def steps_to_target(work: Path) -> dict:
     return steps
 
 
+def default_widths(work: Path) -> dict:
+    """Each default toy's exact minimum width at the default tessellation."""
+    return {toy.id: min_caliper_width(mesh_toy(toy))[0] for toy in generate_set(GenerationConfig())}
+
+
 ENTRIES = {
     "schedules": schedules,
     "aggregate_stdout": aggregate_stdout,
     "report": report,
     "detpool_check": detpool_check,
     "steps_to_target": steps_to_target,
+    "default_widths": default_widths,
 }
+#: `default_widths` is compared within this many meters, all else exactly.
+WIDTH_TOLERANCE = 1e-15
 
 
 def regenerate(work: Path) -> dict:
@@ -142,7 +155,12 @@ def test_golden_file_holds_every_entry(golden):
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_entry_matches_golden(current, golden, entry):
-    assert current[entry] == golden[entry]
+    if entry != "default_widths":
+        assert current[entry] == golden[entry]
+        return
+    assert list(current[entry]) == list(golden[entry])
+    off = {key: abs(current[entry][key] - value) for key, value in golden[entry].items()}
+    assert max(off.values()) <= WIDTH_TOLERANCE, max(off, key=off.get)
 
 
 if __name__ == "__main__":
