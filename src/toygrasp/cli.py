@@ -3,7 +3,8 @@
 Subcommands: generate | analyze | detpool-check | schedule | aggregate | report.
 Exit codes: 0 success, 1 property-check failure, 2 config/input error,
 3 I/O error, 4 internal error (an exception the CLI does not expect; it
-prints one `[INTERNAL] <type>: <message>` line and no traceback). SHA-256
+prints one `[INTERNAL] <type>: <message>` line and no traceback), 130
+interrupted (Ctrl-C; one `interrupted` line, no traceback). SHA-256
 digests of outputs are printed so determinism is auditable from the shell.
 The TOYGRASP_OUT environment variable overrides the configured output
 directory (the --out flag wins over both).
@@ -43,6 +44,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _sha256(data: bytes) -> str:
@@ -73,6 +75,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for kind, spec in specs.items():
         if not is_watertight(mesh_primitive(spec, config.tessellation)):
             raise NotWatertight(f"{kind.value} mesh: an edge is not shared by exactly 2 triangles")
+
+    # The manifest and digest list are written last; remove an earlier
+    # set's first, so a run that stops part-way leaves none that lists
+    # files it did not write.
+    for name in ("manifest.json", "digests.txt"):
+        (out_dir / name).unlink(missing_ok=True)
 
     # Mesh each toy once: its record, STL and OBJ all come from that mesh.
     records, digest_lines = [], []
@@ -285,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"toygrasp: [INTERNAL] {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("toygrasp: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -7,10 +7,20 @@ Training minimizes the mean absolute error over the chunk with decoupled
 weight decay; gradients are exact reverse-mode in float64. One `_forward`
 serves every pass: `policy_forward` calls it with `keep=False`, building no
 backward cache.
+
+The parameters are views of one float64 vector, in table order
+(`_nn.init_params`), and `opt_m` and `opt_v` have the same layout over one
+zeroed vector each. Those are calloc'd, so a state that never trains keeps
+no moments resident: for the default config they are 1.9 MB. `train_step`
+gathers the gradients into that layout with one concatenate and runs AdamW
+as a few in-place operations over whole vectors, with two scratch vectors
+kept on the state: fresh full-size temporaries would be mapped and faulted
+in on every step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -92,6 +102,8 @@ class PolicyState:
     opt_m: dict[str, np.ndarray] = field(repr=False)
     opt_v: dict[str, np.ndarray] = field(repr=False)
     opt_step: int = 0
+    #: `train_step`'s working set (see `_flat_vectors`); None until it runs.
+    _flat: tuple | None = field(default=None, init=False, repr=False)
 
 
 #: AdamW's decoupled weight decay, moment decay rates and denominator floor.
@@ -121,10 +133,7 @@ def _param_table(config: PolicyConfig) -> dict:
 def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
     params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
     return PolicyState(
-        config=config,
-        params=params,
-        opt_m={k: np.zeros_like(v) for k, v in params.items()},
-        opt_v={k: np.zeros_like(v) for k, v in params.items()},
+        config=config, params=params, opt_m=_nn.flat_zeros(params), opt_v=_nn.flat_zeros(params)
     )
 
 
@@ -221,7 +230,10 @@ def train_step(
 
     Every history and target is validated first; the whole batch then runs
     as one forward and one backward pass over a (B, C, token_in_dim) stack.
-    The state is updated in place and returned for chaining.
+    The state is updated in place and returned for chaining: its tables'
+    arrays are written, except that an entry rebound to another array since
+    the last step is first copied into the layout, and the table then holds
+    a view in its place.
     """
     if not batch:
         raise ValueError("train_step requires a nonempty batch")
@@ -240,15 +252,54 @@ def train_step(
     scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
     grads = _backward(np.sign(chunks - targets) * scale, cache, state)
 
+    p, m, v, g, a = _flat_vectors(state)
     state.opt_step += 1
     t = state.opt_step
     bias1 = 1.0 - BETA1**t
     bias2 = 1.0 - BETA2**t
-    for name, param in state.params.items():
-        g = grads[name]
-        state.opt_m[name] = BETA1 * state.opt_m[name] + (1.0 - BETA1) * g
-        state.opt_v[name] = BETA2 * state.opt_v[name] + (1.0 - BETA2) * g * g
-        m_hat = state.opt_m[name] / bias1
-        v_hat = state.opt_v[name] / bias2
-        param -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * param)
+    # AdamW over whole vectors, in place, in the operation order of
+    #   m = BETA1 * m + (1 - BETA1) * g
+    #   v = BETA2 * v + (1 - BETA2) * g * g
+    #   p -= lr * (m / bias1 / (sqrt(v / bias2) + EPS) + WEIGHT_DECAY * p),
+    # so every entry gets the bits a per-tensor update gives it.
+    np.concatenate([grads[name] for name in state.params], axis=None, out=g)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=a)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=a)
+    a *= g
+    v += a
+    np.divide(v, bias2, out=a)
+    np.sqrt(a, out=a)
+    a += EPS
+    np.divide(m, bias1, out=g)
+    g /= a
+    g += np.multiply(p, WEIGHT_DECAY, out=a)
+    g *= opt.learning_rate
+    p -= g
     return state, total_loss / len(batch)
+
+
+def _flat_vectors(state):
+    """The vectors that `state.params`, `opt_m` and `opt_v` view, each in the
+    order of `params`, then two scratch vectors of their size.
+
+    They are found once and kept on the state, with the arrays the tables
+    held then. When a table no longer holds exactly those arrays (an entry
+    was rebound), or they no longer view the kept vectors (a deep copy of
+    the state copies each view on its own), `_nn.flat_vector` lays the
+    tables out again, so the update reaches every entry the tables hold."""
+    tables = (state.params, state.opt_m, state.opt_v)
+    if state._flat is None or not all(
+        len(table) == len(arrays)
+        and all(map(operator.is_, table.values(), arrays))
+        and arrays[0].base is vector
+        for table, arrays, vector in zip(tables, *state._flat)
+    ):
+        vectors = [_nn.flat_vector(table, state.params) for table in tables]
+        size = vectors[0].size
+        state._flat = (
+            [tuple(table.values()) for table in tables],
+            (*vectors, np.empty(size), np.empty(size)),
+        )
+    return state._flat[1]

@@ -18,7 +18,8 @@ import numpy as np
 from toygrasp import _nn, policy
 from toygrasp.analysis import GripperModel, min_caliper_width
 from toygrasp.detpool import _forward
-from toygrasp.policy import concat_observation
+from toygrasp.errors import ShapeMismatch
+from toygrasp.policy import BETA1, BETA2, EPS, WEIGHT_DECAY, OptimizerConfig, concat_observation
 from toygrasp.primitives import (
     DimensionRanges,
     Pose,
@@ -207,6 +208,41 @@ def policy_grad(history, state, upstream) -> dict[str, np.ndarray]:
     stacked = policy._stack_histories([history], state.config)[0]
     _, cache = policy._forward(stacked, state, keep=True)
     return policy._backward(np.asarray(upstream, dtype=np.float64), cache, state)
+
+
+def reference_train_step(batch, state, opt=None):
+    """`policy.train_step` as it was before the flat parameter layout, kept
+    as the reference the flat update must match bit for bit: the same
+    forward and backward passes, then AdamW one tensor at a time."""
+    if not batch:
+        raise ValueError("train_step requires a nonempty batch")
+    opt = opt or OptimizerConfig()
+    config = state.config
+    chunk_shape = (config.chunk_len, config.action_dim)
+    stacked = policy._stack_histories([history for history, _ in batch], config)
+    targets = [np.asarray(target, dtype=np.float64) for _, target in batch]
+    for target in targets:
+        if target.shape != chunk_shape:
+            raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk_shape}")
+    targets = np.stack(targets)
+
+    chunks, cache = policy._forward(stacked, state, keep=True)
+    total_loss = sum(policy.bc_l1_loss(chunks, targets).tolist())  # in batch order
+    scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
+    grads = policy._backward(np.sign(chunks - targets) * scale, cache, state)
+
+    state.opt_step += 1
+    t = state.opt_step
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
+    for name, param in state.params.items():
+        g = grads[name]
+        state.opt_m[name] = BETA1 * state.opt_m[name] + (1.0 - BETA1) * g
+        state.opt_v[name] = BETA2 * state.opt_v[name] + (1.0 - BETA2) * g * g
+        m_hat = state.opt_m[name] / bias1
+        v_hat = state.opt_v[name] / bias2
+        param -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * param)
+    return state, total_loss / len(batch)
 
 
 def policy_fd_losses(history, state, upstream):

@@ -14,7 +14,7 @@ from toygrasp.assembler import MAX_TOYS, generate_set
 from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
 from toygrasp.errors import NotWatertight
-from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, toy_record
+from toygrasp.io import build_manifest, manifest_json_bytes, obj_bytes, read_manifest, toy_record
 from toygrasp.mesh import (
     MAX_RADIAL_SEGMENTS,
     MAX_SPHERE_SUBDIVISIONS,
@@ -77,6 +77,29 @@ class TestGenerate:
         assert (tmp_path / "out" / "meshes" / "toy_0000.stl").exists()
         assert (tmp_path / "out" / "meshes" / "toy_0004.obj").exists()
         assert (tmp_path / "out" / "digests.txt").exists()
+
+    @pytest.mark.parametrize("written", [0, 2])
+    def test_run_stopped_part_way_leaves_no_manifest(self, tmp_path, capsys, monkeypatch, written):
+        # An earlier set is in the directory; a second run stops after
+        # `written` toys. Neither the old manifest nor the old digest list
+        # may stay to describe meshes the second run replaced.
+        config = write_config(tmp_path)
+        assert main(["generate", "--config", str(config)]) == 0
+        other = write_config(tmp_path, "other.json", generation={"master_seed": 6})
+        calls = []
+
+        def obj_bytes_then_fail(mesh):
+            if len(calls) == written:
+                raise RuntimeError("stopped")
+            calls.append(mesh)
+            return obj_bytes(mesh)
+
+        monkeypatch.setattr("toygrasp.cli.obj_bytes", obj_bytes_then_fail)
+        assert main(["generate", "--config", str(other)]) == 4
+        assert "[INTERNAL] RuntimeError: stopped" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / "manifest.json").exists()
+        assert not (out / "digests.txt").exists()
 
     def test_manifest_is_build_manifest_of_one_mesh_per_toy(self, tmp_path):
         path = write_config(tmp_path)
@@ -828,15 +851,33 @@ class TestReport:
 
 
 class TestInternalError:
-    def test_unexpected_exception_exits_4_without_traceback(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (RuntimeError("boom"), "toygrasp: [INTERNAL] RuntimeError: boom"),
+            # A config inside the size budgets on a host with too little free memory.
+            (MemoryError("Unable to allocate 128. MiB"),
+             "toygrasp: [INTERNAL] MemoryError: Unable to allocate 128. MiB"),
+        ],
+        ids=["runtime-error", "memory-error"],
+    )
+    def test_unexpected_exception_exits_4_without_traceback(self, monkeypatch, capsys, error, line):
         def broken(args):
-            raise RuntimeError("boom")
+            raise error
 
         monkeypatch.setattr("toygrasp.cli.cmd_aggregate", broken)
         assert main(["aggregate", "--outcomes", "unused.csv"]) == 4
         err = capsys.readouterr().err
-        assert "toygrasp: [INTERNAL] RuntimeError: boom" in err
-        assert "Traceback" not in err
+        assert err.splitlines() == [line]
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("toygrasp.cli.cmd_aggregate", interrupted)
+        assert main(["aggregate", "--outcomes", "unused.csv"]) == 130
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["toygrasp: interrupted"]
 
 
 #: Runs every command but `analyze` in one interpreter, then `analyze`, and

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import assemble_token, policy_fd_losses, policy_grad, record_forward_keeps
+from conftest import (
+    assemble_token,
+    policy_fd_losses,
+    policy_grad,
+    record_forward_keeps,
+    reference_train_step,
+)
 from toygrasp import _nn
+from toygrasp import detpool, policy as policy_mod
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
 from toygrasp.errors import ShapeMismatch
@@ -15,6 +23,7 @@ from toygrasp.policy import (
     BETA1,
     OptimizerConfig,
     PolicyConfig,
+    PolicyState,
     StepObservation,
     _backward,
     _forward,
@@ -518,6 +527,111 @@ class TestTrainStep:
         for table, before in zip((state.params, state.opt_m, state.opt_v), snapshot):
             for name in before:
                 assert np.array_equal(table[name], before[name])
+
+
+def assert_tables_bitwise_equal(a, b):
+    for table_a, table_b in zip((a.params, a.opt_m, a.opt_v), (b.params, b.opt_m, b.opt_v)):
+        assert list(table_a) == list(table_b)
+        for name in table_a:
+            assert table_a[name].tobytes() == table_b[name].tobytes(), name
+    assert a.opt_step == b.opt_step
+
+
+def rebind_parameter(state):
+    state.params["head.bias"] = state.params["head.bias"] + 0.25
+    return state
+
+
+def rebind_moment(state):
+    state.opt_v["proj.w1"] = state.opt_v["proj.w1"].copy()
+    return state
+
+
+def built_by_hand(state):
+    # Separate arrays, and moment tables in another key order.
+    return PolicyState(
+        state.config,
+        {name: value.copy() for name, value in state.params.items()},
+        {name: state.opt_m[name].copy() for name in reversed(state.opt_m)},
+        {name: state.opt_v[name].copy() for name in reversed(state.opt_v)},
+        state.opt_step,
+    )
+
+
+class TestFlatLayout:
+    """Each model's tensors view one vector, and `train_step` runs AdamW over
+    whole vectors; `conftest.reference_train_step` is the per-tensor update
+    it must match bit for bit."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            policy_mod._param_table(TINY),
+            policy_mod._param_table(PolicyConfig()),
+            detpool._param_table(EncoderConfig()),
+            detpool._param_table(EncoderConfig(include_cls=True)),
+        ],
+        ids=["policy-tiny", "policy-default", "encoder", "encoder-cls"],
+    )
+    def test_init_params_views_one_vector_in_table_order(self, table):
+        params = _nn.init_params(np.random.default_rng(7), table)
+        rng = np.random.default_rng(7)
+        drawn = {  # the tensors drawn one at a time, in table order
+            name: rng.normal(0.0, _nn.INIT_STD, shape) if fill is None else np.full(shape, fill)
+            for name, (shape, fill) in table.items()
+        }
+        assert list(params) == list(table)
+        vector = next(iter(params.values())).base
+        assert vector.ndim == 1 and vector.size == sum(value.size for value in drawn.values())
+        address = vector.ctypes.data
+        for name, value in params.items():
+            assert value.base is vector and value.flags.c_contiguous, name
+            assert value.ctypes.data == address, name
+            address += value.nbytes
+            assert value.tobytes() == drawn[name].tobytes(), name
+
+    def test_moments_share_the_parameters_layout(self):
+        state = init_policy(TINY, 8)
+        for table in (state.params, state.opt_m, state.opt_v):
+            before = dict(table)
+            vector = _nn.flat_vector(table, state.params)
+            # Already laid out: no entry was copied or rebound.
+            assert all(table[name] is before[name] for name in before)
+            assert vector.size == sum(value.size for value in state.params.values())
+        assert not state.opt_m["head.bias"].any() and not state.opt_v["proj.w1"].any()
+
+    @pytest.mark.parametrize(
+        "config, steps", [(TINY, 400), (PolicyConfig(), 5)], ids=["tiny-400", "default-5"]
+    )
+    def test_matches_per_tensor_reference_bitwise(self, config, steps):
+        data = linear_task_data(config, 4, 50)
+        opt = OptimizerConfig(learning_rate=1e-3)
+        flat, reference = init_policy(config, 51), init_policy(config, 51)
+        losses = [train_step(data, flat, opt)[1] for _ in range(steps)]
+        expected = [reference_train_step(data, reference, opt)[1] for _ in range(steps)]
+        assert losses == expected
+        assert_tables_bitwise_equal(flat, reference)
+
+    @pytest.mark.parametrize(
+        "change",
+        [rebind_parameter, rebind_moment, copy.deepcopy, built_by_hand],
+        ids=["rebound-parameter", "rebound-moment", "deepcopy", "built-by-hand"],
+    )
+    def test_state_changed_between_steps_still_updates_every_entry(self, change):
+        # The tables are views, so a rebound entry or a copied state no
+        # longer views the vectors `train_step` kept; it must lay the tables
+        # out again rather than update vectors no table reads.
+        data = linear_task_data(TINY, 4, 52)
+        opt = OptimizerConfig(learning_rate=1e-3)
+        flat, reference = init_policy(TINY, 53), init_policy(TINY, 53)
+        for _ in range(3):
+            train_step(data, flat, opt)
+            reference_train_step(data, reference, opt)
+        flat, reference = change(flat), change(reference)
+        losses = [train_step(data, flat, opt)[1] for _ in range(3)]
+        expected = [reference_train_step(data, reference, opt)[1] for _ in range(3)]
+        assert losses == expected
+        assert_tables_bitwise_equal(flat, reference)
 
 
 class TestEndToEndDetPipeline:
