@@ -425,16 +425,12 @@ def init_params(rng, table):
     return params
 
 
-def zero_grads(params):
-    return {name: np.zeros_like(value) for name, value in params.items()}
-
-
 def flat_zeros(params):
     """Zeros shaped like `params`, laid out as `init_params` lays it out,
     over one `np.zeros` vector. That vector is calloc'd, so a page nothing
-    writes is never made resident. (`zero_grads` stays per tensor: a
-    backward pass rebinds most of its entries, and one vector would stay
-    alive under the few it adds into.)"""
+    writes is never made resident. (Gradients do not take this layout: a
+    backward pass sets most of its entries to new arrays, and one vector
+    would stay alive under the few it adds into.)"""
     shapes = {name: value.shape for name, value in params.items()}
     return _views(np.zeros(sum(value.size for value in params.values())), shapes)
 

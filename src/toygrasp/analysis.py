@@ -13,7 +13,6 @@ test.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .assembler import ToySpec
 from .errors import EmptyMesh
+from .io import csv_chunks, output_file
 from .mesh import TriMesh
 from .primitives import PrimitiveKind
 
@@ -58,8 +58,19 @@ def directional_width(mesh: TriMesh, direction: np.ndarray) -> float:
     return float(proj.max() - proj.min())
 
 
-# Directions scored per projection block, so memory stays O(hull vertices).
-_BLOCK = 128
+#: Budget of each float64 temporary of a pair-search or projection block,
+#: 64 KB or 8,192 entries, so that on a default toy's hull a block's
+#: temporaries are a few such pieces, not megabytes that the allocator maps
+#: and faults in.
+_BLOCK_ENTRIES = (1 << 16) // 8
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of a block of `columns` entries each: as many as the budget
+    holds, but at least 16. A one-row block would be a matrix-vector
+    product, which may round differently, and on a fine tessellation's hull
+    the loop would run once per direction."""
+    return max(16, _BLOCK_ENTRIES // max(1, columns))
 
 
 def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
@@ -112,9 +123,9 @@ def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
 
     # Arc i meets -arc j only if each arc has its endpoints strictly on
     # opposite sides of the other's great circle (the plane normal to its
-    # edge). Each pair i < j is tested once, in row blocks of ~64k pairs.
+    # edge). Each pair i < j is tested once, in row blocks (`_block_rows`).
     pairs = [np.empty((0, 2), dtype=np.intp)]
-    step = max(1, 65536 // max(1, len(edges)))
+    step = _block_rows(len(edges))
     for start in range(0, len(edges), step):
         rows, cols = slice(start, start + step), slice(start, None)
         across = (n1[rows] @ edges[cols].T) * (n2[rows] @ edges[cols].T) < 0
@@ -141,11 +152,12 @@ def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
 
 def _projected_widths(directions: np.ndarray, points: np.ndarray):
     """Width of the points along each direction, and the index of the point
-    lowest along it, projected in row blocks of `_BLOCK` directions."""
+    lowest along it, projected in row blocks (`_block_rows`)."""
     widths = np.empty(len(directions))
     lowest = np.empty(len(directions), dtype=np.intp)
-    for start in range(0, len(directions), _BLOCK):
-        proj = directions[start : start + _BLOCK] @ points.T
+    step = _block_rows(len(points))
+    for start in range(0, len(directions), step):
+        proj = directions[start : start + step] @ points.T
         rows = slice(start, start + len(proj))
         lowest[rows] = proj.argmin(axis=1)
         widths[rows] = proj.max(axis=1) - proj[np.arange(len(proj)), lowest[rows]]
@@ -187,30 +199,31 @@ def analyze_toy(
 
 def write_feasibility_csv(
     rows: list[tuple[str, FeasibilityReport]], path: str | Path
-) -> None:
-    """One row per toy: id, min width, graspable, fits, scale, wall flags."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "id",
-                "min_caliper_width",
-                "graspable",
-                "fits_build_volume",
-                "suggested_scale",
-                "min_ring_wall",
-                "thin_wall",
-            ]
-        )
-        for toy_id, report in rows:
-            writer.writerow(
-                [
-                    toy_id,
-                    repr(report.min_caliper_width),
-                    str(report.graspable).lower(),
-                    str(report.fits_build_volume).lower(),
-                    repr(report.suggested_scale),
-                    repr(report.min_ring_wall) if report.min_ring_wall is not None else "",
-                    str(report.thin_wall).lower(),
-                ]
-            )
+) -> str:
+    """One row per toy: id, min width, graspable, fits, scale, wall flags.
+    Returns the SHA-256 of the bytes written."""
+    header = [
+        "id",
+        "min_caliper_width",
+        "graspable",
+        "fits_build_volume",
+        "suggested_scale",
+        "min_ring_wall",
+        "thin_wall",
+    ]
+    cells = [header] + [
+        [
+            toy_id,
+            repr(report.min_caliper_width),
+            str(report.graspable).lower(),
+            str(report.fits_build_volume).lower(),
+            repr(report.suggested_scale),
+            repr(report.min_ring_wall) if report.min_ring_wall is not None else "",
+            str(report.thin_wall).lower(),
+        ]
+        for toy_id, report in rows
+    ]
+    with output_file(path) as out:
+        for chunk in csv_chunks(cells):
+            out.write(chunk)
+    return out.sha256

@@ -4,8 +4,10 @@ Subcommands: generate | analyze | detpool-check | schedule | aggregate | report.
 Exit codes: 0 success, 1 property-check failure, 2 config/input error,
 3 I/O error, 4 internal error (an exception the CLI does not expect; it
 prints one `[INTERNAL] <type>: <message>` line and no traceback), 130
-interrupted (Ctrl-C; one `interrupted` line, no traceback). SHA-256
-digests of outputs are printed so determinism is auditable from the shell.
+interrupted (Ctrl-C; one `interrupted` line, no traceback). Every output
+file is replaced whole (`io.output_file`), so a failed command leaves the
+old file or none, never a part of one. The SHA-256 digests printed are of
+the bytes written, so determinism is auditable from the shell.
 The TOYGRASP_OUT environment variable overrides the configured output
 directory (the --out flag wins over both).
 """
@@ -13,9 +15,9 @@ directory (the --out flag wins over both).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from .io import (
     csv_rows,
     manifest_json_bytes,
     obj_bytes,
+    output_file,
     read_document,
     read_manifest,
     read_pgm,
@@ -47,8 +50,15 @@ EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+#: The mesh files `generate` owns in `meshes/`; it removes those it did not write.
+_MESH_NAME = re.compile(r"toy_[0-9]{4}\.(stl|obj)")
+
+
+def _write(path: Path, data: bytes) -> str:
+    """Replace the file at `path` with `data`; returns their SHA-256."""
+    with output_file(path) as out:
+        out.write(data)
+    return out.sha256
 
 
 def _resolve_out(args_out: str | None, config: CliConfig) -> Path:
@@ -63,7 +73,8 @@ def _resolve_out(args_out: str | None, config: CliConfig) -> Path:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args.out, config)
-    (out_dir / "meshes").mkdir(parents=True, exist_ok=True)
+    meshes = out_dir / "meshes"
+    meshes.mkdir(parents=True, exist_ok=True)
 
     toys = generate_set(config.generation)
     failures = sum(not connectivity_check(toy) for toy in toys)
@@ -83,31 +94,34 @@ def cmd_generate(args: argparse.Namespace) -> int:
         (out_dir / name).unlink(missing_ok=True)
 
     # Mesh each toy once: its record, STL and OBJ all come from that mesh.
-    records, digest_lines = [], []
+    records, digest_lines, written = [], [], set()
     for toy in toys:
         mesh = mesh_toy(toy, config.tessellation)
         records.append(toy_record(toy, mesh))
         for name, data in (
-            (f"meshes/{toy.id}.stl", stl_bytes(mesh)),
-            (f"meshes/{toy.id}.obj", obj_bytes(mesh)),
+            (f"{toy.id}.stl", stl_bytes(mesh)),
+            (f"{toy.id}.obj", obj_bytes(mesh)),
         ):
-            (out_dir / name).write_bytes(data)
-            digest_lines.append(f"{_sha256(data)}  {name}")
+            digest_lines.append(f"{_write(meshes / name, data)}  meshes/{name}")
+            written.add(name)
+    # Meshes of an earlier, larger set would sit beside this run's unlisted.
+    for name in os.listdir(meshes):
+        if _MESH_NAME.fullmatch(name) and name not in written:
+            (meshes / name).unlink()
 
     manifest_bytes = manifest_json_bytes(
         build_manifest(records, config.generation, config.tessellation)
     )
-    (out_dir / "manifest.json").write_bytes(manifest_bytes)
-    digest_lines.insert(0, f"{_sha256(manifest_bytes)}  manifest.json")
-    digests_text = "\n".join(digest_lines) + "\n"
-    (out_dir / "digests.txt").write_text(digests_text)
+    manifest_sha256 = _write(out_dir / "manifest.json", manifest_bytes)
+    digest_lines.insert(0, f"{manifest_sha256}  manifest.json")
+    outputs_sha256 = _write(out_dir / "digests.txt", ("\n".join(digest_lines) + "\n").encode())
 
     counts = config.generation.composition.counts()
     print(f"generated {len(toys)} toys into {out_dir}")
     print("  categories: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"  connectivity failures: {failures}")
-    print(f"  manifest sha256: {_sha256(manifest_bytes)}")
-    print(f"  outputs sha256: {_sha256(digests_text.encode())} ({len(digest_lines)} files)")
+    print(f"  manifest sha256: {manifest_sha256}")
+    print(f"  outputs sha256: {outputs_sha256} ({len(digest_lines)} files)")
     return EXIT_OK
 
 
@@ -128,13 +142,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         rows.append((toy.id, report))
 
-    analysis_mod.write_feasibility_csv(rows, out_path)
+    csv_sha256 = analysis_mod.write_feasibility_csv(rows, out_path)
     graspable = sum(1 for _, r in rows if r.graspable)
     fits = sum(1 for _, r in rows if r.fits_build_volume)
     thin = sum(1 for _, r in rows if r.thin_wall)
     print(f"analyzed {len(rows)} toys -> {out_path}")
     print(f"  graspable: {graspable}/{len(rows)}, fits build volume: {fits}/{len(rows)}, thin walls: {thin}")
-    print(f"  csv sha256: {_sha256(out_path.read_bytes())}")
+    print(f"  csv sha256: {csv_sha256}")
     return EXIT_OK
 
 
@@ -187,13 +201,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     protocol = evalharness.Protocol(args.protocol)
     objects = _read_objects(args.objects)
     schedule = evalharness.make_schedule(protocol, objects, args.seed)
-    evalharness.write_schedule(schedule, args.out)
-    data = Path(args.out).read_bytes()
+    schedule_sha256 = evalharness.write_schedule(schedule, args.out)
     print(
         f"scheduled {len(schedule.trials)} trials for {len(objects)} objects "
         f"({protocol.value}, seed {args.seed}) -> {args.out}"
     )
-    print(f"  schedule sha256: {_sha256(data)}")
+    print(f"  schedule sha256: {schedule_sha256}")
     return EXIT_OK
 
 
@@ -221,10 +234,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"line {line}: success_percent must be a number from 0 to 100, got {row[2]!r}"
             )
         rows.append((row[0], demos, percent))
-    grid_path = evalharness.scaling_report(rows, args.out)
-    out = Path(args.out)
-    print(f"wrote {out} and {grid_path} ({len(rows)} rows)")
-    print(f"  csv sha256: {_sha256(out.read_bytes())}")
+    grid_path, csv_sha256 = evalharness.scaling_report(rows, args.out)
+    print(f"wrote {Path(args.out)} and {grid_path} ({len(rows)} rows)")
+    print(f"  csv sha256: {csv_sha256}")
     return EXIT_OK
 
 

@@ -298,11 +298,20 @@ def _forward(image, state, mode, flags, masked_reference, keep):
     return embedding, (config, embed_cache, rows, block_caches, hidden, pool_cache)
 
 
+#: The parameters `_backward` adds gradients into; `transformer_bwd` sets
+#: every block parameter's gradient itself.
+_ADDED_INTO = ("pool_query", "cls_token", "patch_embed.weight", "patch_embed.bias")
+
+
 def _backward(cache, state, upstream):
-    """Exact gradients of <upstream, embedding> from a `_forward` cache."""
+    """Exact gradients of <upstream, embedding> from a `_forward` cache,
+    one per `state.params` entry in its order; an entry no gradient reaches
+    (Det's `cls_token`, `pool_query` outside attention pooling) is zeros."""
     config, (c_embed, compact, offset), rows, block_caches, hidden, pool_cache = cache
 
-    grads = _nn.zero_grads(state.params)
+    grads = {
+        name: np.zeros_like(state.params[name]) for name in _ADDED_INTO if name in state.params
+    }
     dhidden = np.zeros_like(hidden)
     if pool_cache is None:
         dhidden[rows] += upstream / len(hidden[rows])
@@ -327,7 +336,7 @@ def _backward(cache, state, upstream):
         dpatches_all = np.zeros((config.n_patches, dpatches.shape[1]))
         dpatches_all[compact] = dpatches
         dpatches = dpatches_all
-    return grads, _unpatchify(dpatches, config)
+    return {name: grads[name] for name in state.params}, _unpatchify(dpatches, config)
 
 
 def encode(

@@ -7,9 +7,7 @@ never simulates trials, it only schedules them and aggregates 0/1 results.
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -19,7 +17,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyObjectList, EmptyOutcomes, IoFailure, SchemaViolation
-from .io import check, csv_count, csv_rows, read_document
+from .io import (
+    check,
+    csv_chunks,
+    csv_count,
+    csv_rows,
+    json_chunks,
+    output_file,
+    read_document,
+)
 
 
 class Protocol(enum.Enum):
@@ -118,25 +124,26 @@ def make_schedule(
     return TrialSchedule(protocol=protocol, seed=seed, trials=tuple(trials))
 
 
-def schedule_json_bytes(schedule: TrialSchedule) -> bytes:
+def write_schedule(schedule: TrialSchedule, path: str | Path) -> str:
+    """Write the schedule as indented JSON, building its trial records one
+    block at a time; returns the SHA-256 of the bytes written."""
     doc = {
         "protocol": schedule.protocol.value,
         "seed": schedule.seed,
         "workspace_m": list(PROTOCOL_WORKSPACE[schedule.protocol]),
         "lift_threshold_m": PROTOCOL_LIFT_THRESHOLD[schedule.protocol],
-        "trials": [
+        "trials": (
             {"object": t.object_id, "x": t.x, "y": t.y, "theta": t.theta, "index": t.index}
             for t in schedule.trials
-        ],
+        ),
     }
-    return (json.dumps(doc, indent=2) + "\n").encode()
-
-
-def write_schedule(schedule: TrialSchedule, path: str | Path) -> None:
     try:
-        Path(path).write_bytes(schedule_json_bytes(schedule))
+        with output_file(path) as out:
+            for chunk in json_chunks(doc, "trials"):
+                out.write(chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write schedule to {path}: {exc}") from exc
+    return out.sha256
 
 
 _SCHEDULE = {
@@ -235,8 +242,9 @@ def render_success_table(table: SuccessTable) -> str:
 
 def write_success_csv(table: SuccessTable, path: str | Path) -> None:
     try:
-        with open(path, "w", newline="") as handle:
-            csv.writer(handle).writerows(_success_rows(table))
+        with output_file(path) as out:
+            for chunk in csv_chunks(_success_rows(table)):
+                out.write(chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write success table to {path}: {exc}") from exc
 
@@ -270,12 +278,15 @@ def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
 # scaling-study report
 # ---------------------------------------------------------------------------
 
-def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path) -> Path:
+def scaling_report(
+    rows: Sequence[tuple[str, int, float]], csv_path: str | Path
+) -> tuple[Path, str]:
     """Write (label, demos, success) rows as CSV plus an aligned text grid
     beside it (`.txt`), sorted by (label, demos) so output bytes are
-    order-insensitive; returns the grid's path. A `csv_path` ending in
-    `.txt` is rejected, because the grid would overwrite it, and so is a
-    success that is not a finite number from 0 to 100, naming its row.
+    order-insensitive; returns the grid's path and the SHA-256 of the CSV
+    bytes written. A `csv_path` ending in `.txt` is rejected, because the
+    grid would overwrite it, and so is a success that is not a finite
+    number from 0 to 100, naming its row.
     """
     for row in rows:
         try:
@@ -296,9 +307,11 @@ def scaling_report(rows: Sequence[tuple[str, int, float]], csv_path: str | Path)
         for label, demos, success in sorted(rows, key=lambda r: (r[0], r[1]))
     ]
     try:
-        with open(csv_path, "w", newline="") as handle:
-            csv.writer(handle).writerows(cells)
-        grid_path.write_text(_grid(cells))
+        with output_file(csv_path) as out:
+            for chunk in csv_chunks(cells):
+                out.write(chunk)
+        with output_file(grid_path) as grid:
+            grid.write(_grid(cells).encode())
     except OSError as exc:
         raise IoFailure(f"cannot write scaling report: {exc}") from exc
-    return grid_path
+    return grid_path, out.sha256

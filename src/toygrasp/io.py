@@ -1,8 +1,12 @@
 """File formats: binary STL, ASCII OBJ, JSON manifests and PGM masks, plus the
-document reader, JSON shape check and CSV row reader that every reader shares.
+output writer, the document reader, JSON shape check and CSV row reader that
+every command shares.
 
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
-are comparable across runs.
+are comparable across runs. Every output goes through `output_file`, which
+replaces a file whole and hashes the bytes as it writes them. JSON lists and
+CSV rows are encoded in pieces (`json_chunks`, `csv_chunks`), so a schedule
+is written without ever being one string.
 """
 
 from __future__ import annotations
@@ -10,10 +14,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from io import StringIO
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +41,101 @@ from .primitives import (
 
 MANIFEST_FORMAT_VERSION = "4"
 _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+# ---------------------------------------------------------------------------
+
+class HashingFile:
+    """A binary file whose writes also feed a SHA-256 of everything written."""
+
+    def __init__(self, file) -> None:
+        # Imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that a
+        # command writing nothing (`detpool-check`) never uses.
+        import hashlib
+
+        self._file, self._hash = file, hashlib.sha256()
+
+    def write(self, data: bytes) -> None:
+        self._hash.update(data)
+        self._file.write(data)
+
+    @property
+    def sha256(self) -> str:
+        """Hex digest of the bytes written so far."""
+        return self._hash.hexdigest()
+
+
+@contextmanager
+def output_file(path: str | Path) -> Iterator[HashingFile]:
+    """A `HashingFile` whose bytes replace the file at `path` whole.
+
+    The bytes go to a temporary name in the target's directory, which a
+    clean exit `os.replace`s onto the target; on any exception the temporary
+    is removed and the exception re-raised, so the old file stays as it was.
+    A symlink is followed: the file it points to is replaced and the link
+    stays. A target that exists and is not a regular file (a FIFO, a
+    device) is written in place: a rename would swap it for a regular file.
+    """
+    target = os.fspath(path)
+    if os.path.islink(target):  # `realpath` on every path costs about as much as a write
+        target = os.path.realpath(target)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as file:
+            yield HashingFile(file)
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    file = open(temp, "xb")
+    try:
+        with file:
+            if mode is not None:  # a replaced file keeps its permissions
+                os.fchmod(file.fileno(), stat.S_IMODE(mode))
+            yield HashingFile(file)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+#: Records per block of a JSON list written by `json_chunks`.
+JSON_BLOCK = 256
+
+
+def json_chunks(doc: dict, key: str) -> Iterator[bytes]:
+    """The bytes of `json.dumps(doc, indent=2) + "\n"`, in pieces, where
+    `doc[key]`, its last entry, is any iterable of records.
+
+    The pieces are the text before the list, then blocks of `JSON_BLOCK`
+    records, then the text after it; only one block of records is built
+    and encoded at a time. A block is `json.dumps(block, indent=2)` without
+    its brackets and indented two more spaces, the list's depth in `doc`
+    (the indented encoder puts a newline only between tokens, never inside
+    a string).
+    """
+    head = json.dumps({**{k: v for k, v in doc.items() if k != key}, key: []}, indent=2)
+    yield head[: -len("]\n}")].encode()
+    records, separator = iter(doc[key]), ""
+    while block := list(islice(records, JSON_BLOCK)):
+        yield (separator + json.dumps(block, indent=2)[1:-2].replace("\n", "\n  ")).encode()
+        separator = ","
+    yield ("\n  ]\n}\n" if separator else "]\n}\n").encode()
+
+
+def csv_chunks(rows: Iterable[Sequence]) -> Iterator[bytes]:
+    """Each row as the UTF-8 bytes `csv.writer` writes for it, one row at a time."""
+    buffer = StringIO()
+    writer = csv.writer(buffer)
+    for row in rows:
+        writer.writerow(row)
+        yield buffer.getvalue().encode()
+        buffer.seek(0)
+        buffer.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +264,8 @@ def build_manifest(records: Sequence[dict], config: GenerationConfig, tess: Tess
 
 
 def manifest_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2) + "\n").encode()
+    """The manifest as indented JSON, encoded one block of toys at a time."""
+    return b"".join(json_chunks(doc, "toys"))
 
 
 #: Largest magnitude, in meters, accepted for a part dimension or

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toygrasp import detpool
+from toygrasp import analysis, detpool, evalharness
 from toygrasp.analysis import min_caliper_width
 from toygrasp.assembler import MAX_TOYS, generate_set
 from toygrasp.cli import build_parser, cmd_generate, main
@@ -65,6 +66,33 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def printed_digests(out):
+    """The `<name> sha256: <hex>` lines a command printed, as name -> hex."""
+    return dict(re.findall(r"(\w+) sha256: ([0-9a-f]{64})", out))
+
+
+def assert_digests_match(out_dir, printed):
+    """`digests.txt` lists exactly the files of the run and each one's
+    digest, and the printed digests are of the manifest and that list."""
+    lines = (out_dir / "digests.txt").read_text().splitlines()
+    listed = dict(reversed(line.split("  ", 1)) for line in lines)
+    assert len(listed) == len(lines)
+    on_disk = {"manifest.json"} | {
+        f"meshes/{name}" for name in os.listdir(out_dir / "meshes")
+        if re.fullmatch(r"toy_[0-9]{4}\.(stl|obj)", name)
+    }
+    assert set(listed) == on_disk
+    assert {name: sha256_of(out_dir / name) for name in listed} == listed
+    assert printed_digests(printed) == {
+        "manifest": sha256_of(out_dir / "manifest.json"),
+        "outputs": sha256_of(out_dir / "digests.txt"),
+    }
+
+
 class TestGenerate:
     def test_small_run(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -100,6 +128,29 @@ class TestGenerate:
         out = tmp_path / "out"
         assert not (out / "manifest.json").exists()
         assert not (out / "digests.txt").exists()
+
+    def test_smaller_run_removes_the_meshes_it_did_not_write(self, tmp_path, capsys):
+        # A 250-toy set, then a 5-toy set into the same directory: only the
+        # second set's meshes stay, and files generate does not own stay too.
+        full = write_config(
+            tmp_path, "full.json", generation={"composition": {}, "master_seed": 0}
+        )
+        assert main(["generate", "--config", str(full)]) == 0
+        meshes = tmp_path / "out" / "meshes"
+        assert len(list(meshes.glob("toy_*"))) == 500
+        kept = ["notes.txt", "toy_0300.stl.bak", "toy_12345.obj", "other.stl"]
+        for name in kept:
+            (meshes / name).write_text("not a mesh of this set")
+        assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
+        names = sorted(p.name for p in meshes.iterdir())
+        assert names == sorted(
+            kept + [f"toy_{i:04d}.{ext}" for i in range(5) for ext in ("stl", "obj")]
+        )
+        assert_digests_match(tmp_path / "out", capsys.readouterr().out)
+
+    def test_every_digest_matches_its_file(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
+        assert_digests_match(tmp_path / "out", capsys.readouterr().out)
 
     def test_manifest_is_build_manifest_of_one_mesh_per_toy(self, tmp_path):
         path = write_config(tmp_path)
@@ -470,8 +521,6 @@ class TestAnalyze:
             assert f"unknown manifest format_version '{version}'" in err
 
     def test_one_width_per_toy(self, tmp_path, capsys, monkeypatch):
-        from toygrasp import analysis
-
         original, calls = analysis.min_caliper_width, []
 
         def counting(mesh):
@@ -848,6 +897,60 @@ class TestReport:
         assert main(["report", "--rows", str(tmp_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "[IO]" in err and "Traceback" not in err
+
+
+def single_output_command(tmp_path, command):
+    """The argv of a `schedule`, `analyze` or `report` run writing one file,
+    with its inputs written; that file; and the module and name of its chunk
+    source."""
+    if command == "schedule":
+        objects = tmp_path / "objects.txt"
+        objects.write_text("cup\nball\n")
+        out = tmp_path / "result.json"
+        argv = ["schedule", "--protocol", "sim_maniskill", "--objects", str(objects)]
+        return argv + ["--out", str(out)], out, (evalharness, "json_chunks")
+    out = tmp_path / "result.csv"
+    if command == "analyze":
+        config = write_config(tmp_path)
+        assert main(["generate", "--config", str(config)]) == 0
+        manifest = str(tmp_path / "out" / "manifest.json")
+        argv = ["analyze", "--manifest", manifest, "--config", str(config), "--out", str(out)]
+        return argv, out, (analysis, "csv_chunks")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("label,demos,success_percent\nm,10,50\nm,20,60\n")
+    return ["report", "--rows", str(rows), "--out", str(out)], out, (evalharness, "csv_chunks")
+
+
+class TestOutputs:
+    """Each single-file output is replaced whole, and the digest a command
+    prints is of the bytes it wrote."""
+
+    @pytest.mark.parametrize("command", ["schedule", "analyze", "report"])
+    def test_printed_digest_is_of_the_file(self, tmp_path, capsys, command):
+        argv, out, _ = single_output_command(tmp_path, command)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert list(printed_digests(capsys.readouterr().out).values()) == [sha256_of(out)]
+
+    @pytest.mark.parametrize("chunks", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["schedule", "analyze", "report"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, command, chunks):
+        argv, out, (module, name) = single_output_command(tmp_path, command)
+        out.write_bytes(b"an earlier run's output\n")
+        original = getattr(module, name)
+
+        def failing(*args):
+            for k, chunk in enumerate(original(*args)):
+                if k == chunks:
+                    raise RuntimeError("stopped")
+                yield chunk
+
+        monkeypatch.setattr(module, name, failing)
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "[INTERNAL] RuntimeError: stopped" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier run's output\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestInternalError:

@@ -293,6 +293,54 @@ class TestEncodeGrad:
         for value in grads.values():
             assert (value == 0.0).all()
 
+    @pytest.mark.parametrize(
+        "mode, include_cls",
+        [(mode, False) for mode in PoolingMode if mode is not PoolingMode.CLS]
+        + [(mode, True) for mode in PoolingMode],
+    )
+    def test_one_gradient_per_parameter_in_table_order(self, mode, include_cls):
+        state = tiny_state(28, include_cls=include_cls)
+        flags = mixed_flags(state.config, 29) if mode is PoolingMode.DET else None
+        grads, _ = encode_grad(
+            random_image(state.config, 30), state, mode, flags,
+            np.random.default_rng(31).normal(size=state.config.embed_dim),
+        )
+        assert list(grads) == list(state.params)
+        for name, value in state.params.items():
+            assert grads[name].shape == value.shape and grads[name].dtype == np.float64
+        # No gradient reaches Det's CLS token, or the pooling query outside
+        # attention pooling: those entries are exact positive zeros.
+        unreached = [name for name, reached in (
+            ("cls_token", include_cls and mode is not PoolingMode.DET),
+            ("pool_query", mode is PoolingMode.ATTENTION),
+        ) if name in grads and not reached]
+        for name in unreached:
+            assert (grads[name] == 0.0).all() and not np.signbit(grads[name]).any()
+        assert all((grads[name] != 0.0).any() for name in grads if name not in unreached)
+
+    def test_added_gradients_sum_into_zeros_bit_for_bit(self, monkeypatch):
+        # The gradients `_backward` adds into have always been sums into
+        # zeros, so a -0.0 term reads +0.0 there, while the entries that
+        # `transformer_bwd` sets keep their bits. BLAS products never give
+        # -0.0 here, so every `linear_bwd` is made to return one.
+        original = _nn.linear_bwd
+
+        def signed_zeros(dy, cache):
+            dx, dw, db = original(dy, cache)
+            dw.flat[0] = db[0] = -0.0
+            return dx, dw, db
+
+        monkeypatch.setattr(_nn, "linear_bwd", signed_zeros)
+        state = tiny_state(32)
+        grads, _ = encode_grad(
+            random_image(state.config, 33), state, PoolingMode.MEAN, None,
+            np.random.default_rng(34).normal(size=state.config.embed_dim),
+        )
+        first = {name: grads[name].flat[0] for name in grads}
+        assert first["patch_embed.weight"] == 0.0 and not np.signbit(first["patch_embed.weight"])
+        assert first["patch_embed.bias"] == 0.0 and not np.signbit(first["patch_embed.bias"])
+        assert first["blocks.0.mlp.w1"] == 0.0 and np.signbit(first["blocks.0.mlp.w1"])
+
     def test_det_background_pixel_grads_exactly_zero(self):
         state = tiny_state()
         config = state.config

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from toygrasp.evalharness import (
     read_schedule,
     render_success_table,
     scaling_report,
-    schedule_json_bytes,
     write_schedule,
     write_success_csv,
 )
@@ -58,10 +58,12 @@ class TestMakeSchedule:
         for k, x in enumerate(xs):
             assert x == pytest.approx((0.5 / 4) * (k + 0.5) - 0.25, abs=1e-15)
 
-    def test_h12_five_distinct_squares_and_determinism(self):
+    def test_h12_five_distinct_squares_and_determinism(self, tmp_path):
         a = make_schedule(Protocol.H12_HUMANOID, ["cup", "ball"], seed=5)
         b = make_schedule(Protocol.H12_HUMANOID, ["cup", "ball"], seed=5)
-        assert schedule_json_bytes(a) == schedule_json_bytes(b)
+        write_schedule(a, tmp_path / "a.json")
+        write_schedule(b, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         for object_id in ("cup", "ball"):
             placements = {
                 (t.x, t.y) for t in a.trials if t.object_id == object_id
@@ -115,6 +117,25 @@ class TestMakeSchedule:
         doc = json.loads(path.read_text())
         assert doc["lift_threshold_m"] == PROTOCOL_LIFT_THRESHOLD[Protocol.FRANKA_REAL]
         assert doc["workspace_m"] == [0.5, 0.28]
+
+    def test_write_memory_does_not_grow_with_the_trials(self, tmp_path):
+        # The trial records are built and encoded one block at a time, so the
+        # traced peak inside `write_schedule` is about the same at 4,000 and
+        # at 40,000 trials; one document string would take ten times more.
+        peaks = []
+        for objects in (250, 2500):
+            schedule = make_schedule(
+                Protocol.SIM_MANISKILL, [f"toy_{i:04d}" for i in range(objects)], seed=0
+            )
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                write_schedule(schedule, tmp_path / "schedule.json")
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "schedule.json").read_bytes().count(b'"index"') == 40_000
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,20 +1,28 @@
+import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_binary_stl, parse_obj
+from test_config import JSON_VALUES
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
 from toygrasp.errors import EmptyMesh, SchemaViolation
 from toygrasp.io import (
+    JSON_BLOCK,
     MANIFEST_FORMAT_VERSION,
     build_manifest,
     generation_config_from_dict,
     generation_config_to_dict,
+    json_chunks,
     manifest_json_bytes,
     obj_bytes,
+    output_file,
     read_manifest,
     read_pgm,
     record_to_toy,
@@ -44,6 +52,99 @@ def write_manifest(toys, config, path):
 CUBOID = PrimitiveSpec(
     PrimitiveKind.CUBOID, {"width": 0.02, "length": 0.28, "height": 0.20}
 )
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestOutputFile:
+    def test_replaces_the_file_whole_and_hashes_what_it_wrote(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"an older and longer file")
+        with output_file(path) as out:
+            out.write(b"new ")
+            out.write(b"bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert out.sha256 == sha256_of(path)
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_an_error_keeps_the_old_file_and_no_temporary(self, tmp_path, exists):
+        path = tmp_path / "out.bin"
+        if exists:
+            path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="stopped"):
+            with output_file(path) as out:
+                out.write(b"part of a new file")
+                raise RuntimeError("stopped")
+        assert os.listdir(tmp_path) == (["out.bin"] if exists else [])
+        if exists:
+            assert path.read_bytes() == b"old"
+
+    def test_a_replaced_file_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        path.chmod(0o640)
+        with output_file(path) as out:
+            out.write(b"new")
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_a_symlink_stays_and_its_target_is_replaced(self, tmp_path):
+        target = tmp_path / "data" / "real.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        with output_file(link) as out:
+            out.write(b"new")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == b"new"
+        assert out.sha256 == sha256_of(target)
+        assert sorted(os.listdir(target.parent)) == ["real.csv"]
+
+    def test_a_target_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        # A FIFO stands in for any special file (such as /dev/null), which
+        # must be written, never replaced. Its read end is opened first and
+        # without blocking, so the write does not wait for a reader.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with output_file(fifo) as out:
+                out.write(b"through the pipe")
+            assert os.read(reader, 100) == b"through the pipe"
+        finally:
+            os.close(reader)
+        assert out.sha256 == hashlib.sha256(b"through the pipe").hexdigest()
+        assert os.listdir(tmp_path) == ["pipe"]
+        assert not fifo.is_file() and fifo.exists()
+
+
+#: Values whose JSON text is easy to get wrong: non-ASCII and escaped
+#: characters, a negative zero, the least subnormal and integers past 2**53.
+AWKWARD = {
+    "text": "caf\u00e9 \u2603 \"q\" \\ /\n\t\x00\x1f \ud800 \U0001f600",
+    "zero": -0.0,
+    "tiny": 5e-324,
+    "big": [2**53 + 1, -(2**64), 10**30],
+}
+
+
+class TestJsonChunks:
+    @pytest.mark.parametrize("count", [0, 1, JSON_BLOCK - 1, JSON_BLOCK, JSON_BLOCK + 1])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pool=st.lists(JSON_VALUES, max_size=4),
+        head=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=3),
+    )
+    def test_chunks_join_to_one_indented_dump(self, count, pool, head):
+        pool = [AWKWARD, *pool]
+        records = [pool[k % len(pool)] for k in range(count)]
+        doc = {**{k: v for k, v in head.items() if k != "records"}, "records": records}
+        chunks = list(json_chunks({**doc, "records": iter(records)}, "records"))
+        assert len(chunks) == 2 + -(-count // JSON_BLOCK)
+        assert b"".join(chunks) == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 class TestStl:

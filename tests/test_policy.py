@@ -396,7 +396,7 @@ class TestTrainStep:
         state = init_policy(TINY, 13)
         data = linear_task_data(TINY, 4, 14)
 
-        grads = _nn.zero_grads(state.params)
+        grads = {name: np.zeros_like(value) for name, value in state.params.items()}
         scale = 1.0 / (len(data) * TINY.chunk_len * TINY.action_dim)
         for history, target in data:
             chunk, cache = _forward(_stack_histories([history], TINY)[0], state, keep=True)

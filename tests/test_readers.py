@@ -4,6 +4,8 @@ value, or a document that does not parse."""
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from test_config import JSON_VALUES
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
 from toygrasp.errors import SchemaViolation
-from toygrasp.evalharness import Protocol, make_schedule, read_schedule, schedule_json_bytes
+from toygrasp.evalharness import Protocol, make_schedule, read_schedule, write_schedule
 from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, toy_record
 from toygrasp.mesh import Tessellation, mesh_toy
 
@@ -45,7 +47,9 @@ _RECORDS = [toy_record(t, mesh_toy(t, Tessellation())) for t in generate_set(_GE
 MANIFEST = json.loads(
     manifest_json_bytes(build_manifest(_RECORDS, _GENERATION, Tessellation()))
 )
-SCHEDULE = json.loads(schedule_json_bytes(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0)))
+with tempfile.TemporaryDirectory() as _tmp:
+    write_schedule(make_schedule(Protocol.H12_HUMANOID, ["a"], seed=0), Path(_tmp) / "s.json")
+    SCHEDULE = json.loads((Path(_tmp) / "s.json").read_text())
 
 
 @pytest.fixture(scope="module")
