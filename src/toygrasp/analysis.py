@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembler import ToySpec
 from .errors import EmptyMesh
-from .io import csv_chunks, output_file
+from .io import csv_chunks, write_output
 from .mesh import TriMesh
 from .primitives import PrimitiveKind
 
@@ -223,7 +223,4 @@ def write_feasibility_csv(
         ]
         for toy_id, report in rows
     ]
-    with output_file(path) as out:
-        for chunk in csv_chunks(cells):
-            out.write(chunk)
-    return out.sha256
+    return write_output(path, csv_chunks(cells), "feasibility CSV")

@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 property-check failure, 2 config/input error,
 3 I/O error, 4 internal error (an exception the CLI does not expect; it
 prints one `[INTERNAL] <type>: <message>` line and no traceback), 130
 interrupted (Ctrl-C; one `interrupted` line, no traceback). Every output
-file is replaced whole (`io.output_file`), so a failed command leaves the
-old file or none, never a part of one. The SHA-256 digests printed are of
-the bytes written, so determinism is auditable from the shell.
+file is replaced whole by `io.write_output`, so a failed command leaves the
+old file or none, never a part of one; a failed write prints one
+`[IO] cannot write <what> <path>: <reason>` line. Printed SHA-256 digests
+are of the bytes written, so determinism is auditable from the shell.
 The TOYGRASP_OUT environment variable overrides the configured output
 directory (the --out flag wins over both).
 """
@@ -33,12 +34,12 @@ from .io import (
     csv_rows,
     manifest_json_bytes,
     obj_bytes,
-    output_file,
     read_document,
     read_manifest,
     read_pgm,
     stl_bytes,
     toy_record,
+    write_output,
 )
 from .mesh import is_watertight, mesh_primitive, mesh_toy
 
@@ -52,13 +53,6 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 #: The mesh files `generate` owns in `meshes/`; it removes those it did not write.
 _MESH_NAME = re.compile(r"toy_[0-9]{4}\.(stl|obj)")
-
-
-def _write(path: Path, data: bytes) -> str:
-    """Replace the file at `path` with `data`; returns their SHA-256."""
-    with output_file(path) as out:
-        out.write(data)
-    return out.sha256
 
 
 def _resolve_out(args_out: str | None, config: CliConfig) -> Path:
@@ -102,7 +96,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             (f"{toy.id}.stl", stl_bytes(mesh)),
             (f"{toy.id}.obj", obj_bytes(mesh)),
         ):
-            digest_lines.append(f"{_write(meshes / name, data)}  meshes/{name}")
+            digest_lines.append(f"{write_output(meshes / name, [data], 'mesh')}  meshes/{name}")
             written.add(name)
     # Meshes of an earlier, larger set would sit beside this run's unlisted.
     for name in os.listdir(meshes):
@@ -112,9 +106,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     manifest_bytes = manifest_json_bytes(
         build_manifest(records, config.generation, config.tessellation)
     )
-    manifest_sha256 = _write(out_dir / "manifest.json", manifest_bytes)
+    manifest_sha256 = write_output(out_dir / "manifest.json", [manifest_bytes], "manifest")
     digest_lines.insert(0, f"{manifest_sha256}  manifest.json")
-    outputs_sha256 = _write(out_dir / "digests.txt", ("\n".join(digest_lines) + "\n").encode())
+    outputs_sha256 = write_output(
+        out_dir / "digests.txt", [("\n".join(digest_lines) + "\n").encode()], "digest list"
+    )
 
     counts = config.generation.composition.counts()
     print(f"generated {len(toys)} toys into {out_dir}")

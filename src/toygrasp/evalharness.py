@@ -16,15 +16,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyObjectList, EmptyOutcomes, IoFailure, SchemaViolation
+from .errors import EmptyObjectList, EmptyOutcomes, SchemaViolation
 from .io import (
     check,
     csv_chunks,
     csv_count,
     csv_rows,
     json_chunks,
-    output_file,
     read_document,
+    write_output,
 )
 
 
@@ -137,13 +137,7 @@ def write_schedule(schedule: TrialSchedule, path: str | Path) -> str:
             for t in schedule.trials
         ),
     }
-    try:
-        with output_file(path) as out:
-            for chunk in json_chunks(doc, "trials"):
-                out.write(chunk)
-    except OSError as exc:
-        raise IoFailure(f"cannot write schedule to {path}: {exc}") from exc
-    return out.sha256
+    return write_output(path, json_chunks(doc, "trials"), "schedule")
 
 
 _SCHEDULE = {
@@ -241,12 +235,7 @@ def render_success_table(table: SuccessTable) -> str:
 
 
 def write_success_csv(table: SuccessTable, path: str | Path) -> None:
-    try:
-        with output_file(path) as out:
-            for chunk in csv_chunks(_success_rows(table)):
-                out.write(chunk)
-    except OSError as exc:
-        raise IoFailure(f"cannot write success table to {path}: {exc}") from exc
+    write_output(path, csv_chunks(_success_rows(table)), "success table")
 
 
 def read_outcomes_csv(path: str | Path) -> dict[str, list[int]]:
@@ -306,12 +295,6 @@ def scaling_report(
         (label, str(demos), _round_half_up(success))
         for label, demos, success in sorted(rows, key=lambda r: (r[0], r[1]))
     ]
-    try:
-        with output_file(csv_path) as out:
-            for chunk in csv_chunks(cells):
-                out.write(chunk)
-        with output_file(grid_path) as grid:
-            grid.write(_grid(cells).encode())
-    except OSError as exc:
-        raise IoFailure(f"cannot write scaling report: {exc}") from exc
-    return grid_path, out.sha256
+    csv_sha256 = write_output(csv_path, csv_chunks(cells), "report CSV")
+    write_output(grid_path, [_grid(cells).encode()], "report grid")
+    return grid_path, csv_sha256

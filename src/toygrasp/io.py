@@ -3,10 +3,11 @@ output writer, the document reader, JSON shape check and CSV row reader that
 every command shares.
 
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
-are comparable across runs. Every output goes through `output_file`, which
-replaces a file whole and hashes the bytes as it writes them. JSON lists and
-CSV rows are encoded in pieces (`json_chunks`, `csv_chunks`), so a schedule
-is written without ever being one string.
+are comparable across runs. Every output goes through `write_output`, the
+write-side twin of `read_document`, which replaces a file whole and returns
+the SHA-256 of the bytes it wrote. JSON lists and CSV rows are encoded in
+pieces (`json_chunks`, `csv_chunks`), so a schedule is written without ever
+being one string.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import stat
 import struct
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from io import StringIO
 from itertools import islice
@@ -47,60 +48,52 @@ _STL_HEADER = b"toygrasp binary STL".ljust(80, b"\x00")
 # the output writer
 # ---------------------------------------------------------------------------
 
-class HashingFile:
-    """A binary file whose writes also feed a SHA-256 of everything written."""
+def write_output(path: str | Path, chunks: Iterable[bytes], what: str) -> str:
+    """Replace the file at `path` whole with the bytes of `chunks`; returns
+    their SHA-256 hex digest, hashed as they are written.
 
-    def __init__(self, file) -> None:
-        # Imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that a
-        # command writing nothing (`detpool-check`) never uses.
-        import hashlib
-
-        self._file, self._hash = file, hashlib.sha256()
-
-    def write(self, data: bytes) -> None:
-        self._hash.update(data)
-        self._file.write(data)
-
-    @property
-    def sha256(self) -> str:
-        """Hex digest of the bytes written so far."""
-        return self._hash.hexdigest()
-
-
-@contextmanager
-def output_file(path: str | Path) -> Iterator[HashingFile]:
-    """A `HashingFile` whose bytes replace the file at `path` whole.
-
-    The bytes go to a temporary name in the target's directory, which a
-    clean exit `os.replace`s onto the target; on any exception the temporary
-    is removed and the exception re-raised, so the old file stays as it was.
-    A symlink is followed: the file it points to is replaced and the link
-    stays. A target that exists and is not a regular file (a FIFO, a
-    device) is written in place: a rename would swap it for a regular file.
+    The bytes go to a temporary `.<12 hex>.tmp` beside the target, given the
+    target's permissions and then `os.replace`d onto it; on any exception
+    the temporary is removed and the old file stays. A symlink is followed
+    and stays. A target that exists and is not a regular file (a FIFO, a
+    device) is written in place. Every OSError becomes one IoFailure,
+    `cannot write <what> <path>: <reason>`, naming `path`, never the temporary.
     """
-    target = os.fspath(path)
-    if os.path.islink(target):  # `realpath` on every path costs about as much as a write
-        target = os.path.realpath(target)
+    # Imported on the first write, not at the top of this module: there it
+    # loaded OpenSSL before the encoder's modules and raised the
+    # `encoder_verify` benchmark's peak RSS by 0.08 MB in 10 of 10 pairs
+    # (`detpool-check` loads it later all the same, through `numpy.random`).
+    import hashlib
+
+    digest, target, temp = hashlib.sha256(), os.fspath(path), None
     try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "wb") as file:
-            yield HashingFile(file)
-        return
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    file = open(temp, "xb")
-    try:
+        if os.path.islink(target):  # `realpath` on every path costs about as much as a write
+            target = os.path.realpath(target)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            file = open(target, "wb")
+        else:
+            name = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
+            file, temp = open(name, "xb"), name
         with file:
-            if mode is not None:  # a replaced file keeps its permissions
+            if temp is not None and mode is not None:
                 os.fchmod(file.fileno(), stat.S_IMODE(mode))
-            yield HashingFile(file)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
+            for chunk in chunks:
+                digest.update(chunk)
+                file.write(chunk)
+        if temp is not None:
+            os.replace(temp, target)
+    except BaseException as exc:
+        if temp is not None:
+            with suppress(OSError):
+                os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
         raise
+    return digest.hexdigest()
 
 
 #: Records per block of a JSON list written by `json_chunks`.

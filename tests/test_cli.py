@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -952,6 +953,49 @@ class TestOutputs:
         assert out.read_bytes() == b"an earlier run's output\n"
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    def test_failed_rename_exits_3_and_leaves_no_temporary(self, tmp_path, capsys, monkeypatch):
+        argv, out, _ = single_output_command(tmp_path, "schedule")
+
+        def refuse(source, target):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), source, None, target)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"toygrasp: [IO] cannot write schedule {out}: {os.strerror(errno.EXDEV)}"
+        ]
+        assert not out.exists() and list(tmp_path.rglob("*.tmp")) == []
+
+    def test_a_name_of_250_bytes_is_written(self, tmp_path, capsys):
+        argv, _, _ = single_output_command(tmp_path, "schedule")
+        out = tmp_path / ("s" * 245 + ".json")
+        argv[-1] = str(out)
+        assert main(argv) == 0
+        assert list(printed_digests(capsys.readouterr().out).values()) == [sha256_of(out)]
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("command", ["generate", "analyze", "schedule", "aggregate", "report"])
+    def test_a_failed_write_prints_one_line_naming_the_target(self, tmp_path, capsys, command):
+        # Each command's first output is an existing directory.
+        if command == "generate":
+            argv = ["generate", "--config", str(write_config(tmp_path))]
+            target = tmp_path / "out" / "meshes" / "toy_0000.stl"
+        elif command == "aggregate":
+            outcomes = tmp_path / "outcomes.csv"
+            outcomes.write_text("object,trial_index,success\ncup,0,1\n")
+            target = tmp_path / "table.csv"
+            argv = ["aggregate", "--outcomes", str(outcomes), "--out", str(target)]
+        else:
+            argv, target, _ = single_output_command(tmp_path, command)
+        target.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("toygrasp: [IO] cannot write ")
+        assert str(target) in lines[0] and ".tmp" not in lines[0]
+
 
 class TestInternalError:
     @pytest.mark.parametrize(
@@ -1009,15 +1053,29 @@ print(json.dumps({"codes": codes, "scipy_before_analyze": before}))
 """
 
 
-def test_only_analyze_loads_scipy(tmp_path):
-    # GELU's erf is in-tree, so only analyze's convex hull needs scipy.
+def run_python(*argv):
+    """`python *argv` in a fresh interpreter that imports this checkout's package."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path), str(write_config(tmp_path))],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
     )
     assert result.returncode == 0, result.stderr
+    return result
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    # GELU's erf is in-tree, so only analyze's convex hull needs scipy.
+    result = run_python("-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path), str(write_config(tmp_path)))
     report = json.loads(result.stdout.splitlines()[-1])
     assert report == {"codes": [0] * 6, "scipy_before_analyze": []}
     assert len((tmp_path / "analysis.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_importing_the_cli_does_not_import_hashlib():
+    # `io.write_output` imports hashlib when it first writes: imported at the
+    # top of `io`, it loaded OpenSSL ahead of the encoder and raised the
+    # `encoder_verify` benchmark's peak RSS.
+    result = run_python("-c", "import sys, toygrasp.cli; print('hashlib' in sys.modules)")
+    assert result.stdout.split() == ["False"]

@@ -1,7 +1,8 @@
 """The evaluation-harness commands read generated input files and exit 0
 (accepted), 2 (rejected input) or 3 (I/O error), never 4 and never with a
 traceback: `aggregate --outcomes`, `report --rows` and `schedule --objects`,
-the last as text and as JSON."""
+the last as text and as JSON. `detpool-check --mask` reads generated PGM
+files the same way, and may also exit 1 (a property failed)."""
 
 import contextlib
 import io
@@ -81,3 +82,66 @@ def test_schedule_objects(as_json, items):
     else:
         suffix, text = ".txt", "\n".join(map(str, items))
     _run_on_file("schedule", "--objects", suffix, text, ("--protocol", "sim_maniskill"))
+
+
+#: An encoder small enough that a run on an accepted mask takes about 0.2 s.
+TINY_ENCODER = {
+    "image_height": 8, "image_width": 8, "patch_size": 4, "embed_dim": 8, "layers": 1,
+    "heads": 2,
+}
+#: Header fields with the edge cases of the reader's rules: other magics,
+#: signs, leading zeros, non-ASCII digits, sizes past 18 digits, maxvals on
+#: either side of 255 and 65535, and whitespace with `#` comments or none.
+PGM_MAGIC = st.sampled_from([b"P5", b"P2", b"P6", b"p5", b"P55", b""])
+PGM_NUMBER = st.one_of(
+    st.sampled_from(
+        [b"08", b"4", b"16", b"0", b"-8", b"+8", b"8.0", b"x", "٣".encode(), b"9" * 19]
+    ),
+    st.integers(0, 70000).map(lambda n: str(n).encode()),
+)
+PGM_MAXVAL = st.one_of(st.sampled_from([b"1", b"256", b"65535", b"65536"]), PGM_NUMBER)
+PGM_SPACE = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c"]),
+        st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    ),
+    max_size=3,
+).map(b"".join)
+#: The fields of an 8 x 8 mask's header, in order, and what may replace each.
+PGM_FIELDS = [
+    (b"P5", PGM_MAGIC), (b"\n", PGM_SPACE), (b"8", PGM_NUMBER), (b" ", PGM_SPACE),
+    (b"8", PGM_NUMBER), (b"\n", PGM_SPACE), (b"255", PGM_MAXVAL), (b"\n", PGM_SPACE),
+]
+#: Mostly background pixels, so that some masks flag some patches and not all.
+PGM_PIXELS = st.one_of(
+    st.lists(st.sampled_from([0] * 9 + [255]), min_size=56, max_size=136).map(bytes),
+    st.binary(max_size=136),
+)
+#: About one example in nine reaches the encoder, at about 0.2 s a run, so
+#: this many keep the test near 2 s.
+PGM_EXAMPLES = 40
+
+
+@st.composite
+def pgm_headers(draw):
+    """An 8 x 8 mask's header with up to three of its fields replaced."""
+    fields = [field for field, _ in PGM_FIELDS]
+    for k in sorted(draw(st.sets(st.integers(0, len(fields) - 1), max_size=3))):
+        fields[k] = draw(PGM_FIELDS[k][1])
+    return b"".join(fields)
+
+
+@settings(max_examples=PGM_EXAMPLES, deadline=None)
+@given(pgm_headers(), PGM_PIXELS)
+@example(b"P5\n8 8\n255\n", bytes(36) + b"\xff" + bytes(27))
+@example(b"P5\n# a comment\n8 8\n65535\n", bytes(127) + b"\x01")
+def test_detpool_check_mask(header, pixels):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, mask = Path(tmp) / "config.json", Path(tmp) / "mask.pgm"
+        config.write_text(json.dumps({"encoder": TINY_ENCODER}))
+        mask.write_bytes(header + pixels)
+        code, err = _exit_and_stderr(
+            ["detpool-check", "--config", str(config), "--mask", str(mask)]
+        )
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err

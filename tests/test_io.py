@@ -22,12 +22,12 @@ from toygrasp.io import (
     json_chunks,
     manifest_json_bytes,
     obj_bytes,
-    output_file,
     read_manifest,
     read_pgm,
     record_to_toy,
     stl_bytes,
     toy_record,
+    write_output,
 )
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
 from toygrasp.primitives import PrimitiveKind, PrimitiveSpec
@@ -59,14 +59,14 @@ def sha256_of(path):
 
 
 class TestOutputFile:
+    """`write_output`: a file replaced whole, with the digest of its bytes."""
+
     def test_replaces_the_file_whole_and_hashes_what_it_wrote(self, tmp_path):
         path = tmp_path / "out.bin"
         path.write_bytes(b"an older and longer file")
-        with output_file(path) as out:
-            out.write(b"new ")
-            out.write(b"bytes")
+        digest = write_output(path, [b"new ", b"bytes"], "output")
         assert path.read_bytes() == b"new bytes"
-        assert out.sha256 == sha256_of(path)
+        assert digest == sha256_of(path)
         assert os.listdir(tmp_path) == ["out.bin"]
 
     @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
@@ -74,10 +74,13 @@ class TestOutputFile:
         path = tmp_path / "out.bin"
         if exists:
             path.write_bytes(b"old")
+
+        def chunks():
+            yield b"part of a new file"
+            raise RuntimeError("stopped")
+
         with pytest.raises(RuntimeError, match="stopped"):
-            with output_file(path) as out:
-                out.write(b"part of a new file")
-                raise RuntimeError("stopped")
+            write_output(path, chunks(), "output")
         assert os.listdir(tmp_path) == (["out.bin"] if exists else [])
         if exists:
             assert path.read_bytes() == b"old"
@@ -86,8 +89,7 @@ class TestOutputFile:
         path = tmp_path / "out.bin"
         path.write_bytes(b"old")
         path.chmod(0o640)
-        with output_file(path) as out:
-            out.write(b"new")
+        write_output(path, [b"new"], "output")
         assert path.stat().st_mode & 0o777 == 0o640
 
     def test_a_symlink_stays_and_its_target_is_replaced(self, tmp_path):
@@ -96,11 +98,10 @@ class TestOutputFile:
         target.write_bytes(b"old")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        with output_file(link) as out:
-            out.write(b"new")
+        digest = write_output(link, [b"new"], "output")
         assert link.is_symlink() and link.resolve() == target
         assert target.read_bytes() == b"new"
-        assert out.sha256 == sha256_of(target)
+        assert digest == sha256_of(target)
         assert sorted(os.listdir(target.parent)) == ["real.csv"]
 
     def test_a_target_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
@@ -111,14 +112,21 @@ class TestOutputFile:
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            with output_file(fifo) as out:
-                out.write(b"through the pipe")
+            digest = write_output(fifo, [b"through the pipe"], "output")
             assert os.read(reader, 100) == b"through the pipe"
         finally:
             os.close(reader)
-        assert out.sha256 == hashlib.sha256(b"through the pipe").hexdigest()
+        assert digest == hashlib.sha256(b"through the pipe").hexdigest()
         assert os.listdir(tmp_path) == ["pipe"]
         assert not fifo.is_file() and fifo.exists()
+
+    def test_a_name_of_250_bytes_is_written(self, tmp_path):
+        # The temporary's name has a fixed length, so any name the file
+        # system accepts for the target can be written.
+        path = tmp_path / ("n" * 245 + ".json")
+        path.touch()
+        assert write_output(path, [b"long"], "output") == hashlib.sha256(b"long").hexdigest()
+        assert os.listdir(tmp_path) == [path.name] and path.read_bytes() == b"long"
 
 
 #: Values whose JSON text is easy to get wrong: non-ASCII and escaped
