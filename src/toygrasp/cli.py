@@ -7,8 +7,10 @@ prints one `[INTERNAL] <type>: <message>` line and no traceback), 130
 interrupted (Ctrl-C; one `interrupted` line, no traceback). Every output
 file is replaced whole by `io.write_output`, so a failed command leaves the
 old file or none, never a part of one; a failed write prints one
-`[IO] cannot write <what> <path>: <reason>` line. Printed SHA-256 digests
-are of the bytes written, so determinism is auditable from the shell.
+`[IO] cannot write <what> <path>: <reason>` line, and a directory that
+cannot be made one `[IO] cannot create directory <path>: <reason>` line.
+Printed SHA-256 digests are of the bytes written, so determinism is
+auditable from the shell.
 The TOYGRASP_OUT environment variable overrides the configured output
 directory (the --out flag wins over both).
 """
@@ -32,6 +34,7 @@ from .io import (
     build_manifest,
     csv_count,
     csv_rows,
+    make_directory,
     manifest_json_bytes,
     obj_bytes,
     read_document,
@@ -68,7 +71,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out_dir = _resolve_out(args.out, config)
     meshes = out_dir / "meshes"
-    meshes.mkdir(parents=True, exist_ok=True)
+    make_directory(meshes)
 
     toys = generate_set(config.generation)
     failures = sum(not connectivity_check(toy) for toy in toys)
@@ -125,7 +128,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     manifest = read_manifest(args.manifest)
     out_path = Path(args.out) if args.out else _resolve_out(None, config) / "analysis.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    make_directory(out_path.parent)
 
     rows = []
     for toy in manifest.toys:

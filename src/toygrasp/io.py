@@ -5,7 +5,8 @@ every command shares.
 All writers emit deterministic bytes for identical inputs, so SHA-256 digests
 are comparable across runs. Every output goes through `write_output`, the
 write-side twin of `read_document`, which replaces a file whole and returns
-the SHA-256 of the bytes it wrote. JSON lists and CSV rows are encoded in
+the SHA-256 of the bytes it wrote, and `make_directory` creates the
+directories they go in. JSON lists and CSV rows are encoded in
 pieces (`json_chunks`, `csv_chunks`), so a schedule is written without ever
 being one string.
 """
@@ -94,6 +95,17 @@ def write_output(path: str | Path, chunks: Iterable[bytes], what: str) -> str:
             raise IoFailure(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
         raise
     return digest.hexdigest()
+
+
+def make_directory(path: str | Path) -> None:
+    """Create the directory `path` and any missing parents; one that exists
+    is kept. Every OSError becomes one IoFailure,
+    `cannot create directory <path>: <reason>`.
+    """
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc.strerror or exc}") from exc
 
 
 #: Records per block of a JSON list written by `json_chunks`.
@@ -456,22 +468,27 @@ def read_pgm(path: str | Path) -> np.ndarray:
     except OSError as exc:
         raise IoFailure(f"cannot read PGM {path}: {exc}") from exc
 
+    # A `#` starts a comment wherever it stands in the header, also right
+    # after a token, and the comment runs to the next LF or CR (Netpbm).
     tokens: list[bytes] = []
     pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
+    while True:
+        if raw[pos : pos + 1] == b"#":
+            while pos < len(raw) and raw[pos] not in b"\n\r":
                 pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
+        elif len(tokens) == 4:
+            break
+        elif raw[pos : pos + 1].isspace():
             pos += 1
-        if start == pos:
-            raise SchemaViolation(f"truncated PGM header in {path}")
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
+        else:
+            start = pos
+            # A token ends at whitespace (the bytes `isspace` accepts) or `#`.
+            while pos < len(raw) and raw[pos] not in b" \t\n\r\x0b\x0c#":
+                pos += 1
+            if start == pos:
+                raise SchemaViolation(f"truncated PGM header in {path}")
+            tokens.append(raw[start:pos])
+    pos += 1  # single whitespace after maxval, or the LF or CR ending its comment
 
     if tokens[0] != b"P5":
         raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r} in {path}")

@@ -678,6 +678,19 @@ class TestDetpoolCheck:
         assert captured.out == ""
         assert captured.err.startswith("toygrasp: [CONFIG] mask flags all 16 patches"), captured.err
 
+    @pytest.mark.parametrize("height, width", [(1, 8), (8, 1)], ids=["one-row", "one-column"])
+    def test_a_side_of_one_pixel_is_checked(self, tmp_path, capsys, height, width):
+        # The default mask's corner on a side 1 pixel long is its first row
+        # or column, not a draw from an empty range.
+        encoder = {
+            "image_height": height, "image_width": width, "patch_size": 1, "embed_dim": 8,
+            "heads": 1,
+        }
+        config = write_config(tmp_path, encoder=encoder)
+        assert main(["detpool-check", "--config", str(config)]) in (0, 1)
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 5, captured
+
     def test_pgm_mask_accepted(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -995,6 +1008,25 @@ class TestOutputs:
         assert len(lines) == 1
         assert lines[0].startswith("toygrasp: [IO] cannot write ")
         assert str(target) in lines[0] and ".tmp" not in lines[0]
+
+    @pytest.mark.parametrize("command", ["generate", "analyze"])
+    def test_a_directory_that_cannot_be_made_prints_one_line(self, tmp_path, capsys, command):
+        # A regular file stands where the command's output directory goes.
+        if command == "generate":
+            argv = ["generate", "--config", str(write_config(tmp_path))]
+            directory = tmp_path / "out" / "meshes"
+        else:
+            argv, _, _ = single_output_command(tmp_path, "analyze")
+            directory = tmp_path / "blocked"
+            argv[-1] = str(directory / "result.csv")
+        directory.parent.mkdir(exist_ok=True)
+        directory.write_text("a file\n")
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"toygrasp: [IO] cannot create directory {directory}: {os.strerror(errno.EEXIST)}"
+        ]
+        assert directory.read_text() == "a file\n"
 
 
 class TestInternalError:

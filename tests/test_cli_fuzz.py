@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toygrasp.cli import main
+from toygrasp.errors import ToygraspError
+from toygrasp.io import read_pgm
 
 #: Cells that sit on the edge of a reader's rules.
 EDGE_CELLS = [
@@ -91,7 +93,8 @@ TINY_ENCODER = {
 }
 #: Header fields with the edge cases of the reader's rules: other magics,
 #: signs, leading zeros, non-ASCII digits, sizes past 18 digits, maxvals on
-#: either side of 255 and 65535, and whitespace with `#` comments or none.
+#: either side of 255 and 65535, and whitespace with `#` comments or none;
+#: `pgm_headers` also glues comments to the magic and the numbers.
 PGM_MAGIC = st.sampled_from([b"P5", b"P2", b"P6", b"p5", b"P55", b""])
 PGM_NUMBER = st.one_of(
     st.sampled_from(
@@ -112,6 +115,10 @@ PGM_FIELDS = [
     (b"P5", PGM_MAGIC), (b"\n", PGM_SPACE), (b"8", PGM_NUMBER), (b" ", PGM_SPACE),
     (b"8", PGM_NUMBER), (b"\n", PGM_SPACE), (b"255", PGM_MAXVAL), (b"\n", PGM_SPACE),
 ]
+#: The fields that hold the magic and the three numbers.
+PGM_TOKENS = [0, 2, 4, 6]
+#: The text of a comment glued to a token: any bytes but the LF and CR that end it.
+PGM_COMMENT = st.binary(max_size=6).map(lambda text: text.translate(None, b"\n\r"))
 #: Mostly background pixels, so that some masks flag some patches and not all.
 PGM_PIXELS = st.one_of(
     st.lists(st.sampled_from([0] * 9 + [255]), min_size=56, max_size=136).map(bytes),
@@ -124,20 +131,41 @@ PGM_EXAMPLES = 40
 
 @st.composite
 def pgm_headers(draw):
-    """An 8 x 8 mask's header with up to three of its fields replaced."""
+    """An 8 x 8 mask's header with up to three of its fields replaced and
+    `#` comments glued to some of its tokens, and its twin with each glued
+    comment replaced by the LF or CR that ends it."""
     fields = [field for field, _ in PGM_FIELDS]
     for k in sorted(draw(st.sets(st.integers(0, len(fields) - 1), max_size=3))):
         fields[k] = draw(PGM_FIELDS[k][1])
-    return b"".join(fields)
+    glued, spaced = list(fields), list(fields)
+    for k in sorted(draw(st.sets(st.sampled_from(PGM_TOKENS), max_size=2))):
+        end = draw(st.sampled_from([b"\n", b"\r"]))
+        glued[k] += b"#" + draw(PGM_COMMENT) + end
+        spaced[k] += end
+    return b"".join(glued), b"".join(spaced)
+
+
+def _read_mask(path, data):
+    """The mask `read_pgm` reads from `data`, or the message it rejects it with."""
+    path.write_bytes(data)
+    try:
+        return read_pgm(path).tolist()
+    except ToygraspError as exc:
+        return str(exc)
 
 
 @settings(max_examples=PGM_EXAMPLES, deadline=None)
 @given(pgm_headers(), PGM_PIXELS)
-@example(b"P5\n8 8\n255\n", bytes(36) + b"\xff" + bytes(27))
-@example(b"P5\n# a comment\n8 8\n65535\n", bytes(127) + b"\x01")
-def test_detpool_check_mask(header, pixels):
+@example((b"P5\n8 8\n255\n",) * 2, bytes(36) + b"\xff" + bytes(27))
+@example((b"P5\n# a comment\n8 8\n65535\n",) * 2, bytes(127) + b"\x01")
+@example((b"P5#c\n8 8\n255\n", b"P5\n8 8\n255\n"), bytes(36) + b"\xff" + bytes(27))
+@example((b"P5\n8#w\r8 255#m\n", b"P5\n8\r8 255\n"), bytes(9) + b"\xff" + bytes(54))
+def test_detpool_check_mask(headers, pixels):
+    header, spaced = headers
     with tempfile.TemporaryDirectory() as tmp:
         config, mask = Path(tmp) / "config.json", Path(tmp) / "mask.pgm"
+        # A glued comment reads as the whitespace byte that ends it.
+        assert _read_mask(mask, header + pixels) == _read_mask(mask, spaced + pixels)
         config.write_text(json.dumps({"encoder": TINY_ENCODER}))
         mask.write_bytes(header + pixels)
         code, err = _exit_and_stderr(

@@ -450,6 +450,53 @@ class TestCheckSuites:
         result = check_gradients(max_entries_per_tensor=3, seed=33)
         assert result.passed, result.detail
 
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """The list that gains one entry per masked full-sequence pass."""
+        calls = []
+        masked_encode = checks._masked_encode
+
+        def counted(*args):
+            calls.append(1)
+            return masked_encode(*args)
+
+        monkeypatch.setattr(checks, "_masked_encode", counted)
+        return calls
+
+    def test_contrast_stops_at_its_first_witness(self, monkeypatch):
+        # One redraw that reaches mean pooling decides the contrast check, so
+        # it runs the reference and redraw 1; invariance must hold for every
+        # redraw, so it runs the reference and all 100.
+        state = init_encoder(EncoderConfig(), 0)
+        mask = default_check_mask(state.config, 0)
+        calls = self._count_passes(monkeypatch)
+        contrast = check_pooling_contrast(state, mask)
+        assert contrast.passed and len(calls) == 2, (contrast, len(calls))
+        assert re.fullmatch(
+            r"mean-pool \|delta\| = \d\.\d{3}e[+-]\d{2} at redraw 1 of 100 \(must exceed 1e-06\)",
+            contrast.detail,
+        ), contrast.detail
+        calls.clear()
+        invariance = check_background_invariance(state, mask)
+        assert invariance.passed and len(calls) == 101, (invariance, len(calls))
+
+    def test_contrast_without_a_witness_reads_every_redraw_and_fails(self, monkeypatch):
+        # With every pixel counted as object, no redraw changes the image.
+        state = init_encoder(EncoderConfig(), 0)
+        mask = default_check_mask(state.config, 0)
+        monkeypatch.setattr(
+            checks,
+            "flags_to_pixel_region",
+            lambda flags, config: np.ones((config.image_height, config.image_width), bool),
+        )
+        calls = self._count_passes(monkeypatch)
+        contrast = check_pooling_contrast(state, mask)
+        assert len(calls) == 101
+        assert not contrast.passed
+        assert contrast.detail == (
+            "max mean-pool |delta| = 0.000e+00 over 100 redraws (must exceed 1e-06)"
+        )
+
 
 class TestStagedGradientSweep:
     """`check_gradients` makes one `_nn.finite_difference_check` call per

@@ -365,6 +365,24 @@ class TestPgm:
         assert mask.shape == (2, 3)
         assert mask.tolist() == [[False, True, False], [False, True, False]]
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5#c\n4 4\n255\n",
+            b"P5\n4#w\n4 255\n",
+            b"P5#a\r4#b\n4#c\r\n255\n",
+            b"P5 4 4 255#maxval\n",
+            b"P5 4 4 255#maxval\r",
+        ],
+        ids=["on-magic", "on-width", "cr-and-lf", "on-maxval-lf", "on-maxval-cr"],
+    )
+    def test_a_comment_glued_to_a_token_ends_it(self, tmp_path, header):
+        path = tmp_path / "glued.pgm"
+        path.write_bytes(header + bytes([0, 9] + [0] * 13 + [1]))
+        mask = read_pgm(path)
+        assert mask.shape == (4, 4)
+        assert np.flatnonzero(mask).tolist() == [1, 15]
+
     def test_sixteen_bit(self, tmp_path):
         path = tmp_path / "mask16.pgm"
         payload = np.array([[0, 500], [65535, 0]], dtype=">u2").tobytes()
