@@ -11,7 +11,13 @@ Each forward function takes `keep`: where no backward pass follows,
 `keep=False` builds no cache (None stands in its place), frees each
 sublayer's temporaries as soon as it returns, and overwrites in place the
 ones a cache would have held. The output is the same bit for bit either
-way; the two differ only in where they write.
+way; the two differ only in where they write. A pass without a cache may
+also name the output rows its caller reads (`transformer_fwd`'s `rows`):
+the last block then computes only those, over the keys and values of every
+row, and the output holds only them. A row so computed may differ from the
+full pass's in the last bits, since the BLAS may round a row of a short
+matrix product differently from the same row of a long one; compare such
+a pass only with passes that name the same rows.
 `init_params` lays a model's parameter table out in one float64 vector, in
 table order, and returns each tensor as a view of it; `flat_zeros` gives
 the same layout over one zeroed vector, calloc'd, so its pages stay out of
@@ -242,9 +248,16 @@ def _merge_heads(xh):
     return xh.swapaxes(-2, -3).reshape(*lead, T, heads * dh)
 
 
-def mha_fwd(x, params, prefix, heads, allowed, keep=True):
+def mha_fwd(x, params, prefix, heads, allowed, keep=True, rows=None):
+    """Multi-head attention over `x`. With `rows` (an index array over the T
+    axis), only those rows of the output are computed: their queries attend
+    the keys and values of every row of `x` through `allowed[rows]`."""
     scale = 1.0 / math.sqrt(x.shape[-1] // heads)
-    q, cq = linear_fwd(x, params[prefix + "w_q"], params[prefix + "b_q"])
+    x_q = x
+    if rows is not None:
+        x_q = x[..., rows, :]
+        allowed = None if allowed is None else allowed[rows]
+    q, cq = linear_fwd(x_q, params[prefix + "w_q"], params[prefix + "b_q"])
     # No key bias: it would add one constant to each query's logits, which
     # the softmax removes, so its exact gradient is 0.
     w_k = params[prefix + "w_k"]
@@ -301,17 +314,23 @@ def sublayer_prefixes(s):
     return (block + "ln2.", block + "mlp.") if s % 2 else (block + "ln1.", block + "attn.")
 
 
-def sublayer_fwd(s, x, params, heads, allowed, keep=True):
+def sublayer_fwd(s, x, params, heads, allowed, keep=True, rows=None):
     """Residual sublayer `s` of a block stack, x + f(LN(x)), where f is
     attention for even `s` and the MLP for odd `s`; `x` is not written. The
-    cache starts with `s`, so `sublayer_bwd` needs nothing else."""
+    cache starts with `s`, so `sublayer_bwd` needs nothing else. With `rows`
+    (an index array over the T axis) the output holds only those rows: the
+    MLP sublayer, which works row by row, runs on them alone, and attention
+    computes only their queries, over the keys and values of every row."""
     ln, f = sublayer_prefixes(s)
-    h, c_ln = layernorm_fwd(x, params[ln + "gamma"], params[ln + "beta"], keep=keep)
+    residual = x if rows is None else x[..., rows, :]
+    h, c_ln = layernorm_fwd(
+        residual if s % 2 else x, params[ln + "gamma"], params[ln + "beta"], keep=keep
+    )
     if s % 2:
         y, c_f = mlp_fwd(h, params, f, keep=keep)
     else:
-        y, c_f = mha_fwd(h, params, f, heads, allowed, keep=keep)
-    return _into(np.add, y, x), ((s, c_ln, c_f) if keep else None)
+        y, c_f = mha_fwd(h, params, f, heads, allowed, keep=keep, rows=rows)
+    return _into(np.add, y, residual), ((s, c_ln, c_f) if keep else None)
 
 
 def sublayer_bwd(dout, cache, grads):
@@ -324,14 +343,31 @@ def sublayer_bwd(dout, cache, grads):
     return dout + dx
 
 
-def transformer_fwd(x, params, layers, heads, allowed=None, start=0, keep=True):
+def transformer_fwd(x, params, layers, heads, allowed=None, start=0, keep=True, rows=None):
     """Run sublayers `start` onward on `x`; a later `start` resumes a pass at
     that sublayer's input. Returns the output and, with `keep`, one cache per
     sublayer run for `transformer_bwd`; without `keep` it returns None for
-    the caches. `x` is never written."""
+    the caches. `x` is never written.
+
+    `rows` (an index array or a slice over the T axis) names the rows of the
+    output that the caller reads, and the output then holds only those
+    rows. The last block computes only them: its attention queries,
+    softmax, value mix and output projection, and its whole MLP sublayer.
+    Its first layer norm, keys and values still cover every row, so each
+    read row attends the full sequence through `allowed`, and every earlier
+    block runs on every row. A read row may differ from the full pass's in
+    the last bits (see the module docstring). `rows` needs `keep` false: a
+    backward pass reads every row's cache."""
+    if rows is not None and keep:
+        raise ValueError("rows needs keep=False: a backward pass reads every row's cache")
+    if rows is not None and start == 2 * layers:
+        x = x[..., rows, :]
+    prune_at = max(start, 2 * layers - 2)
     caches = []
     for s in range(start, 2 * layers):
-        x, cache = sublayer_fwd(s, x, params, heads, allowed, keep=keep)
+        x, cache = sublayer_fwd(
+            s, x, params, heads, allowed, keep=keep, rows=rows if s == prune_at else None
+        )
         caches.append(cache)
     return x, (caches if keep else None)
 

@@ -52,13 +52,19 @@ class CheckResult:
 def default_check_mask(config: EncoderConfig, seed: int = 0) -> np.ndarray:
     """Deterministic rectangular object mask leaving ample background. Its
     corner lies in the top-left quarter, or on the first row or column of a
-    side 1 pixel long."""
+    side 1 pixel long. A rectangle that would flag every patch (on a 2 x 2
+    patch grid, say) is trimmed to the patch that holds its corner, so any
+    grid of two or more patches keeps a background patch."""
     rng = np.random.default_rng(seed)
     h, w = config.image_height, config.image_width
     top = int(rng.integers(0, max(1, h // 2)))
     left = int(rng.integers(0, max(1, w // 2)))
     mask = np.zeros((h, w), dtype=bool)
     mask[top : top + h // 4 + 1, left : left + w // 4 + 1] = True
+    if mask_to_flags(mask, config).all():
+        p = config.patch_size
+        mask[(top // p + 1) * p :] = False
+        mask[:, (left // p + 1) * p :] = False
     return mask
 
 
@@ -68,9 +74,13 @@ def flags_to_pixel_region(flags: np.ndarray, config: EncoderConfig) -> np.ndarra
     return np.kron(grid, np.ones((config.patch_size, config.patch_size), dtype=bool))
 
 
-def _masked_encode(image, state, mode, flags=None) -> np.ndarray:
-    """`encode` through the full-sequence pass, Det under its flag mask."""
-    return _forward(image, state, mode, flags, masked_reference=True, keep=False)[0]
+def _masked_encode(image, state, mode, flags=None, read_rows_only=False) -> np.ndarray:
+    """`encode` through the full-sequence pass, Det under its flag mask (see
+    `detpool._forward` for `read_rows_only`)."""
+    return _forward(
+        image, state, mode, flags, masked_reference=True, keep=False,
+        read_rows_only=read_rows_only,
+    )[0]
 
 
 def _background_deltas(state, mask, mode):
@@ -78,7 +88,8 @@ def _background_deltas(state, mask, mode):
     outside the mask's object patches, the largest |change| of `mode`'s
     embedding of one seeded image. Each value costs one pass, so a caller
     that stops early runs no more passes than the values it reads, plus
-    the reference.
+    the reference. These passes are compared only with each other, so
+    their last block computes only the rows the pooling reads.
     """
     config = state.config
     flags = mask_to_flags(mask, config)
@@ -87,14 +98,14 @@ def _background_deltas(state, mask, mode):
         flags = None
     rng = np.random.default_rng(1)
     image = rng.uniform(0.0, 1.0, (config.image_height, config.image_width, 3))
-    reference = _masked_encode(image, state, mode, flags)
+    reference = _masked_encode(image, state, mode, flags, read_rows_only=True)
     rng = np.random.default_rng(2)
     for _ in range(N_PERTURBATIONS):
         perturbed = image.copy()
         perturbed[background] = rng.uniform(
             -PERTURB_SCALE, PERTURB_SCALE, size=(int(background.sum()), 3)
         )
-        out = _masked_encode(perturbed, state, mode, flags)
+        out = _masked_encode(perturbed, state, mode, flags, read_rows_only=True)
         yield float(np.abs(out - reference).max())
 
 
@@ -321,6 +332,8 @@ def run_detpool_checks(
     tractable. A mask must leave a background patch to perturb.
     """
     config = config or EncoderConfig()
+    if config.n_patches == 1:
+        raise ValueError("the encoder has 1 patch, so no background patch is left to perturb")
     state = init_encoder(config, seed)
     if mask is None:
         mask = default_check_mask(config, seed)

@@ -9,6 +9,8 @@ runs the blocks on the object tokens alone; the masked full-sequence pass is
 kept as the reference the verification checks run on. One `_forward`
 serves every pass: `encode` and the checks' masked passes call it with
 `keep=False`, building no backward cache; `encode_grad` alone keeps one.
+The checks' perturbation passes, which are compared only with each other,
+also compute only the rows the pooling reads in the last block.
 Gradients are exact reverse-mode; everything runs in float64.
 """
 
@@ -279,18 +281,22 @@ def _pool(hidden, state, mode, rows):
     return (weights[..., None, :] @ tokens)[..., 0, :], (weights, tokens)
 
 
-def _forward(image, state, mode, flags, masked_reference, keep):
+def _forward(image, state, mode, flags, masked_reference, keep, read_rows_only=False):
     """Forward pass, as embedding, blocks and pooling steps (see `_embed`);
     returns (embedding, cache) for backward and probes. With `keep` false
     the blocks build no backward cache and the cache is None; the embedding
-    is the same bit for bit."""
+    is the same bit for bit. `read_rows_only` (with `keep` false) has the
+    last block compute only the rows the pooling reads; the embedding may
+    then differ from the full pass's in the last bits (see `_nn`), so only
+    passes compared with each other use it."""
     config = state.config
     image, flags = _check_inputs(image, state, mode, flags)
     tokens, allowed, rows, embed_cache = _embed(image, state, mode, flags, masked_reference)
     hidden, block_caches = _nn.transformer_fwd(
-        tokens, state.params, config.layers, config.heads, allowed, keep=keep
+        tokens, state.params, config.layers, config.heads, allowed, keep=keep,
+        rows=rows if read_rows_only else None,
     )
-    embedding, pool_cache = _pool(hidden, state, mode, rows)
+    embedding, pool_cache = _pool(hidden, state, mode, slice(None) if read_rows_only else rows)
     if not np.isfinite(embedding).all():
         raise NonFiniteActivation("encoder produced non-finite values")
     if not keep:

@@ -277,3 +277,18 @@ def record_forward_keeps(monkeypatch) -> list[bool]:
 
     monkeypatch.setattr(_nn, "transformer_fwd", recording)
     return keeps
+
+
+def record_sublayer_rows(monkeypatch) -> list:
+    """Patch `_nn.sublayer_fwd` to record the `rows` of every call, in order
+    and as a list (None for every row), into the returned list; the calls
+    still run."""
+    seen = []
+    original = _nn.sublayer_fwd
+
+    def recording(s, x, params, heads, allowed, keep=True, rows=None):
+        seen.append(None if rows is None else list(rows))
+        return original(s, x, params, heads, allowed, keep=keep, rows=rows)
+
+    monkeypatch.setattr(_nn, "sublayer_fwd", recording)
+    return seen

@@ -691,6 +691,25 @@ class TestDetpoolCheck:
         captured = capsys.readouterr()
         assert captured.err == "" and len(captured.out.splitlines()) == 5, captured
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_2x2_patch_grid_is_checked(self, tmp_path, capsys, seed):
+        # The default rectangle flags all 4 patches at some seeds; it is
+        # trimmed to the patch that holds its corner.
+        config = write_config(tmp_path, encoder={"image_height": 8, "image_width": 8, "seed": seed})
+        assert main(["detpool-check", "--config", str(config)]) in (0, 1)
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 5, captured
+
+    def test_a_one_patch_encoder_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, encoder={"image_height": 4, "image_width": 4})
+        assert main(["detpool-check", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "toygrasp: [CONFIG] the encoder has 1 patch, so no background patch is left to "
+            "perturb\n"
+        )
+
     def test_pgm_mask_accepted(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

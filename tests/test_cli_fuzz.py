@@ -1,8 +1,9 @@
 """The evaluation-harness commands read generated input files and exit 0
 (accepted), 2 (rejected input) or 3 (I/O error), never 4 and never with a
 traceback: `aggregate --outcomes`, `report --rows` and `schedule --objects`,
-the last as text and as JSON. `detpool-check --mask` reads generated PGM
-files the same way, and may also exit 1 (a property failed)."""
+the last as text and as JSON. `analyze` reads generated manifests the same
+way. `detpool-check --mask` reads generated PGM files the same way, and may
+also exit 1 (a property failed)."""
 
 import contextlib
 import io
@@ -13,6 +14,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_config import JSON_VALUES
+from test_readers import MANIFEST, _node_paths, _replaced
 from toygrasp.cli import main
 from toygrasp.errors import ToygraspError
 from toygrasp.io import read_pgm
@@ -173,3 +176,44 @@ def test_detpool_check_mask(headers, pixels):
         )
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+#: Every number in the manifest outside its tessellation: a tessellation
+#: within the admitted limits can still make `analyze` run for hours.
+MANIFEST_NUMBERS = [
+    path
+    for path in _node_paths(MANIFEST)
+    if "tessellation" not in path
+    and isinstance(_node(MANIFEST, path), (int, float))
+    and not isinstance(_node(MANIFEST, path), bool)
+]
+#: Numbers on either side of the readers' and the geometry's limits, then
+#: any number, then any JSON value.
+MANIFEST_VALUES = st.one_of(
+    st.sampled_from([0, -1, 1, 2**63, 2**64, -0.0, 1e-300, 1e300, 5, 0.5, -0.5]),
+    st.integers(),
+    st.floats(),
+    JSON_VALUES,
+)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(MANIFEST_NUMBERS), MANIFEST_VALUES),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda edit: edit[0],
+    )
+)
+def test_analyze_manifest(edits):
+    doc = MANIFEST
+    for path, value in edits:
+        doc = _replaced(doc, path, value)
+    _run_on_file("analyze", "--manifest", ".json", json.dumps(doc))

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REORDER_C, U, attention_weights, record_forward_keeps
+from conftest import (
+    REORDER_C,
+    U,
+    attention_weights,
+    record_forward_keeps,
+    record_sublayer_rows,
+)
 from toygrasp import _nn, checks, detpool
 from toygrasp.checks import (
     GRADIENT_CHECK_CONFIG,
@@ -433,6 +439,55 @@ class TestCompactDet:
         assert (image_grad[~flags_to_pixel_region(flags, config)] == 0.0).all()
 
 
+def _old_default_mask(config, seed):
+    """`default_check_mask` before it trimmed a rectangle that flags every patch."""
+    rng = np.random.default_rng(seed)
+    h, w = config.image_height, config.image_width
+    top = int(rng.integers(0, max(1, h // 2)))
+    left = int(rng.integers(0, max(1, w // 2)))
+    mask = np.zeros((h, w), dtype=bool)
+    mask[top : top + h // 4 + 1, left : left + w // 4 + 1] = True
+    return mask
+
+
+class TestDefaultCheckMask:
+    @pytest.mark.parametrize(
+        "height, width, patch",
+        [(8, 8, 4), (16, 16, 8), (32, 32, 16), (4, 4, 2), (2, 2, 1), (8, 4, 4), (4, 8, 4),
+         (12, 8, 4), (8, 8, 2), (2, 4, 2), (1, 2, 1), (6, 6, 3)],
+    )
+    def test_a_grid_of_two_patches_or_more_keeps_a_background_patch(self, height, width, patch):
+        config = EncoderConfig(
+            image_height=height, image_width=width, patch_size=patch, embed_dim=8, heads=1
+        )
+        for seed in range(20):
+            flags = mask_to_flags(default_check_mask(config, seed), config)
+            assert flags.any() and not flags.all(), seed
+
+    def test_a_trimmed_rectangle_keeps_the_patch_of_its_corner(self):
+        config = EncoderConfig(image_height=8, image_width=8, embed_dim=8, heads=1)
+        trimmed = [
+            s for s in range(20) if mask_to_flags(_old_default_mask(config, s), config).all()
+        ]
+        assert trimmed
+        for seed in trimmed:
+            old, new = _old_default_mask(config, seed), default_check_mask(config, seed)
+            top, left = np.argwhere(old)[0]
+            assert new[top, left] and (new <= old).all()
+            assert mask_to_flags(new, config).sum() == 1
+
+    def test_masks_that_left_background_are_unchanged(self):
+        for config in (EncoderConfig(), TINY):
+            for seed in range(10):
+                old = _old_default_mask(config, seed)
+                assert np.array_equal(default_check_mask(config, seed), old), seed
+
+    def test_a_one_patch_encoder_has_no_background_to_perturb(self):
+        config = EncoderConfig(image_height=4, image_width=4, embed_dim=8, heads=1)
+        with pytest.raises(ValueError, match="1 patch, so no background patch"):
+            run_detpool_checks(config)
+
+
 class TestCheckSuites:
     def test_all_pass_at_default_config(self):
         results = run_detpool_checks(TINY, seed=0, fd_entries_per_tensor=4)
@@ -456,9 +511,9 @@ class TestCheckSuites:
         calls = []
         masked_encode = checks._masked_encode
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return masked_encode(*args)
+            return masked_encode(*args, **kwargs)
 
         monkeypatch.setattr(checks, "_masked_encode", counted)
         return calls
@@ -801,6 +856,56 @@ class TestForwardOnly:
         ]
         assert all(r.passed for r in results), results
         assert keeps and not any(keeps), keeps
+
+
+class TestReadRows:
+    """Every pass without a backward cache computes, in its last block, only
+    the rows its pooling reads (see `_nn.transformer_fwd`)."""
+
+    def test_the_last_mlp_sees_the_object_rows_alone(self, monkeypatch):
+        state = init_encoder(EncoderConfig(), 0)
+        mask = default_check_mask(state.config, 0)
+        assert int(mask_to_flags(mask, state.config).sum()) == 9
+        rows = {"blocks.0.mlp.": [], "blocks.1.mlp.": []}
+        mlp_fwd = _nn.mlp_fwd
+
+        def counted(x, params, prefix, keep=True):
+            rows[prefix].append(x.shape[-2])
+            return mlp_fwd(x, params, prefix, keep=keep)
+
+        monkeypatch.setattr(_nn, "mlp_fwd", counted)
+        assert check_background_invariance(state, mask).passed
+        assert rows == {"blocks.0.mlp.": [64] * 101, "blocks.1.mlp.": [9] * 101}
+
+    def test_dropping_the_mask_in_the_last_attention_breaks_invariance(self, monkeypatch):
+        # Negative control for the pruned last block: its read rows still
+        # attend every row's keys and values, so with the flag mask dropped
+        # there alone, background must leak into Det pooling.
+        state = init_encoder(EncoderConfig(), 0)
+        mask = default_check_mask(state.config, 0)
+        last = 2 * state.config.layers - 2
+        sublayer_fwd = _nn.sublayer_fwd
+
+        def unmasked_last(s, x, params, heads, allowed, keep=True, rows=None):
+            allowed = None if s == last else allowed
+            return sublayer_fwd(s, x, params, heads, allowed, keep=keep, rows=rows)
+
+        monkeypatch.setattr(_nn, "sublayer_fwd", unmasked_last)
+        result = check_background_invariance(state, mask)
+        assert not result.passed, result.detail
+
+    @pytest.mark.parametrize("mode", list(PoolingMode))
+    def test_encode_and_the_reference_pass_run_every_row(self, monkeypatch, mode):
+        # Their outputs are compared with other passes' (and with
+        # `encode_grad`'s), so they keep the full pass's bits.
+        state = init_encoder(replace(TINY, include_cls=True), 5)
+        image = random_image(state.config, 6)
+        flags = mask_to_flags(default_check_mask(state.config, 0), state.config)
+        flags = flags if mode is PoolingMode.DET else None
+        seen = record_sublayer_rows(monkeypatch)
+        encode(image, state, mode, flags)
+        checks._masked_encode(image, state, mode, flags)
+        assert seen == [None] * (4 * state.config.layers)
 
 
 class TestEncoderConfigValidation:

@@ -247,6 +247,106 @@ class TestResumedBackward:
                 assert grads[name].tobytes() == full[name].tobytes(), (start, name)
 
 
+#: (width, MLP width, heads, tokens) of the models toygrasp builds: the
+#: default encoder (64 patches, 65 with CLS), the gradient suite's encoder
+#: (16 patches, 17 with CLS), a 1-head 16-wide encoder, a 1 x 8 image in
+#: 1-pixel patches, and the default and tiny policies.
+MODEL_SHAPES = [
+    (64, 256, 4, 65), (32, 64, 4, 17), (16, 64, 1, 64), (8, 32, 1, 8), (64, 256, 4, 16),
+    (32, 64, 4, 4),
+]
+
+
+def model_params(rng, dim, hidden):
+    table = _nn.transformer_shapes(LAYERS, dim, hidden)
+    return {name: rng.normal(size=shape) for name, (shape, _) in table.items()}
+
+
+class TestReadRows:
+    """With `rows`, `transformer_fwd` returns only the rows the caller reads,
+    and its last block computes only those. Each equals the full pass's row
+    to rounding: the BLAS may round a row of a short product differently
+    from the same row of a long one (a one-row product runs through gemv,
+    for one), so the bits are not held."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(MODEL_SHAPES),
+        batched_x=st.booleans(),
+        stacked=st.sampled_from(
+            [None, "blocks.0.attn.w_v", "blocks.1.ln1.gamma", "blocks.1.attn.b_q",
+             "blocks.1.mlp.w1", "blocks.1.mlp.b2"]
+        ),
+        masked=st.booleans(),
+        data=st.data(),
+    )
+    def test_equal_the_full_pass_rows(self, shape, batched_x, stacked, masked, data):
+        dim, hidden, heads, max_tokens = shape
+        tokens = data.draw(st.integers(1, max_tokens), label="tokens")
+        start = data.draw(st.integers(0, 2 * LAYERS), label="start")
+        rows = data.draw(
+            st.lists(st.integers(0, tokens - 1), min_size=1, max_size=tokens, unique=True),
+            label="rows",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = model_params(rng, dim, hidden)
+        if stacked is not None:
+            # (B, d_in, d_out) for a weight, (B, 1, d) for a vector.
+            size = params[stacked].shape
+            params[stacked] = rng.normal(size=(3, *size) if len(size) == 2 else (3, 1, *size))
+        # Random pairs: read rows attend unread ones, and are attended by them.
+        allowed = rng.random((tokens, tokens)) < 0.5 if masked else None
+        x = rng.normal(size=(3, tokens, dim) if batched_x else (tokens, dim))
+        before = x.copy()
+
+        full, _ = _nn.transformer_fwd(x, params, LAYERS, heads, allowed, start, keep=False)
+        got, caches = _nn.transformer_fwd(
+            x, params, LAYERS, heads, allowed, start, keep=False, rows=np.array(rows)
+        )
+        want = full[..., rows, :]
+        assert got.shape == want.shape and caches is None
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        assert np.array_equal(x, before)
+
+    def test_a_slice_reads_its_rows(self):
+        rng = np.random.default_rng(8)
+        params = random_params(rng)
+        x = rng.normal(size=(6, DIM))
+        full, _ = _nn.transformer_fwd(x, params, LAYERS, 2, keep=False)
+        for rows in (slice(0, 1), slice(-1, None), slice(1, None)):
+            got, _ = _nn.transformer_fwd(x, params, LAYERS, 2, keep=False, rows=rows)
+            assert got.shape == full[rows].shape
+            np.testing.assert_allclose(got, full[rows], rtol=0, atol=1e-12)
+
+    def test_rows_need_the_pass_without_caches(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, DIM))
+        with pytest.raises(ValueError, match="keep=False"):
+            _nn.transformer_fwd(x, random_params(rng), LAYERS, 2, rows=[0, 1])
+
+    def test_only_the_last_block_runs_on_the_read_rows(self, monkeypatch):
+        # Every sublayer before the last block sees every row, the last
+        # block's attention every row of its keys and values, and its MLP the
+        # read rows alone.
+        rng = np.random.default_rng(10)
+        params = random_params(rng)
+        x = rng.normal(size=(6, DIM))
+        seen = []
+        original = _nn.sublayer_fwd
+
+        def recording(s, x, params, heads, allowed, keep=True, rows=None):
+            out = original(s, x, params, heads, allowed, keep=keep, rows=rows)[0]
+            seen.append((s, len(x), None if rows is None else list(rows), len(out)))
+            return out, None
+
+        monkeypatch.setattr(_nn, "sublayer_fwd", recording)
+        _nn.transformer_fwd(x, params, LAYERS, 2, keep=False, rows=[4, 1, 2])
+        assert seen == [(0, 6, None, 6), (1, 6, None, 6), (2, 6, [4, 1, 2], 3), (3, 3, None, 3)]
+        seen.clear()
+        _nn.transformer_fwd(x, params, LAYERS, 2, start=3, keep=False, rows=[5])
+        assert seen == [(3, 6, [5], 1)]
+
+
 class TestLayerNorm:
     @settings(max_examples=200, deadline=None)
     @given(
