@@ -19,10 +19,8 @@ full pass's in the last bits, since the BLAS may round a row of a short
 matrix product differently from the same row of a long one; compare such
 a pass only with passes that name the same rows.
 `init_params` lays a model's parameter table out in one float64 vector, in
-table order, and returns each tensor as a view of it; `flat_zeros` gives
-the same layout over one zeroed vector, calloc'd, so its pages stay out of
-memory until written. An optimizer then updates whole vectors
-(`flat_vector` finds the one a table views).
+table order, and returns each tensor as a view of it (`views`), so an
+optimizer can update whole vectors.
 Activations have shape (..., T, d): any number of leading batch axes, T
 tokens, d channels; a single sequence is (T, d).
 A forward pass also accepts one batched parameter: a (B, d_in, d_out)
@@ -439,68 +437,25 @@ def transformer_shapes(layers, dim, hidden):
     return table
 
 
-def _views(vector, shapes):
-    """Consecutive views of `vector`, one per name -> shape, in order."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
+def views(vector, table):
+    """Consecutive views of `vector`, one per name of a (shape, fill) table."""
+    out, start = {}, 0
+    for name, (shape, _) in table.items():
         size = math.prod(shape)
-        views[name] = vector[start : start + size].reshape(shape)
+        out[name] = vector[start : start + size].reshape(shape)
         start += size
-    return views
+    return out
 
 
 def init_params(rng, table):
     """Parameters of a name -> (shape, fill) table, in table order: a tensor
     with fill None is drawn from N(0, INIT_STD^2), in that order, and any
-    other is filled with its constant. The tensors are consecutive views of
-    one float64 vector, in table order (see `flat_vector`)."""
-    shapes = {name: shape for name, (shape, _) in table.items()}
-    params = _views(np.empty(sum(map(math.prod, shapes.values()))), shapes)
+    other is filled with its constant. The tensors are the `views` of one
+    float64 vector, which is each tensor's `base`."""
+    params = views(np.empty(sum(math.prod(shape) for shape, _ in table.values())), table)
     for name, (shape, fill) in table.items():
         params[name][...] = rng.normal(0.0, INIT_STD, shape) if fill is None else fill
     return params
-
-
-def flat_zeros(params):
-    """Zeros shaped like `params`, laid out as `init_params` lays it out,
-    over one `np.zeros` vector. That vector is calloc'd, so a page nothing
-    writes is never made resident. (Gradients do not take this layout: a
-    backward pass sets most of its entries to new arrays, and one vector
-    would stay alive under the few it adds into.)"""
-    shapes = {name: value.shape for name, value in params.items()}
-    return _views(np.zeros(sum(value.size for value in params.values())), shapes)
-
-
-def _laid_out(arrays, vector):
-    """True when `arrays` are consecutive C-contiguous float64 views of the
-    1-D `vector` that cover it, in order."""
-    if not (isinstance(vector, np.ndarray) and vector.ndim == 1 and vector.dtype == np.float64):
-        return False
-    address = vector.ctypes.data
-    for array in arrays:
-        if not (
-            array.base is vector
-            and array.dtype == np.float64
-            and array.flags.c_contiguous
-            and array.ctypes.data == address
-        ):
-            return False
-        address += array.nbytes
-    return address == vector.ctypes.data + vector.nbytes
-
-
-def flat_vector(table, names):
-    """The float64 vector whose consecutive views, in the order of `names`,
-    are the arrays `table[name]`: the layout `init_params` and `flat_zeros`
-    give. A table laid out otherwise (an entry rebound to a new array, or
-    arrays built one by one) is first copied into a new vector, and each
-    entry rebound to its view of it, so the vector always holds the table."""
-    arrays = [table[name] for name in names]
-    vector = arrays[0].base
-    if not _laid_out(arrays, vector):
-        vector = np.concatenate(arrays, axis=None, dtype=np.float64)
-        table.update(_views(vector, {name: a.shape for name, a in zip(names, arrays)}))
-    return vector
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,22 @@ weight decay; gradients are exact reverse-mode in float64. One `_forward`
 serves every pass: `policy_forward` calls it with `keep=False`, building no
 backward cache.
 
-The parameters are views of one float64 vector, in table order
-(`_nn.init_params`), and `opt_m` and `opt_v` have the same layout over one
-zeroed vector each. Those are calloc'd, so a state that never trains keeps
-no moments resident: for the default config they are 1.9 MB. `train_step`
-gathers the gradients into that layout with one concatenate and runs AdamW
-as a few in-place operations over whole vectors, with two scratch vectors
-kept on the state: fresh full-size temporaries would be mapped and faulted
-in on every step.
+A `PolicyState` owns three float64 vectors in table order: the parameters
+and AdamW's two moments, exposed as read-only mappings of views built once.
+The moments are calloc'd, so a state that never trains keeps none resident
+(1.9 MB at the default config). `train_step` gathers the gradients into
+that layout with one concatenate and runs AdamW as a few in-place
+operations over whole vectors, with two scratch vectors allocated on its
+first step and kept: fresh temporaries on every step, or scratch made with
+the state, each made training measurably slower.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,13 +98,34 @@ class StepObservation:
 
 @dataclass(eq=False)
 class PolicyState:
+    """The parameters and AdamW's two moments as three float64 vectors
+    (params, opt_m, opt_v) in `_param_table` order, and AdamW's step count."""
+
     config: PolicyConfig
-    params: dict[str, np.ndarray] = field(repr=False)
-    opt_m: dict[str, np.ndarray] = field(repr=False)
-    opt_v: dict[str, np.ndarray] = field(repr=False)
+    vectors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     opt_step: int = 0
-    #: `train_step`'s working set (see `_flat_vectors`); None until it runs.
-    _flat: tuple | None = field(default=None, init=False, repr=False)
+    params: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    opt_m: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    opt_v: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    #: `train_step`'s two scratch vectors; None until its first step.
+    _scratch: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        table = _param_table(self.config)
+        size = sum(math.prod(shape) for shape, _ in table.values())
+        self.vectors = vectors = tuple(self.vectors)
+        if len(vectors) != 3:
+            raise ShapeMismatch(f"expected 3 vectors (params, opt_m, opt_v), got {len(vectors)}")
+        want = f"a contiguous float64 vector of {size} entries"
+        for name, array in zip(("params", "opt_m", "opt_v"), vectors):
+            if not isinstance(array, np.ndarray):
+                raise ShapeMismatch(f"{name}: expected {want}, got {type(array).__name__}")
+            if array.shape != (size,) or array.dtype != np.float64 or not array.flags.c_contiguous:
+                raise ShapeMismatch(f"{name}: expected {want}, got {array.dtype} {array.shape}")
+            setattr(self, name, MappingProxyType(_nn.views(array, table)))
+
+    def __reduce__(self):
+        return PolicyState, (self.config, self.vectors, self.opt_step)
 
 
 #: AdamW's decoupled weight decay, moment decay rates and denominator floor.
@@ -132,9 +154,8 @@ def _param_table(config: PolicyConfig) -> dict:
 
 def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
     params = _nn.init_params(np.random.default_rng(seed), _param_table(config))
-    return PolicyState(
-        config=config, params=params, opt_m=_nn.flat_zeros(params), opt_v=_nn.flat_zeros(params)
-    )
+    vector = next(iter(params.values())).base  # the one vector every tensor views
+    return PolicyState(config, (vector, np.zeros(vector.size), np.zeros(vector.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +251,8 @@ def train_step(
 
     Every history and target is validated first; the whole batch then runs
     as one forward and one backward pass over a (B, C, token_in_dim) stack.
-    The state is updated in place and returned for chaining: its tables'
-    arrays are written, except that an entry rebound to another array since
-    the last step is first copied into the layout, and the table then holds
-    a view in its place.
+    The state's three vectors are updated in place, and the state is
+    returned for chaining.
     """
     if not batch:
         raise ValueError("train_step requires a nonempty batch")
@@ -252,7 +271,10 @@ def train_step(
     scale = 1.0 / (len(batch) * config.chunk_len * config.action_dim)
     grads = _backward(np.sign(chunks - targets) * scale, cache, state)
 
-    p, m, v, g, a = _flat_vectors(state)
+    p, m, v = state.vectors
+    if state._scratch is None:
+        state._scratch = (np.empty(p.size), np.empty(p.size))
+    g, a = state._scratch
     state.opt_step += 1
     t = state.opt_step
     bias1 = 1.0 - BETA1**t
@@ -279,27 +301,3 @@ def train_step(
     p -= g
     return state, total_loss / len(batch)
 
-
-def _flat_vectors(state):
-    """The vectors that `state.params`, `opt_m` and `opt_v` view, each in the
-    order of `params`, then two scratch vectors of their size.
-
-    They are found once and kept on the state, with the arrays the tables
-    held then. When a table no longer holds exactly those arrays (an entry
-    was rebound), or they no longer view the kept vectors (a deep copy of
-    the state copies each view on its own), `_nn.flat_vector` lays the
-    tables out again, so the update reaches every entry the tables hold."""
-    tables = (state.params, state.opt_m, state.opt_v)
-    if state._flat is None or not all(
-        len(table) == len(arrays)
-        and all(map(operator.is_, table.values(), arrays))
-        and arrays[0].base is vector
-        for table, arrays, vector in zip(tables, *state._flat)
-    ):
-        vectors = [_nn.flat_vector(table, state.params) for table in tables]
-        size = vectors[0].size
-        state._flat = (
-            [tuple(table.values()) for table in tables],
-            (*vectors, np.empty(size), np.empty(size)),
-        )
-    return state._flat[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,7 +213,8 @@ def policy_grad(history, state, upstream) -> dict[str, np.ndarray]:
 def reference_train_step(batch, state, opt=None):
     """`policy.train_step` as it was before the flat parameter layout, kept
     as the reference the flat update must match bit for bit: the same
-    forward and backward passes, then AdamW one tensor at a time."""
+    forward and backward passes, then AdamW one tensor at a time, each
+    result written into the state's arrays."""
     if not batch:
         raise ValueError("train_step requires a nonempty batch")
     opt = opt or OptimizerConfig()
@@ -237,8 +238,8 @@ def reference_train_step(batch, state, opt=None):
     bias2 = 1.0 - BETA2**t
     for name, param in state.params.items():
         g = grads[name]
-        state.opt_m[name] = BETA1 * state.opt_m[name] + (1.0 - BETA1) * g
-        state.opt_v[name] = BETA2 * state.opt_v[name] + (1.0 - BETA2) * g * g
+        state.opt_m[name][...] = BETA1 * state.opt_m[name] + (1.0 - BETA1) * g
+        state.opt_v[name][...] = BETA2 * state.opt_v[name] + (1.0 - BETA2) * g * g
         m_hat = state.opt_m[name] / bias1
         v_hat = state.opt_v[name] / bias2
         param -= opt.learning_rate * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * param)
@@ -249,8 +250,9 @@ def policy_fd_losses(history, state, upstream):
     """The pair (loss, batched_loss) of <upstream, policy_forward(history,
     state)> for `_nn.finite_difference_check`. The zero-argument loss reads
     the parameters in place; the batched loss runs a (B, *shape) stack of
-    copies of one parameter in one forward pass and returns the B losses,
-    each summed elementwise as the zero-argument loss is."""
+    copies of one parameter in one forward pass, over a stand-in state whose
+    table holds the stack, and returns the B losses, each summed elementwise
+    as the zero-argument loss is."""
     stacked = policy._stack_histories([history], state.config)[0]
 
     def loss() -> float:
@@ -259,7 +261,7 @@ def policy_fd_losses(history, state, upstream):
     def batched_loss(name, stack):
         if stack.ndim == 2:
             stack = stack[:, None, :]  # vectors as (B, 1, d)
-        variant = replace(state, params={**state.params, name: stack})
+        variant = SimpleNamespace(config=state.config, params={**state.params, name: stack})
         return (policy._forward(stacked, variant, keep=False)[0] * upstream).sum(axis=(-2, -1))
 
     return loss, batched_loss

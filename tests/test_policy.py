@@ -1,5 +1,7 @@
 import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -537,31 +539,34 @@ def assert_tables_bitwise_equal(a, b):
     assert a.opt_step == b.opt_step
 
 
-def rebind_parameter(state):
-    state.params["head.bias"] = state.params["head.bias"] + 0.25
-    return state
+TABLES = ["params", "opt_m", "opt_v"]
 
 
-def rebind_moment(state):
-    state.opt_v["proj.w1"] = state.opt_v["proj.w1"].copy()
-    return state
+def copied_vectors(state):
+    vectors = tuple(vector.copy() for vector in state.vectors)
+    return PolicyState(state.config, vectors, state.opt_step)
 
 
-def built_by_hand(state):
-    # Separate arrays, and moment tables in another key order.
-    return PolicyState(
-        state.config,
-        {name: value.copy() for name, value in state.params.items()},
-        {name: state.opt_m[name].copy() for name in reversed(state.opt_m)},
-        {name: state.opt_v[name].copy() for name in reversed(state.opt_v)},
-        state.opt_step,
-    )
+def pickled(state):
+    return pickle.loads(pickle.dumps(state))
+
+
+def assert_entries_view_the_vectors(state):
+    table = policy_mod._param_table(state.config)
+    for mapping, vector in zip((state.params, state.opt_m, state.opt_v), state.vectors):
+        assert list(mapping) == list(table)
+        address = vector.ctypes.data
+        for name, value in mapping.items():
+            assert value.base is vector and value.flags.c_contiguous, name
+            assert value.shape == table[name][0] and value.ctypes.data == address, name
+            address += value.nbytes
+        assert address == vector.ctypes.data + vector.nbytes
 
 
 class TestFlatLayout:
-    """Each model's tensors view one vector, and `train_step` runs AdamW over
-    whole vectors; `conftest.reference_train_step` is the per-tensor update
-    it must match bit for bit."""
+    """A `PolicyState` owns three vectors, and `train_step` runs AdamW over
+    them whole; `conftest.reference_train_step` is the per-tensor update it
+    must match bit for bit."""
 
     @pytest.mark.parametrize(
         "table",
@@ -590,15 +595,14 @@ class TestFlatLayout:
             address += value.nbytes
             assert value.tobytes() == drawn[name].tobytes(), name
 
-    def test_moments_share_the_parameters_layout(self):
-        state = init_policy(TINY, 8)
-        for table in (state.params, state.opt_m, state.opt_v):
-            before = dict(table)
-            vector = _nn.flat_vector(table, state.params)
-            # Already laid out: no entry was copied or rebound.
-            assert all(table[name] is before[name] for name in before)
-            assert vector.size == sum(value.size for value in state.params.values())
-        assert not state.opt_m["head.bias"].any() and not state.opt_v["proj.w1"].any()
+    @pytest.mark.parametrize("config", [TINY, PolicyConfig()], ids=["tiny", "default"])
+    def test_every_entry_views_its_vector_in_table_order(self, config):
+        state = init_policy(config, 8)
+        assert_entries_view_the_vectors(state)
+        params, opt_m, opt_v = state.vectors
+        assert not opt_m.any() and not opt_v.any()
+        pairs = [(params, opt_m), (params, opt_v), (opt_m, opt_v)]
+        assert not any(np.shares_memory(a, b) for a, b in pairs)
 
     @pytest.mark.parametrize(
         "config, steps", [(TINY, 400), (PolicyConfig(), 5)], ids=["tiny-400", "default-5"]
@@ -612,26 +616,72 @@ class TestFlatLayout:
         assert losses == expected
         assert_tables_bitwise_equal(flat, reference)
 
+    @pytest.mark.parametrize("index, table", enumerate(TABLES), ids=TABLES)
+    def test_rebinding_an_entry_raises(self, index, table):
+        state = init_policy(TINY, 9)
+        train_step(linear_task_data(TINY, 2, 10), state, OptimizerConfig())
+        before = [vector.copy() for vector in state.vectors]
+        mapping = getattr(state, table)
+        with pytest.raises(TypeError):
+            mapping["head.bias"] = mapping["head.bias"] + 0.25
+        with pytest.raises(TypeError):
+            del mapping["proj.w1"]
+        for vector, copy_before in zip(state.vectors, before):
+            assert vector.tobytes() == copy_before.tobytes()
+        assert mapping["head.bias"].base is state.vectors[index]
+        assert_entries_view_the_vectors(state)
+
     @pytest.mark.parametrize(
         "change",
-        [rebind_parameter, rebind_moment, copy.deepcopy, built_by_hand],
-        ids=["rebound-parameter", "rebound-moment", "deepcopy", "built-by-hand"],
+        [copied_vectors, pickled, copy.deepcopy],
+        ids=["copied-vectors", "pickle", "deepcopy"],
     )
-    def test_state_changed_between_steps_still_updates_every_entry(self, change):
-        # The tables are views, so a rebound entry or a copied state no
-        # longer views the vectors `train_step` kept; it must lay the tables
-        # out again rather than update vectors no table reads.
+    def test_a_copied_state_trains_like_the_reference_bitwise(self, change):
         data = linear_task_data(TINY, 4, 52)
         opt = OptimizerConfig(learning_rate=1e-3)
-        flat, reference = init_policy(TINY, 53), init_policy(TINY, 53)
+        state, reference = init_policy(TINY, 53), init_policy(TINY, 53)
         for _ in range(3):
-            train_step(data, flat, opt)
+            train_step(data, state, opt)
             reference_train_step(data, reference, opt)
-        flat, reference = change(flat), change(reference)
-        losses = [train_step(data, flat, opt)[1] for _ in range(3)]
+        before = [vector.copy() for vector in state.vectors]
+        copied = change(state)
+        assert copied.opt_step == 3
+        assert_entries_view_the_vectors(copied)
+        assert not any(map(np.shares_memory, copied.vectors, state.vectors))
+        losses = [train_step(data, copied, opt)[1] for _ in range(3)]
         expected = [reference_train_step(data, reference, opt)[1] for _ in range(3)]
         assert losses == expected
-        assert_tables_bitwise_equal(flat, reference)
+        assert_tables_bitwise_equal(copied, reference)
+        for vector, copy_before in zip(state.vectors, before):  # the original is untouched
+            assert vector.tobytes() == copy_before.tobytes()
+
+    @pytest.mark.parametrize("index, name", enumerate(TABLES), ids=TABLES)
+    @pytest.mark.parametrize(
+        "damage, got",
+        [
+            (lambda v: v[:-1], lambda n: f"float64 ({n - 1},)"),
+            (lambda v: np.append(v, 0.0), lambda n: f"float64 ({n + 1},)"),
+            (lambda v: v.astype(np.float32), lambda n: f"float32 ({n},)"),
+            (lambda v: v.reshape(1, -1), lambda n: f"float64 (1, {n})"),
+            (lambda v: np.repeat(v, 2)[::2], lambda n: f"float64 ({n},)"),
+            (lambda v: v.tolist(), lambda n: "list"),
+        ],
+        ids=["short", "long", "float32", "2-d", "strided", "list"],
+    )
+    def test_constructor_names_a_bad_vector(self, index, name, damage, got):
+        state = init_policy(TINY, 11)
+        n = state.vectors[0].size
+        vectors = list(state.vectors)
+        vectors[index] = damage(vectors[index])
+        message = f"{name}: expected a contiguous float64 vector of {n} entries, got {got(n)}"
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            PolicyState(TINY, vectors)
+
+    def test_constructor_needs_three_vectors(self):
+        vectors = init_policy(TINY, 12).vectors
+        for count in (2, 4):
+            with pytest.raises(ShapeMismatch, match=f"expected 3 vectors .*, got {count}"):
+                PolicyState(TINY, (vectors * 2)[:count])
 
 
 class TestEndToEndDetPipeline:
