@@ -40,6 +40,9 @@ PERTURB_SCALE = 50.0
 DET_TOL = 1e-12
 #: Smallest mean-pooling change that shows background leaking in.
 CONTRAST_THRESHOLD = 1e-6
+#: Entries per tensor that the finite-difference gradient suite samples,
+#: unless `detpool-check --full-gradients` asks for every entry.
+FD_ENTRIES_PER_TENSOR = 8
 
 
 @dataclass(frozen=True)
@@ -322,7 +325,7 @@ def run_detpool_checks(
     config: EncoderConfig | None = None,
     seed: int = 0,
     mask: np.ndarray | None = None,
-    fd_entries_per_tensor: int | None = 8,
+    fd_entries_per_tensor: int | None = FD_ENTRIES_PER_TENSOR,
 ) -> list[CheckResult]:
     """The five suites in a stable order.
 

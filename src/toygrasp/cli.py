@@ -27,7 +27,7 @@ from pathlib import Path
 from . import analysis as analysis_mod
 from . import evalharness
 from .assembler import connectivity_check, generate_set
-from .checks import run_detpool_checks
+from .checks import FD_ENTRIES_PER_TENSOR, run_detpool_checks
 from .config import CliConfig, load_config
 from .errors import NotWatertight, SchemaViolation, ToygraspError
 from .io import (
@@ -158,7 +158,7 @@ def cmd_detpool_check(args: argparse.Namespace) -> int:
         config.encoder,
         seed=config.encoder_seed,
         mask=mask,
-        fd_entries_per_tensor=None if args.full_gradients else 8,
+        fd_entries_per_tensor=None if args.full_gradients else FD_ENTRIES_PER_TENSOR,
     )
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -16,45 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyObjectList, EmptyOutcomes, SchemaViolation
-from .io import (
-    check,
-    csv_chunks,
-    csv_count,
-    csv_rows,
-    json_chunks,
-    read_document,
-    write_output,
-)
+from .errors import EmptyObjectList, EmptyOutcomes
+from .io import csv_chunks, csv_count, csv_rows, json_chunks, write_output
 
 
 class Protocol(enum.Enum):
     SIM_MANISKILL = "sim_maniskill"
     FRANKA_REAL = "franka_real"
     H12_HUMANOID = "h12_humanoid"
-
-
-#: Simulation grid: the exact 4x4 Cartesian product over both axes (meters).
-SIM_AXIS_VALUES: tuple[float, ...] = (-0.075, -0.025, 0.025, 0.075)
-
-#: Per-protocol constants: workspace extents (m), trials per object, and the
-#: lift threshold (m) carried as metadata for whoever executes the trials.
-PROTOCOL_WORKSPACE: dict[Protocol, tuple[float, float]] = {
-    Protocol.SIM_MANISKILL: (0.15, 0.15),
-    Protocol.FRANKA_REAL: (0.5, 0.28),
-    Protocol.H12_HUMANOID: (0.40, 0.36),
-}
-PROTOCOL_TRIALS: dict[Protocol, int] = {
-    Protocol.SIM_MANISKILL: 16,
-    Protocol.FRANKA_REAL: 16,
-    Protocol.H12_HUMANOID: 5,
-}
-PROTOCOL_LIFT_THRESHOLD: dict[Protocol, float | None] = {
-    Protocol.SIM_MANISKILL: 0.3,
-    Protocol.FRANKA_REAL: 0.2,
-    Protocol.H12_HUMANOID: None,
-}
-H12_GRID = (3, 2)  # columns across 0.40 m, rows across 0.36 m
 
 
 @dataclass(frozen=True)
@@ -73,51 +42,62 @@ class TrialSchedule:
     trials: tuple[TrialRecord, ...]
 
 
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """A placement protocol: workspace extents (m), the placement cells in
+    schedule order, trials per object, and the lift threshold (m) carried
+    as metadata for whoever executes the trials."""
+
+    workspace_m: tuple[float, float]
+    cells: tuple[tuple[float, float], ...]
+    trials: int
+    lift_threshold_m: float | None
+
+
 def _cell_centers(extent: float, cells: int) -> list[float]:
     """Centers of an even partition of [-extent/2, extent/2] into `cells`."""
     return [(extent / cells) * (k + 0.5) - extent / 2.0 for k in range(cells)]
 
 
-def _placements_sim() -> list[tuple[float, float]]:
-    return [(x, y) for x in SIM_AXIS_VALUES for y in SIM_AXIS_VALUES]
+_SIM_AXIS = (-0.075, -0.025, 0.025, 0.075)
+_FRANKA_XS, _FRANKA_YS = _cell_centers(0.5, 4), _cell_centers(0.28, 4)
+_H12_XS, _H12_YS = _cell_centers(0.40, 3), _cell_centers(0.36, 2)
 
-
-def _placements_franka() -> list[tuple[float, float]]:
-    xs = _cell_centers(PROTOCOL_WORKSPACE[Protocol.FRANKA_REAL][0], 4)
-    ys = _cell_centers(PROTOCOL_WORKSPACE[Protocol.FRANKA_REAL][1], 4)
-    return [(x, y) for x in xs for y in ys]
-
-
-def h12_cell_centers() -> list[tuple[float, float]]:
-    """Six square centers, 3 columns x 2 rows, row-major."""
-    wx, wy = PROTOCOL_WORKSPACE[Protocol.H12_HUMANOID]
-    xs = _cell_centers(wx, H12_GRID[0])
-    ys = _cell_centers(wy, H12_GRID[1])
-    return [(x, y) for y in ys for x in xs]
+#: Simulation: the exact 4x4 Cartesian product of `_SIM_AXIS`, x-major.
+#: Franka: the centers of a 4x4 partition of its workspace, x-major. H1-2:
+#: 5 of the 6 centers of a 3x2 partition (columns across 0.40 m, rows
+#: across 0.36 m), row-major, drawn per object without replacement.
+PROTOCOLS: dict[Protocol, ProtocolSpec] = {
+    Protocol.SIM_MANISKILL: ProtocolSpec(
+        (0.15, 0.15), tuple((x, y) for x in _SIM_AXIS for y in _SIM_AXIS), 16, 0.3
+    ),
+    Protocol.FRANKA_REAL: ProtocolSpec(
+        (0.5, 0.28), tuple((x, y) for x in _FRANKA_XS for y in _FRANKA_YS), 16, 0.2
+    ),
+    Protocol.H12_HUMANOID: ProtocolSpec(
+        (0.40, 0.36), tuple((x, y) for y in _H12_YS for x in _H12_XS), 5, None
+    ),
+}
 
 
 def make_schedule(
     protocol: Protocol, objects: Sequence[str], seed: int
 ) -> TrialSchedule:
-    """Deterministic trial list: fixed grid placements (sim/Franka) or
-    `PROTOCOL_TRIALS` distinct grid cells per object (H1-2), with
-    z-rotations uniform in [0, 2pi).
+    """Deterministic trial list: the protocol's cells in order, or, where it
+    has fewer trials than cells (H1-2), that many distinct cells drawn per
+    object; z-rotations uniform in [0, 2pi).
     """
     if not objects:
         raise EmptyObjectList("schedule requires at least one object id")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    spec = PROTOCOLS[protocol]
     rng = np.random.default_rng(seed)
     trials: list[TrialRecord] = []
     for object_id in objects:
-        if protocol is Protocol.H12_HUMANOID:
-            cells = h12_cell_centers()
-            order = rng.permutation(len(cells))[: PROTOCOL_TRIALS[protocol]]
-            chosen = [cells[i] for i in order]
-        elif protocol is Protocol.SIM_MANISKILL:
-            chosen = _placements_sim()
-        else:
-            chosen = _placements_franka()
+        chosen = spec.cells
+        if spec.trials < len(spec.cells):
+            chosen = [spec.cells[i] for i in rng.permutation(len(spec.cells))[: spec.trials]]
         for index, (x, y) in enumerate(chosen):
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
             trials.append(TrialRecord(object_id, x, y, theta, index))
@@ -127,40 +107,18 @@ def make_schedule(
 def write_schedule(schedule: TrialSchedule, path: str | Path) -> str:
     """Write the schedule as indented JSON, building its trial records one
     block at a time; returns the SHA-256 of the bytes written."""
+    spec = PROTOCOLS[schedule.protocol]
     doc = {
         "protocol": schedule.protocol.value,
         "seed": schedule.seed,
-        "workspace_m": list(PROTOCOL_WORKSPACE[schedule.protocol]),
-        "lift_threshold_m": PROTOCOL_LIFT_THRESHOLD[schedule.protocol],
+        "workspace_m": list(spec.workspace_m),
+        "lift_threshold_m": spec.lift_threshold_m,
         "trials": (
             {"object": t.object_id, "x": t.x, "y": t.y, "theta": t.theta, "index": t.index}
             for t in schedule.trials
         ),
     }
     return write_output(path, json_chunks(doc, "trials"), "schedule")
-
-
-_SCHEDULE = {
-    "protocol": str, "seed": int, "workspace_m": (float, float), "lift_threshold_m": None,
-    "trials": [{"object": str, "x": float, "y": float, "theta": float, "index": int}],
-}
-
-
-def read_schedule(path: str | Path) -> TrialSchedule:
-    doc = read_document(path, "schedule")
-    check(doc, _SCHEDULE, root="schedule")
-    try:
-        protocol = Protocol(doc["protocol"])
-    except ValueError as exc:
-        raise SchemaViolation(f"protocol: {exc}") from exc
-    return TrialSchedule(
-        protocol=protocol,
-        seed=doc["seed"],
-        trials=tuple(
-            TrialRecord(t["object"], t["x"], t["y"], t["theta"], t["index"])
-            for t in doc["trials"]
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +229,7 @@ def scaling_report(
     rows: Sequence[tuple[str, int, float]], csv_path: str | Path
 ) -> tuple[Path, str]:
     """Write (label, demos, success) rows as CSV plus an aligned text grid
-    beside it (`.txt`), sorted by (label, demos) so output bytes are
+    beside it (`.txt`), sorted by whole row so output bytes are
     order-insensitive; returns the grid's path and the SHA-256 of the CSV
     bytes written. A `csv_path` ending in `.txt` is rejected, because the
     grid would overwrite it, and so is a success that is not a finite
@@ -293,7 +251,7 @@ def scaling_report(
     cells = [("label", "demos", "success_percent")]
     cells += [
         (label, str(demos), _round_half_up(success))
-        for label, demos, success in sorted(rows, key=lambda r: (r[0], r[1]))
+        for label, demos, success in sorted(rows)
     ]
     csv_sha256 = write_output(csv_path, csv_chunks(cells), "report CSV")
     write_output(grid_path, [_grid(cells).encode()], "report grid")

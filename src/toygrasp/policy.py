@@ -21,7 +21,7 @@ the state, each made training measurably slower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -99,7 +99,8 @@ class StepObservation:
 @dataclass(eq=False)
 class PolicyState:
     """The parameters and AdamW's two moments as three float64 vectors
-    (params, opt_m, opt_v) in `_param_table` order, and AdamW's step count."""
+    (params, opt_m, opt_v) in `_param_table` order, and AdamW's step count.
+    Of these, only the step count can be rebound after construction."""
 
     config: PolicyConfig
     vectors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
@@ -113,7 +114,8 @@ class PolicyState:
     def __post_init__(self) -> None:
         table = _param_table(self.config)
         size = sum(math.prod(shape) for shape, _ in table.values())
-        self.vectors = vectors = tuple(self.vectors)
+        vectors = tuple(self.vectors)
+        object.__setattr__(self, "vectors", vectors)
         if len(vectors) != 3:
             raise ShapeMismatch(f"expected 3 vectors (params, opt_m, opt_v), got {len(vectors)}")
         want = f"a contiguous float64 vector of {size} entries"
@@ -123,6 +125,14 @@ class PolicyState:
             if array.shape != (size,) or array.dtype != np.float64 or not array.flags.c_contiguous:
                 raise ShapeMismatch(f"{name}: expected {want}, got {array.dtype} {array.shape}")
             setattr(self, name, MappingProxyType(_nn.views(array, table)))
+
+    def __setattr__(self, name: str, value) -> None:
+        # The tables view the vectors they were built from, so rebinding any
+        # of these would split what `train_step` updates from what
+        # `policy_forward` reads; `opt_step` and the scratch stay settable.
+        if name in ("config", "vectors", "params", "opt_m", "opt_v") and name in self.__dict__:
+            raise FrozenInstanceError(f"cannot rebind PolicyState.{name}; build a new PolicyState")
+        object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return PolicyState, (self.config, self.vectors, self.opt_step)

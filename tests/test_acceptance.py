@@ -36,7 +36,7 @@ from toygrasp.checks import (
     flags_to_pixel_region,
 )
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode_grad, init_encoder, mask_to_flags
-from toygrasp.evalharness import SIM_AXIS_VALUES, Protocol, aggregate, make_schedule
+from toygrasp.evalharness import Protocol, aggregate, make_schedule
 from toygrasp.io import build_manifest, manifest_json_bytes, stl_bytes, toy_record
 from toygrasp.mesh import Tessellation, mesh_primitive, mesh_toy, mesh_volume, is_watertight
 from toygrasp.policy import (
@@ -291,7 +291,8 @@ def test_09_loss_and_training():
 def test_10_evaluation_arithmetic():
     schedule = make_schedule(Protocol.SIM_MANISKILL, ["obj"], seed=1)
     placements = [(t.x, t.y) for t in schedule.trials]
-    assert placements == [(x, y) for x in SIM_AXIS_VALUES for y in SIM_AXIS_VALUES]
+    axis = (-0.075, -0.025, 0.025, 0.075)  # the paper's grid, meters
+    assert placements == [(x, y) for x in axis for y in axis]
 
     def from_rates(rates):
         return {

@@ -631,6 +631,26 @@ class TestFlatLayout:
         assert mapping["head.bias"].base is state.vectors[index]
         assert_entries_view_the_vectors(state)
 
+    @pytest.mark.parametrize("name", ["config", "vectors", "params", "opt_m", "opt_v"])
+    def test_rebinding_an_attribute_raises(self, name):
+        state = init_policy(TINY, 9)
+        train_step(linear_task_data(TINY, 2, 10), state, OptimizerConfig())
+        before = [vector.copy() for vector in state.vectors]
+        value = getattr(state, name)
+        if name == "config":
+            replacement = PolicyConfig.tiny()
+        elif name == "vectors":
+            replacement = tuple(vector.copy() for vector in value)
+        else:
+            replacement = {key: entry.copy() for key, entry in value.items()}
+        with pytest.raises(AttributeError, match=re.escape(f"PolicyState.{name}")):
+            setattr(state, name, replacement)
+        assert getattr(state, name) is value
+        train_step(linear_task_data(TINY, 2, 10), state, OptimizerConfig())
+        assert state.opt_step == 2
+        assert any(v.tobytes() != b.tobytes() for v, b in zip(state.vectors, before))
+        assert_entries_view_the_vectors(state)
+
     @pytest.mark.parametrize(
         "change",
         [copied_vectors, pickled, copy.deepcopy],
