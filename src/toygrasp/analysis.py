@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembler import ToySpec
-from .errors import EmptyMesh
+from .errors import InvalidInput
 from .io import csv_chunks, write_output
 from .mesh import TriMesh
 from .primitives import PrimitiveKind
@@ -50,7 +50,7 @@ class FeasibilityReport:
 def directional_width(mesh: TriMesh, direction: np.ndarray) -> float:
     """Max minus min vertex projection onto a unit direction."""
     if mesh.n_vertices == 0:
-        raise EmptyMesh("directional width of an empty mesh")
+        raise InvalidInput("directional width of an empty mesh")
     d = np.asarray(direction, dtype=np.float64)
     if abs(float(d @ d) - 1.0) > 2e-9:
         raise ValueError("direction must be a unit vector within 1e-9")
@@ -86,7 +86,7 @@ def min_caliper_width(mesh: TriMesh) -> tuple[float, np.ndarray]:
     vector of the centred vertices.
     """
     if mesh.n_vertices == 0:
-        raise EmptyMesh("min caliper width of an empty mesh")
+        raise InvalidInput("min caliper width of an empty mesh")
     # Imported here: scipy.spatial loads 175 modules in about 0.26 s and adds
     # about 36 MB to peak RSS, which other commands never use.
     from scipy.spatial import ConvexHull, QhullError

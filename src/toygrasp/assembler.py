@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidComposition
+from .errors import InvalidInput
 from .primitives import (
     KIND_ORDER,
     DimensionRanges,
@@ -74,10 +74,10 @@ class SetComposition:
     def __post_init__(self) -> None:
         for name, count in self.counts().items():
             if count < 0:
-                raise InvalidComposition(f"negative count for {name}: {count}")
+                raise InvalidInput(f"negative count for {name}: {count}")
         total = sum(self.counts().values())
         if total > MAX_TOYS:
-            raise InvalidComposition(
+            raise InvalidInput(
                 f"composition total = {total} toys is above the limit of {MAX_TOYS}"
             )
 

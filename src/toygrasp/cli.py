@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: generate | analyze | detpool-check | schedule | aggregate | report.
-Exit codes: 0 success, 1 property-check failure, 2 config/input error,
-3 I/O error, 4 internal error (an exception the CLI does not expect; it
+Exit codes: 0 success, 1 property-check failure, 2 config/input error
+(an `InvalidInput`, or any other ValueError; one `[CONFIG] <message>`
+line), 3 I/O error (an `IoFailure`, or any other OSError; one `[IO]
+<message>` line), 4 internal error (an exception the CLI does not expect; it
 prints one `[INTERNAL] <type>: <message>` line and no traceback), 130
 interrupted (Ctrl-C; one `interrupted` line, no traceback). Every output
 file is replaced whole by `io.write_output`, so a failed command leaves the
@@ -29,7 +31,7 @@ from . import evalharness
 from .assembler import connectivity_check, generate_set
 from .checks import FD_ENTRIES_PER_TENSOR, run_detpool_checks
 from .config import CliConfig, load_config
-from .errors import NotWatertight, SchemaViolation, ToygraspError
+from .errors import InvalidInput
 from .io import (
     build_manifest,
     csv_count,
@@ -82,7 +84,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     specs = {part.spec.kind: part.spec for toy in toys for part in toy.parts}
     for kind, spec in specs.items():
         if not is_watertight(mesh_primitive(spec, config.tessellation)):
-            raise NotWatertight(f"{kind.value} mesh: an edge is not shared by exactly 2 triangles")
+            raise InvalidInput(f"{kind.value} mesh: an edge is not shared by exactly 2 triangles")
 
     # The manifest and digest list are written last; remove an earlier
     # set's first, so a run that stops part-way leaves none that lists
@@ -172,12 +174,12 @@ def _read_objects(path: str) -> list[str]:
     data = read_document(path, "objects", as_json=as_json)
     if as_json:
         if not isinstance(data, list):
-            raise SchemaViolation("objects JSON must be an array of ids")
+            raise InvalidInput("objects JSON must be an array of ids")
         entries = [(f"item {k}", item) for k, item in enumerate(data)]
         for where, item in entries:
             if not isinstance(item, str) or not item:
                 got = repr(item) if isinstance(item, str) else type(item).__name__
-                raise SchemaViolation(
+                raise InvalidInput(
                     f"{where}: object id must be a non-empty string, got {got}"
                 )
     else:
@@ -189,7 +191,7 @@ def _read_objects(path: str) -> list[str]:
     first: dict[str, str] = {}
     for where, object_id in entries:
         if object_id in first:
-            raise SchemaViolation(
+            raise InvalidInput(
                 f"{where}: duplicate object id {object_id!r}, first on {first[object_id]}"
             )
         first[object_id] = where
@@ -298,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # IoFailure subclasses OSError
         print(f"toygrasp: [IO] {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ToygraspError) as exc:
+    except ValueError as exc:  # InvalidInput subclasses ValueError
         print(f"toygrasp: [CONFIG] {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .analysis import GripperModel
 from .assembler import GenerationConfig
 from .detpool import EncoderConfig
-from .errors import ConfigError, SchemaViolation
+from .errors import InvalidInput
 from .io import check, generation_config_from_dict, generation_config_to_dict, read_document
 from .mesh import Tessellation
 
@@ -31,11 +31,11 @@ DEFAULT_CONFIG: dict = {
 
 
 def _checked(section: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`; a value it rejects is a ConfigError naming the section."""
+    """`make(*args, **kwargs)`; a ValueError it raises is an InvalidInput naming the section."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise InvalidInput(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,16 @@ class CliConfig:
 
 
 def config_from_dict(raw: dict) -> CliConfig:
-    try:
-        merged = check(raw, DEFAULT_CONFIG, root="config", fill=True)
-    except SchemaViolation as exc:
-        raise ConfigError(str(exc)) from exc
+    merged = check(raw, DEFAULT_CONFIG, root="config", fill=True)
     build_edge, min_wall = merged["print"]["build_edge"], merged["print"]["min_wall"]
     if not build_edge > 0:
-        raise ConfigError(f"print.build_edge must be > 0, got {build_edge!r}")
+        raise InvalidInput(f"print.build_edge must be > 0, got {build_edge!r}")
     if min_wall < 0:
-        raise ConfigError(f"print.min_wall must be >= 0, got {min_wall!r}")
+        raise InvalidInput(f"print.min_wall must be >= 0, got {min_wall!r}")
     encoder = merged["encoder"]
     encoder_seed = encoder.pop("seed")
     if encoder_seed < 0:
-        raise ConfigError("encoder.seed must be >= 0")
+        raise InvalidInput("encoder.seed must be >= 0")
     return CliConfig(
         generation=_checked("generation", generation_config_from_dict, merged["generation"]),
         tessellation=_checked("tessellation", Tessellation, **merged["tessellation"]),

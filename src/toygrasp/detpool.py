@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _nn
-from .errors import (
-    DimensionMismatch,
-    EmptyObject,
-    NonFiniteActivation,
-)
+from .errors import InvalidInput
 
 CHANNELS = 3
 
@@ -149,7 +145,7 @@ def mask_to_flags(mask: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Per-patch object flags: a patch is flagged when any pixel of its block is set."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (config.image_height, config.image_width):
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"mask shape {mask.shape} does not match image "
             f"({config.image_height}, {config.image_width})"
         )
@@ -166,7 +162,7 @@ def build_attention_mask(flags: np.ndarray, include_cls: bool) -> np.ndarray:
     """
     flags = np.asarray(flags, dtype=bool)
     if not flags.any():
-        raise EmptyObject("no object patch is flagged")
+        raise InvalidInput("no object patch is flagged")
     if include_cls:
         flags = np.concatenate([[False], flags])
     return flags[:, None] == flags[None, :]
@@ -197,21 +193,21 @@ def _check_inputs(image, state, mode, flags):
     config = state.config
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (config.image_height, config.image_width, CHANNELS):
-        raise DimensionMismatch(f"image shape {image.shape} does not match config")
+        raise InvalidInput(f"image shape {image.shape} does not match config")
     if not np.isfinite(image).all():
-        raise NonFiniteActivation("input image contains non-finite values")
+        raise InvalidInput("input image contains non-finite values")
     if mode is PoolingMode.CLS and not config.include_cls:
         raise ValueError("CLS pooling requires include_cls=True")
     if mode is PoolingMode.DET:
         if flags is None:
-            raise EmptyObject("Det pooling requires patch flags")
+            raise InvalidInput("Det pooling requires patch flags")
         flags = np.asarray(flags, dtype=bool)
         if flags.shape != (config.n_patches,):
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"flags length {flags.shape} does not match {config.n_patches} patches"
             )
         if not flags.any():
-            raise EmptyObject("Det pooling with no object patches")
+            raise InvalidInput("Det pooling with no object patches")
     return image, flags
 
 
@@ -225,8 +221,9 @@ def _embed(image, state, mode, flags, masked_reference=False):
     object tokens attend only to object tokens and Det pools only them, so
     the background and CLS tokens cannot reach the embedding.
     `masked_reference=True` keeps the full sequence under the attention mask
-    instead; the verification checks and the attention probe use it, since
-    on the compact path invariance holds by construction.
+    instead; the verification checks use it, and so does the attention
+    probe `tests/conftest.py::attention_weights`, since on the compact path
+    invariance holds by construction.
 
     The image and the embedding tensors may carry leading batch axes, as
     `_nn` activations do: a (B, H, W, C) image stack, a (B, d_in, d)
@@ -298,7 +295,7 @@ def _forward(image, state, mode, flags, masked_reference, keep, read_rows_only=F
     )
     embedding, pool_cache = _pool(hidden, state, mode, slice(None) if read_rows_only else rows)
     if not np.isfinite(embedding).all():
-        raise NonFiniteActivation("encoder produced non-finite values")
+        raise InvalidInput("encoder produced non-finite values")
     if not keep:
         return embedding, None
     return embedding, (config, embed_cache, rows, block_caches, hidden, pool_cache)
@@ -373,6 +370,6 @@ def encode_grad(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (state.config.embed_dim,):
-        raise DimensionMismatch("upstream must match the embedding dimension")
+        raise InvalidInput("upstream must match the embedding dimension")
     _, cache = _forward(image, state, mode, flags, masked_reference=False, keep=True)
     return _backward(cache, state, upstream)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyObjectList, EmptyOutcomes
+from .errors import InvalidInput
 from .io import csv_chunks, csv_count, csv_rows, json_chunks, write_output
 
 
@@ -88,7 +88,7 @@ def make_schedule(
     object; z-rotations uniform in [0, 2pi).
     """
     if not objects:
-        raise EmptyObjectList("schedule requires at least one object id")
+        raise InvalidInput("schedule requires at least one object id")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     spec = PROTOCOLS[protocol]
@@ -158,11 +158,11 @@ class SuccessTable:
 def aggregate(outcomes: Mapping[str, Sequence[int]]) -> SuccessTable:
     """Per-object success percentages and their unweighted mean."""
     if not outcomes:
-        raise EmptyOutcomes("no objects to aggregate")
+        raise InvalidInput("no objects to aggregate")
     table: dict[str, tuple[int, ...]] = {}
     for object_id, trials in outcomes.items():
         if len(trials) == 0:
-            raise EmptyOutcomes(f"object {object_id!r} has no outcomes")
+            raise InvalidInput(f"object {object_id!r} has no outcomes")
         for value in trials:
             if value not in (0, 1):
                 raise ValueError(f"outcome for {object_id!r} is not 0/1: {value!r}")

@@ -29,11 +29,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .assembler import Color, GenerationConfig, SetComposition, ToySpec
-from .errors import EmptyMesh, IoFailure, SchemaViolation
+from .errors import InvalidInput, IoFailure
 from .mesh import Tessellation, TriMesh
 from .primitives import (
     DIM_NAMES,
     KIND_ORDER,
+    LENGTH_LIMIT,
     DimensionRanges,
     PlacedPrimitive,
     Pose,
@@ -150,7 +151,7 @@ def csv_chunks(rows: Iterable[Sequence]) -> Iterator[bytes]:
 def stl_bytes(mesh: TriMesh) -> bytes:
     """Binary STL: 80-byte header, triangle count, 50-byte little-endian records."""
     if mesh.n_triangles == 0:
-        raise EmptyMesh("refusing to export an empty mesh")
+        raise InvalidInput("refusing to export an empty mesh")
     corners = mesh.vertices[mesh.triangles]
     v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
     normals = np.cross(v1 - v0, v2 - v0)
@@ -171,7 +172,7 @@ def stl_bytes(mesh: TriMesh) -> bytes:
 def obj_bytes(mesh: TriMesh) -> bytes:
     """ASCII OBJ, one `g part_<k>` group per part label; coordinates round-trip exactly."""
     if mesh.n_triangles == 0:
-        raise EmptyMesh("refusing to export an empty mesh")
+        raise InvalidInput("refusing to export an empty mesh")
     blocks = ["v %r %r %r\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())]
     labels = (
         mesh.part_labels
@@ -273,13 +274,6 @@ def manifest_json_bytes(doc: dict) -> bytes:
     return b"".join(json_chunks(doc, "toys"))
 
 
-#: Largest magnitude, in meters, accepted for a part dimension or
-#: translation. A float64 coordinate of magnitude L rounds by about
-#: L * 1e-16 m: translating a five-toy coarse set by 1 km moved its exact
-#: hull widths by at most 1.5e-13 m, by 1000 km up to 2.3e-10 m, and near
-#: 1e306 m the geometry overflows.
-LENGTH_LIMIT = 1e3
-
 _LEAF_NAMES = {
     bool: "a boolean", int: "an integer", float: "a number",
     str: "a string", dict: "an object", list: "a list",
@@ -302,46 +296,44 @@ def check(value, shape, path: str = "", *, root: str, fill: bool = False):
     key takes the shape's value. A list shape is a list of any length whose
     items are like its first item; a tuple shape, a list of exactly that
     many items. A type, or a value of that type, is a leaf: a bool is never
-    a number, and a number must be finite. `None` accepts any value.
+    a number, and a number must be finite.
     Returns the value rebuilt, with any filled-in keys.
     """
     where, kind = path or root, type(shape)
     if kind is dict:
         if not isinstance(value, dict):
-            raise SchemaViolation(f"{where} must be an object, got {type(value).__name__}")
+            raise InvalidInput(f"{where} must be an object, got {type(value).__name__}")
         prefix = f"{path}." if path else ""
         for key in value:
             if key not in shape:
-                raise SchemaViolation(f"unknown {root} key '{prefix}{key}'")
+                raise InvalidInput(f"unknown {root} key '{prefix}{key}'")
         checked = {}
         for key, item in shape.items():
             if key not in value and not fill:
-                raise SchemaViolation(f"{where}: missing field '{key}'")
+                raise InvalidInput(f"{where}: missing field '{key}'")
             checked[key] = check(value.get(key, item), item, prefix + key, root=root, fill=fill)
         return checked
     if kind is list or kind is tuple:
         if not isinstance(value, list):
-            raise SchemaViolation(f"{where} must be a list, got {type(value).__name__}")
+            raise InvalidInput(f"{where} must be a list, got {type(value).__name__}")
         if kind is tuple and len(value) != len(shape):
-            raise SchemaViolation(f"{where} must have {len(shape)} entries, got {len(value)}")
+            raise InvalidInput(f"{where} must have {len(shape)} entries, got {len(value)}")
         items = shape if kind is tuple else [shape[0]] * len(value)
         return [
             check(v, s, f"{path}[{k}]", root=root, fill=fill)
             for k, (v, s) in enumerate(zip(value, items))
         ]
-    if shape is None:
-        return value
     if kind is type:
         kind = shape
     # bool is an int subclass in Python, but never a valid number here.
     if isinstance(value, bool) is not (kind is bool) or not isinstance(
         value, (int, float) if kind is float else kind
     ):
-        raise SchemaViolation(f"{where} must be {_LEAF_NAMES[kind]}, got {type(value).__name__}")
+        raise InvalidInput(f"{where} must be {_LEAF_NAMES[kind]}, got {type(value).__name__}")
     if kind is float and not is_finite(value):
         # The repr of a huge integer is long, and past 4300 digits it raises.
         shown = repr(value) if isinstance(value, float) else "an integer too large for a float"
-        raise SchemaViolation(f"{where} must be a finite number, got {shown}")
+        raise InvalidInput(f"{where} must be a finite number, got {shown}")
     return value
 
 
@@ -349,7 +341,7 @@ def read_document(path: str | Path, what: str, *, as_json: bool = True):
     """The UTF-8 text of the file at `path`, parsed as JSON when `as_json`.
 
     A file that cannot be read is an IoFailure; bytes that are not UTF-8, or
-    text that is not JSON, are a SchemaViolation. Both name `what` and `path`.
+    text that is not JSON, are an InvalidInput. Both name `what` and `path`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -358,7 +350,7 @@ def read_document(path: str | Path, what: str, *, as_json: bool = True):
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an integer past 4300 digits
         form = "JSON" if as_json else "UTF-8 text"
-        raise SchemaViolation(f"{what} {path} is not valid {form}: {exc}") from exc
+        raise InvalidInput(f"{what} {path} is not valid {form}: {exc}") from exc
 
 
 def csv_rows(path: str | Path, what: str, columns: tuple[str, ...]):
@@ -373,17 +365,17 @@ def csv_rows(path: str | Path, what: str, columns: tuple[str, ...]):
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[: len(columns)]] != list(columns):
-                raise SchemaViolation(f"{path} must start with header '{','.join(columns)}'")
+                raise InvalidInput(f"{path} must start with header '{','.join(columns)}'")
             for line, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) < len(columns):
-                    raise SchemaViolation(f"line {line}: missing {', '.join(columns[len(row):])}")
+                    raise InvalidInput(f"line {line}: missing {', '.join(columns[len(row):])}")
                 yield line, row
     except OSError as exc:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: e.g. a field past its size limit
-        raise SchemaViolation(f"{what} {path} is not valid UTF-8 CSV: {exc}") from exc
+        raise InvalidInput(f"{what} {path} is not valid UTF-8 CSV: {exc}") from exc
 
 
 def csv_count(line: int, column: str, cell: str) -> int:
@@ -418,13 +410,13 @@ def read_manifest(path: str | Path) -> Manifest:
     The document is checked field by field first; a tessellation that
     Tessellation rejects fails as `config.tessellation.<field> ...`, and a
     toy that ToySpec, PrimitiveSpec or Pose rejects as `toys[i] ('<id>'): ...`.
-    Every error is a SchemaViolation or an IoFailure.
+    Every error is an InvalidInput or an IoFailure.
     """
     doc = read_document(path, "manifest")
 
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in (None, MANIFEST_FORMAT_VERSION):
-        raise SchemaViolation(f"unknown manifest format_version {version!r}")
+        raise InvalidInput(f"unknown manifest format_version {version!r}")
     check(doc, _MANIFEST, root="manifest")
     tess = check(
         doc["config"].get("tessellation"), asdict(Tessellation()), "config.tessellation",
@@ -433,13 +425,13 @@ def read_manifest(path: str | Path) -> Manifest:
     try:
         tessellation = Tessellation(**tess)
     except ValueError as exc:  # its messages start with the field's name
-        raise SchemaViolation(f"config.tessellation.{exc}") from exc
+        raise InvalidInput(f"config.tessellation.{exc}") from exc
     toys = []
     for i, t in enumerate(doc["toys"]):
         for j, p in enumerate(t["parts"]):
             ctx = f"toys[{i}].parts[{j}]"
             if p["quaternion"][0] < 0:
-                raise SchemaViolation(
+                raise InvalidInput(
                     f"{ctx}.quaternion[0] = {p['quaternion'][0]!r} must be >= 0 (toy {t['id']!r})"
                 )
             lengths = [(f"{ctx}.dims.{name}", v) for name, v in p["dims"].items()]
@@ -447,13 +439,13 @@ def read_manifest(path: str | Path) -> Manifest:
             lengths += [(f"{ctx}.translation[{k}]", v) for k, v in enumerate(p["translation"])]
             for where, value in lengths:
                 if abs(value) > LENGTH_LIMIT:
-                    raise SchemaViolation(
+                    raise InvalidInput(
                         f"{where} = {value!r} is outside +-{LENGTH_LIMIT:g} m (toy {t['id']!r})"
                     )
         try:
             toys.append(record_to_toy(t))
         except ValueError as exc:
-            raise SchemaViolation(f"toys[{i}] ({t['id']!r}): {exc}") from exc
+            raise InvalidInput(f"toys[{i}] ({t['id']!r}): {exc}") from exc
     return Manifest(config=doc["config"], tessellation=tessellation, toys=tuple(toys))
 
 
@@ -486,25 +478,25 @@ def read_pgm(path: str | Path) -> np.ndarray:
             while pos < len(raw) and raw[pos] not in b" \t\n\r\x0b\x0c#":
                 pos += 1
             if start == pos:
-                raise SchemaViolation(f"truncated PGM header in {path}")
+                raise InvalidInput(f"truncated PGM header in {path}")
             tokens.append(raw[start:pos])
     pos += 1  # single whitespace after maxval, or the LF or CR ending its comment
 
     if tokens[0] != b"P5":
-        raise SchemaViolation(f"not a binary PGM (P5) file: magic {tokens[0]!r} in {path}")
+        raise InvalidInput(f"not a binary PGM (P5) file: magic {tokens[0]!r} in {path}")
     for name, token in zip(("width", "height", "maxval"), tokens[1:]):
         # No file holds a 19-digit size, and past 4300 digits int() raises.
         if not token.isdigit() or len(token) > 18 or int(token) < 1:
             shown = repr(token[:18].decode(errors="replace")) + "..." * (len(token) > 18)
-            raise SchemaViolation(
+            raise InvalidInput(
                 f"PGM {name} must be a decimal integer >= 1, got {shown} in {path}"
             )
     width, height, maxval = (int(token) for token in tokens[1:])
     if maxval > 65535:
-        raise SchemaViolation(f"PGM maxval must be in 1..65535, got {maxval} in {path}")
+        raise InvalidInput(f"PGM maxval must be in 1..65535, got {maxval} in {path}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     if len(raw) - pos < count * dtype.itemsize:
-        raise SchemaViolation(f"PGM pixel data is truncated in {path}")
+        raise InvalidInput(f"PGM pixel data is truncated in {path}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return data.reshape(height, width) > 0

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .assembler import ToySpec
-from .errors import NotWatertight
+from .errors import InvalidInput
 from .primitives import PrimitiveKind, PrimitiveSpec
 
 
@@ -266,7 +266,7 @@ def mesh_volume(mesh: TriMesh) -> float:
     overlapping interiors are double counted).
     """
     if not is_watertight(mesh):
-        raise NotWatertight("an edge is not shared by exactly 2 triangles")
+        raise InvalidInput("an edge is not shared by exactly 2 triangles")
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     v1 = mesh.vertices[mesh.triangles[:, 1]]
     v2 = mesh.vertices[mesh.triangles[:, 2]]

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _nn
-from .errors import NonFiniteActivation, ShapeMismatch
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,11 @@ class StepObservation:
         object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
         object.__setattr__(self, "proprio", np.asarray(self.proprio, dtype=np.float64))
         if not (np.isfinite(self.embeddings).all() and np.isfinite(self.proprio).all()):
-            raise NonFiniteActivation("observation contains non-finite values")
+            raise InvalidInput("observation contains non-finite values")
+
+
+#: The fields of a PolicyState that can be neither rebound nor deleted.
+_BOUND = ("config", "vectors", "params", "opt_m", "opt_v")
 
 
 @dataclass(eq=False)
@@ -117,22 +121,28 @@ class PolicyState:
         vectors = tuple(self.vectors)
         object.__setattr__(self, "vectors", vectors)
         if len(vectors) != 3:
-            raise ShapeMismatch(f"expected 3 vectors (params, opt_m, opt_v), got {len(vectors)}")
+            raise InvalidInput(f"expected 3 vectors (params, opt_m, opt_v), got {len(vectors)}")
         want = f"a contiguous float64 vector of {size} entries"
         for name, array in zip(("params", "opt_m", "opt_v"), vectors):
             if not isinstance(array, np.ndarray):
-                raise ShapeMismatch(f"{name}: expected {want}, got {type(array).__name__}")
+                raise InvalidInput(f"{name}: expected {want}, got {type(array).__name__}")
             if array.shape != (size,) or array.dtype != np.float64 or not array.flags.c_contiguous:
-                raise ShapeMismatch(f"{name}: expected {want}, got {array.dtype} {array.shape}")
+                raise InvalidInput(f"{name}: expected {want}, got {array.dtype} {array.shape}")
             setattr(self, name, MappingProxyType(_nn.views(array, table)))
 
     def __setattr__(self, name: str, value) -> None:
         # The tables view the vectors they were built from, so rebinding any
         # of these would split what `train_step` updates from what
         # `policy_forward` reads; `opt_step` and the scratch stay settable.
-        if name in ("config", "vectors", "params", "opt_m", "opt_v") and name in self.__dict__:
+        if name in _BOUND and name in self.__dict__:
             raise FrozenInstanceError(f"cannot rebind PolicyState.{name}; build a new PolicyState")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        # Deleting first would let `__setattr__` bind a new value.
+        if name in _BOUND:
+            raise FrozenInstanceError(f"cannot delete PolicyState.{name}")
+        object.__delattr__(self, name)
 
     def __reduce__(self):
         return PolicyState, (self.config, self.vectors, self.opt_step)
@@ -175,12 +185,12 @@ def init_policy(config: PolicyConfig, seed: int = 0) -> PolicyState:
 def concat_observation(obs: StepObservation, config: PolicyConfig) -> np.ndarray:
     """Channel concatenation (e^1, ..., e^N, s) before projection."""
     if obs.embeddings.shape != (config.cameras, config.embed_dim):
-        raise ShapeMismatch(
+        raise InvalidInput(
             f"embeddings shape {obs.embeddings.shape} != "
             f"({config.cameras}, {config.embed_dim})"
         )
     if obs.proprio.shape != (config.proprio_dim,):
-        raise ShapeMismatch(f"proprio shape {obs.proprio.shape} != ({config.proprio_dim},)")
+        raise InvalidInput(f"proprio shape {obs.proprio.shape} != ({config.proprio_dim},)")
     return np.concatenate([obs.embeddings.reshape(-1), obs.proprio])
 
 
@@ -189,7 +199,7 @@ def _stack_histories(histories, config):
     concatenated inputs, checked and then joined by one concatenate."""
     for history in histories:
         if len(history) != config.history_len:
-            raise ShapeMismatch(f"history must have exactly {config.history_len} steps")
+            raise InvalidInput(f"history must have exactly {config.history_len} steps")
     tokens = [concat_observation(o, config) for history in histories for o in history]
     return np.concatenate(tokens).reshape(len(histories), config.history_len, config.token_in_dim)
 
@@ -212,7 +222,7 @@ def _forward(stacked, state, keep):
     flat, c_head = _nn.linear_fwd(hidden[..., -1:, :], params["head.weight"], params["head.bias"])
     chunk = flat.reshape(*flat.shape[:-2], config.chunk_len, config.action_dim)
     if not np.isfinite(chunk).all():
-        raise NonFiniteActivation("policy produced non-finite values")
+        raise InvalidInput("policy produced non-finite values")
     return chunk, ((c_proj, block_caches, c_head) if keep else None)
 
 
@@ -247,7 +257,7 @@ def bc_l1_loss(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ShapeMismatch(f"chunk shapes differ: {pred.shape} vs {target.shape}")
+        raise InvalidInput(f"chunk shapes differ: {pred.shape} vs {target.shape}")
     diff = np.abs(pred - target)
     return diff.reshape(*diff.shape[:-2], -1).mean(axis=-1)
 
@@ -273,7 +283,7 @@ def train_step(
     targets = [np.asarray(target, dtype=np.float64) for _, target in batch]
     for target in targets:
         if target.shape != chunk_shape:
-            raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk_shape}")
+            raise InvalidInput(f"target shape {target.shape} != chunk {chunk_shape}")
     targets = np.stack(targets)
 
     chunks, cache = _forward(stacked, state, keep=True)

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidRanges
+from .errors import InvalidInput
 
 
 class PrimitiveKind(enum.Enum):
@@ -45,6 +45,13 @@ DIM_NAMES: dict[PrimitiveKind, tuple[str, ...]] = {
     PrimitiveKind.CYLINDER: ("diameter", "height"),
     PrimitiveKind.RING: ("outer_diameter", "wall_thickness", "height"),
 }
+
+#: Largest magnitude, in meters, accepted for a part dimension or
+#: translation. A float64 coordinate of magnitude L rounds by about
+#: L * 1e-16 m: translating a five-toy coarse set by 1 km moved its exact
+#: hull widths by at most 1.5e-13 m, by 1000 km up to 2.3e-10 m, and near
+#: 1e306 m the geometry overflows.
+LENGTH_LIMIT = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +131,38 @@ class DimensionRanges:
     def __post_init__(self) -> None:
         for kind in KIND_ORDER:
             if kind not in self.intervals:
-                raise InvalidRanges(f"missing ranges for {kind.value}")
+                raise InvalidInput(f"missing ranges for {kind.value}")
             dims = self.intervals[kind]
             expected = set(DIM_NAMES[kind])
             if set(dims) != expected:
-                raise InvalidRanges(
+                raise InvalidInput(
                     f"{kind.value} ranges must have dims {sorted(expected)}, got {sorted(dims)}"
                 )
             for name, interval in dims.items():
                 if len(interval) != 2:
-                    raise InvalidRanges(
+                    raise InvalidInput(
                         f"{kind.value}.{name} interval must have exactly 2 entries "
                         f"[lo, hi], got {len(interval)}"
                     )
                 lo, hi = interval
                 if not (0.0 < lo <= hi):
-                    raise InvalidRanges(
+                    raise InvalidInput(
                         f"{kind.value}.{name} interval [{lo}, {hi}] must be positive and ordered"
+                    )
+                # A later part's centroid lies inside its anchor part, at most
+                # half a diagonal (sqrt(3)/2 * hi) from the anchor's centroid,
+                # so a five-part toy stays within 2 * sqrt(3) * hi of the
+                # origin: below LENGTH_LIMIT, which `read_manifest` enforces.
+                if hi > LENGTH_LIMIT / 4:
+                    raise InvalidInput(
+                        f"{kind.value}.{name} interval [{lo}, {hi}] must end at most "
+                        f"{LENGTH_LIMIT / 4:g} m"
                     )
         ring = self.intervals[PrimitiveKind.RING]
         min_outer_radius = ring["outer_diameter"][0] / 2.0
         max_wall = ring["wall_thickness"][1]
         if min_outer_radius <= max_wall:
-            raise InvalidRanges(
+            raise InvalidInput(
                 "ring inner radius can be nonpositive: "
                 f"min outer radius {min_outer_radius} <= max wall {max_wall}"
             )

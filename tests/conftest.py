@@ -18,7 +18,7 @@ import numpy as np
 from toygrasp import _nn, policy
 from toygrasp.analysis import GripperModel, min_caliper_width
 from toygrasp.detpool import _forward
-from toygrasp.errors import ShapeMismatch
+from toygrasp.errors import InvalidInput
 from toygrasp.policy import BETA1, BETA2, EPS, WEIGHT_DECAY, OptimizerConfig, concat_observation
 from toygrasp.primitives import (
     DimensionRanges,
@@ -224,7 +224,7 @@ def reference_train_step(batch, state, opt=None):
     targets = [np.asarray(target, dtype=np.float64) for _, target in batch]
     for target in targets:
         if target.shape != chunk_shape:
-            raise ShapeMismatch(f"target shape {target.shape} != chunk {chunk_shape}")
+            raise InvalidInput(f"target shape {target.shape} != chunk {chunk_shape}")
     targets = np.stack(targets)
 
     chunks, cache = policy._forward(stacked, state, keep=True)

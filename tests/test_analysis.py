@@ -20,7 +20,7 @@ from toygrasp.analysis import (
     write_feasibility_csv,
 )
 from toygrasp.assembler import GenerationConfig, assemble_toy
-from toygrasp.errors import EmptyMesh
+from toygrasp.errors import InvalidInput
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
 from toygrasp.primitives import (
     KIND_ORDER,
@@ -104,7 +104,7 @@ class TestDirectionalWidth:
 
     def test_empty_mesh_raises(self):
         empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(InvalidInput, match="directional width of an empty mesh"):
             directional_width(empty, np.array([1.0, 0.0, 0.0]))
 
     def test_non_unit_direction_rejected(self):

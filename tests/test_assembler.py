@@ -14,7 +14,7 @@ from toygrasp.assembler import (
     derive_seed,
     generate_set,
 )
-from toygrasp.errors import InvalidComposition
+from toygrasp.errors import InvalidInput
 from toygrasp.primitives import (
     PlacedPrimitive,
     Pose,
@@ -137,7 +137,7 @@ class TestGenerateSet:
         assert generate_set(config) == []
 
     def test_negative_composition_rejected(self):
-        with pytest.raises(InvalidComposition):
+        with pytest.raises(InvalidInput, match="negative count for cuboids: -1"):
             SetComposition(cuboids=-1)
 
     def test_determinism_across_runs(self):

@@ -15,7 +15,7 @@ from toygrasp.analysis import min_caliper_width
 from toygrasp.assembler import MAX_TOYS, generate_set
 from toygrasp.cli import build_parser, cmd_generate, main
 from toygrasp.config import load_config
-from toygrasp.errors import NotWatertight
+from toygrasp.errors import InvalidInput
 from toygrasp.io import build_manifest, manifest_json_bytes, obj_bytes, read_manifest, toy_record
 from toygrasp.mesh import (
     MAX_RADIAL_SEGMENTS,
@@ -317,6 +317,18 @@ class TestGenerate:
                 {"composition": {**NO_TOYS, "cuboids": MAX_TOYS, "rings": 1}},
                 f"generation: composition total = {MAX_TOYS + 1} toys is above the limit of {MAX_TOYS}",
             ),
+            # `analyze` refuses a manifest part past 1000 m, and past about
+            # 1e38 m the STL's float32 overflows.
+            (
+                "generation",
+                {"ranges": {"sphere": {"diameter": [1500, 1500]}}},
+                "generation: sphere.diameter interval [1500, 1500] must end at most 250 m",
+            ),
+            (
+                "generation",
+                {"ranges": {"cuboid": {"width": [0.02, 1e200]}}},
+                "generation: cuboid.width interval [0.02, 1e+200] must end at most 250 m",
+            ),
             (
                 "encoder",
                 {"image_height": 1024, "include_cls": True},
@@ -337,7 +349,8 @@ class TestGenerate:
             ),
         ],
         ids=[field for field, _ in ENCODER_LIMITS]
-        + ["composition", "attention-with-cls", "attention-2px-patches", "parameters"],
+        + ["composition", "range-1500m", "range-1e200m", "attention-with-cls",
+           "attention-2px-patches", "parameters"],
     )
     @pytest.mark.parametrize("command", ["generate", "detpool-check"])
     def test_size_above_its_limit_exits_2_before_any_work(
@@ -407,7 +420,7 @@ class TestGenerate:
         monkeypatch.setattr("toygrasp.cli.mesh_primitive", broken)
         config = write_config(tmp_path)
         args = build_parser().parse_args(["generate", "--config", str(config)])
-        with pytest.raises(NotWatertight, match="ring mesh: an edge is not shared"):
+        with pytest.raises(InvalidInput, match="ring mesh: an edge is not shared"):
             cmd_generate(args)
         assert main(["generate", "--config", str(config)]) == 2
         err = capsys.readouterr().err

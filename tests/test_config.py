@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toygrasp.config import DEFAULT_CONFIG, CliConfig, config_from_dict
-from toygrasp.errors import ConfigError
+from toygrasp.errors import InvalidInput
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,5 +47,5 @@ def _override(path, value):
 def test_any_leaf_value_gives_a_config_or_a_config_error(path, value):
     try:
         assert isinstance(config_from_dict(_override(path, value)), CliConfig)
-    except ConfigError:
+    except InvalidInput:
         pass

@@ -39,11 +39,7 @@ from toygrasp.detpool import (
     init_encoder,
     mask_to_flags,
 )
-from toygrasp.errors import (
-    DimensionMismatch,
-    EmptyObject,
-    NonFiniteActivation,
-)
+from toygrasp.errors import InvalidInput
 
 TINY = EncoderConfig(
     image_height=16, image_width=16, patch_size=4, embed_dim=32, layers=2, heads=4,
@@ -94,7 +90,7 @@ class TestMaskToFlags:
                 assert flags[r * config.n_cols + c] == bool(block.any())
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="mask shape .* does not match image"):
             mask_to_flags(np.zeros((8, 8), dtype=bool), TINY)
 
 
@@ -127,7 +123,7 @@ class TestBuildAttentionMask:
         assert not allowed[0, 1] and not allowed[1, 0]  # cls never with object
 
     def test_empty_object_raises(self):
-        with pytest.raises(EmptyObject):
+        with pytest.raises(InvalidInput, match="no object patch is flagged"):
             build_attention_mask(np.zeros(4, dtype=bool), include_cls=False)
 
 
@@ -229,21 +225,21 @@ class TestEncode:
 
     def test_det_requires_nonempty_flags(self):
         state = tiny_state()
-        with pytest.raises(EmptyObject):
+        with pytest.raises(InvalidInput, match="Det pooling with no object patches"):
             encode(
                 random_image(state.config),
                 state,
                 PoolingMode.DET,
                 np.zeros(state.config.n_patches, dtype=bool),
             )
-        with pytest.raises(EmptyObject):
+        with pytest.raises(InvalidInput, match="Det pooling requires patch flags"):
             encode(random_image(state.config), state, PoolingMode.DET, None)
 
     def test_non_finite_image_rejected(self):
         state = tiny_state()
         image = random_image(state.config)
         image[0, 0, 0] = np.nan
-        with pytest.raises(NonFiniteActivation):
+        with pytest.raises(InvalidInput, match="input image contains non-finite values"):
             encode(image, state, PoolingMode.MEAN)
 
     def test_det_cls_combination(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toygrasp.errors import EmptyObjectList, EmptyOutcomes, SchemaViolation
+from toygrasp.errors import InvalidInput
 from toygrasp.evalharness import (
     PROTOCOLS,
     Protocol,
@@ -117,7 +117,7 @@ class TestMakeSchedule:
         assert [t.theta for t in a.trials] != [t.theta for t in b.trials]
 
     def test_empty_object_list(self):
-        with pytest.raises(EmptyObjectList):
+        with pytest.raises(InvalidInput, match="at least one object id"):
             make_schedule(Protocol.SIM_MANISKILL, [], seed=0)
 
     def test_negative_seed_names_the_seed(self):
@@ -185,9 +185,9 @@ class TestAggregate:
         assert table.rate_display("b") == "33.33"
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyOutcomes):
+        with pytest.raises(InvalidInput, match="no objects to aggregate"):
             aggregate({})
-        with pytest.raises(EmptyOutcomes):
+        with pytest.raises(InvalidInput, match="'a' has no outcomes"):
             aggregate({"a": []})
 
     def test_non_binary_rejected(self):
@@ -239,7 +239,7 @@ class TestOutcomesCsv:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "outcomes.csv"
         path.write_text("apple,0,1\n")
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(InvalidInput, match="must start with header"):
             read_outcomes_csv(path)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import parse_binary_stl, parse_obj
 from test_config import JSON_VALUES
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
-from toygrasp.errors import EmptyMesh, SchemaViolation
+from toygrasp.errors import InvalidInput
 from toygrasp.io import (
     JSON_BLOCK,
     MANIFEST_FORMAT_VERSION,
@@ -30,7 +30,14 @@ from toygrasp.io import (
     write_output,
 )
 from toygrasp.mesh import Tessellation, TriMesh, mesh_primitive, mesh_toy
-from toygrasp.primitives import PrimitiveKind, PrimitiveSpec
+from toygrasp.primitives import (
+    DIM_NAMES,
+    KIND_ORDER,
+    LENGTH_LIMIT,
+    DimensionRanges,
+    PrimitiveKind,
+    PrimitiveSpec,
+)
 
 
 def small_set():
@@ -180,7 +187,7 @@ class TestStl:
 
     def test_empty_mesh_default_error(self):
         empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(InvalidInput, match="refusing to export an empty mesh"):
             stl_bytes(empty)
 
 
@@ -228,7 +235,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["format_version"] = "999"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(InvalidInput, match="unknown manifest format_version '999'"):
             read_manifest(path)
 
     def test_formats_doc_names_the_current_version(self):
@@ -245,7 +252,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["toys"][0]["derived"]["volume"] = 0.001
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaViolation, match=re.escape("key 'toys[0].derived.volume'")):
+        with pytest.raises(InvalidInput, match=re.escape("key 'toys[0].derived.volume'")):
             read_manifest(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -255,13 +262,13 @@ class TestManifest:
         doc = json.loads(path.read_text())
         del doc["toys"][0]["seed"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(InvalidInput, match=re.escape("toys[0]: missing field 'seed'")):
             read_manifest(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{ not json")
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(InvalidInput, match="not valid JSON"):
             read_manifest(path)
 
     @pytest.mark.parametrize(
@@ -293,8 +300,31 @@ class TestManifest:
         doc = json.loads(path.read_text())
         edit(doc["toys"][0])
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaViolation, match=re.escape(field)):
+        with pytest.raises(InvalidInput, match=re.escape(field)):
             read_manifest(path)
+
+    def test_toys_drawn_at_the_range_bound_read_back(self, tmp_path):
+        # Every dimension at the largest upper end DimensionRanges accepts,
+        # but the ring's wall, which must stay below the outer radius.
+        top = LENGTH_LIMIT / 4
+        ranges = {kind: {name: (top, top) for name in DIM_NAMES[kind]} for kind in KIND_ORDER}
+        ranges[PrimitiveKind.RING]["wall_thickness"] = (1.0, top / 2 - 1.0)
+        config = GenerationConfig(
+            ranges=DimensionRanges(ranges),
+            composition=SetComposition(1, 1, 1, 1, 0, 0, 0, 16),
+            master_seed=12,
+        )
+        toys = generate_set(config)
+        path = tmp_path / "manifest.json"
+        write_manifest(toys, config, path)
+        read = read_manifest(path).toys
+        assert [t.id for t in read] == [t.id for t in toys]
+        reach = max(abs(p.pose.translation).max() for t in read for p in t.parts)
+        assert top < reach < LENGTH_LIMIT
+        # `top` is the bound itself: the next float above it is refused.
+        ranges[PrimitiveKind.SPHERE]["diameter"] = (top, np.nextafter(top, np.inf))
+        with pytest.raises(InvalidInput, match="sphere.diameter interval .* must end at most 250 m"):
+            DimensionRanges(ranges)
 
     def test_records_regenerable(self):
         # A record reconstructs the exact toy that produced it.
@@ -394,14 +424,14 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
         message = f"not a binary PGM (P5) file: magic b'P2' in {path}"
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             read_pgm(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         message = f"PGM pixel data is truncated in {path}"
-        with pytest.raises(SchemaViolation, match=re.escape(message)):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             read_pgm(path)
 
     @pytest.mark.parametrize(
@@ -415,7 +445,7 @@ class TestPgm:
     def test_header_error_names_the_file(self, tmp_path, data, message):
         path = tmp_path / "header.pgm"
         path.write_bytes(data)
-        with pytest.raises(SchemaViolation, match=re.escape(f"{message} in {path}")):
+        with pytest.raises(InvalidInput, match=re.escape(f"{message} in {path}")):
             read_pgm(path)
 
     @pytest.mark.parametrize(
@@ -437,12 +467,12 @@ class TestPgm:
     def test_bad_width_or_height_names_the_field(self, tmp_path, header, message):
         path = tmp_path / "size.pgm"
         path.write_bytes(b"P5\n" + header + b"\n255\n" + b"\x00" * 8)
-        with pytest.raises(SchemaViolation, match=re.escape(f"{message} in {path}")):
+        with pytest.raises(InvalidInput, match=re.escape(f"{message} in {path}")):
             read_pgm(path)
 
     @pytest.mark.parametrize("maxval", [0, 65536, 70000])
     def test_maxval_out_of_range(self, tmp_path, maxval):
         path = tmp_path / "maxval.pgm"
         path.write_bytes(b"P5\n2 2\n%d\n" % maxval + b"\x00" * 8)
-        with pytest.raises(SchemaViolation, match="maxval"):
+        with pytest.raises(InvalidInput, match="maxval"):
             read_pgm(path)

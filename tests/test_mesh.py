@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spec
 from toygrasp.assembler import GenerationConfig, assemble_toy, generate_set
-from toygrasp.errors import NotWatertight
+from toygrasp.errors import InvalidInput
 from toygrasp.io import stl_bytes
 from toygrasp.mesh import (
     MAX_RADIAL_SEGMENTS,
@@ -228,7 +228,7 @@ class TestMeshVolume:
             Tessellation(sphere_subdivisions=1),
         )
         broken = TriMesh(mesh.vertices, mesh.triangles[:-1])
-        with pytest.raises(NotWatertight):
+        with pytest.raises(InvalidInput, match="not shared by exactly 2 triangles"):
             mesh_volume(broken)
 
 

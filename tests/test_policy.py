@@ -20,7 +20,7 @@ from toygrasp import _nn
 from toygrasp import detpool, policy as policy_mod
 from toygrasp.detpool import EncoderConfig, PoolingMode, encode, init_encoder
 from toygrasp.checks import flags_to_pixel_region
-from toygrasp.errors import ShapeMismatch
+from toygrasp.errors import InvalidInput
 from toygrasp.policy import (
     BETA1,
     OptimizerConfig,
@@ -151,7 +151,7 @@ class TestAssembleToken:
 
     def test_shape_mismatch(self):
         state = init_policy(TINY, 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match="embeddings shape"):
             assemble_token(
                 StepObservation(np.zeros((2, TINY.embed_dim)), np.zeros(TINY.proprio_dim)),
                 state,
@@ -216,7 +216,7 @@ class TestPolicyForward:
 
     def test_wrong_history_length(self):
         state = init_policy(TINY, 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match="history must have exactly"):
             policy_forward(random_history(TINY, np.random.default_rng(0))[:-1], state)
 
 
@@ -242,7 +242,7 @@ class TestBcL1Loss:
         assert bc_l1_loss(pred, target) == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match="chunk shapes differ"):
             bc_l1_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_leading_axes_give_each_chunks_mean_bitwise(self):
@@ -507,9 +507,9 @@ class TestTrainStep:
         data = linear_task_data(TINY, 3, 37)
         history, target = data[-1]
         bad = data[:-1] + [(damage(list(history)), target)]
-        with pytest.raises(ShapeMismatch, match=message):
+        with pytest.raises(InvalidInput, match=message):
             policy_forward(bad[-1][0], state)
-        with pytest.raises(ShapeMismatch, match=message):
+        with pytest.raises(InvalidInput, match=message):
             train_step(bad, state, OptimizerConfig())
         assert state.opt_step == 0
 
@@ -523,7 +523,7 @@ class TestTrainStep:
         ]
         history, target = data[-1]
         bad = data[:-1] + [(history, target[:, :-1])]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidInput, match="target shape .* != chunk"):
             train_step(bad, state, OptimizerConfig())
         assert state.opt_step == 1
         for table, before in zip((state.params, state.opt_m, state.opt_v), snapshot):
@@ -651,6 +651,24 @@ class TestFlatLayout:
         assert any(v.tobytes() != b.tobytes() for v, b in zip(state.vectors, before))
         assert_entries_view_the_vectors(state)
 
+    @pytest.mark.parametrize("name", ["config", "vectors", "params", "opt_m", "opt_v"])
+    def test_deleting_an_attribute_raises(self, name):
+        # Deleting first must not open the way to a rebinding.
+        data = linear_task_data(TINY, 4, 54)
+        opt = OptimizerConfig(learning_rate=1e-3)
+        state, reference = init_policy(TINY, 55), init_policy(TINY, 55)
+        train_step(data, state, opt)
+        reference_train_step(data, reference, opt)
+        value = getattr(state, name)
+        with pytest.raises(AttributeError, match=re.escape(f"cannot delete PolicyState.{name}")):
+            delattr(state, name)
+        assert getattr(state, name) is value
+        losses = [train_step(data, state, opt)[1] for _ in range(3)]
+        expected = [reference_train_step(data, reference, opt)[1] for _ in range(3)]
+        assert losses == expected
+        assert_tables_bitwise_equal(state, reference)
+        assert_entries_view_the_vectors(state)
+
     @pytest.mark.parametrize(
         "change",
         [copied_vectors, pickled, copy.deepcopy],
@@ -694,13 +712,13 @@ class TestFlatLayout:
         vectors = list(state.vectors)
         vectors[index] = damage(vectors[index])
         message = f"{name}: expected a contiguous float64 vector of {n} entries, got {got(n)}"
-        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             PolicyState(TINY, vectors)
 
     def test_constructor_needs_three_vectors(self):
         vectors = init_policy(TINY, 12).vectors
         for count in (2, 4):
-            with pytest.raises(ShapeMismatch, match=f"expected 3 vectors .*, got {count}"):
+            with pytest.raises(InvalidInput, match=f"expected 3 vectors .*, got {count}"):
                 PolicyState(TINY, (vectors * 2)[:count])
 
 

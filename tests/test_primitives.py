@@ -10,7 +10,7 @@ from conftest import (
     ray_parity_inside,
     within_ranges,
 )
-from toygrasp.errors import InvalidRanges
+from toygrasp.errors import InvalidInput
 from toygrasp.mesh import Tessellation, mesh_primitive
 from toygrasp.primitives import (
     DIM_NAMES,
@@ -40,13 +40,13 @@ class TestDimensionRanges:
     def test_inverted_interval_rejected(self):
         bad = {k: dict(DimensionRanges.default().intervals[k]) for k in KIND_ORDER}
         bad[PrimitiveKind.SPHERE] = {"diameter": (0.08, 0.01)}
-        with pytest.raises(InvalidRanges):
+        with pytest.raises(InvalidInput, match=r"diameter interval \[0.08, 0.01\] must be positive"):
             DimensionRanges(bad)
 
     def test_nonpositive_interval_rejected(self):
         bad = {k: dict(DimensionRanges.default().intervals[k]) for k in KIND_ORDER}
         bad[PrimitiveKind.SPHERE] = {"diameter": (0.0, 0.08)}
-        with pytest.raises(InvalidRanges):
+        with pytest.raises(InvalidInput, match=r"diameter interval \[0.0, 0.08\] must be positive"):
             DimensionRanges(bad)
 
     def test_ring_inner_radius_must_stay_positive(self):
@@ -56,7 +56,7 @@ class TestDimensionRanges:
             "wall_thickness": (0.006, 0.018),
             "height": (0.02, 0.06),
         }
-        with pytest.raises(InvalidRanges):
+        with pytest.raises(InvalidInput, match="ring inner radius can be nonpositive"):
             DimensionRanges(bad)
 
     def test_default_ring_inner_radius_positive(self):

@@ -1,4 +1,4 @@
-"""The manifest reader returns or raises SchemaViolation, never another
+"""The manifest reader returns or raises InvalidInput, never another
 exception: given a valid document with any one node replaced by any JSON
 value, or a document that does not parse."""
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from test_config import JSON_VALUES
 from toygrasp.assembler import GenerationConfig, SetComposition, generate_set
-from toygrasp.errors import SchemaViolation
+from toygrasp.errors import InvalidInput
 from toygrasp.io import build_manifest, manifest_json_bytes, read_manifest, toy_record
 from toygrasp.mesh import Tessellation, mesh_toy
 
@@ -57,7 +57,7 @@ def test_any_manifest_node_gives_a_manifest_or_a_schema_violation(doc_path, path
     doc_path.write_text(json.dumps(_replaced(MANIFEST, path, value)))
     try:
         read_manifest(doc_path)
-    except SchemaViolation:
+    except InvalidInput:
         pass
 
 
@@ -67,5 +67,5 @@ def test_any_manifest_node_gives_a_manifest_or_a_schema_violation(doc_path, path
 def test_unparseable_document_is_a_schema_violation(tmp_path, data):
     path = tmp_path / "doc.json"
     path.write_bytes(data)
-    with pytest.raises(SchemaViolation, match="not valid JSON"):
+    with pytest.raises(InvalidInput, match="not valid JSON"):
         read_manifest(path)

@@ -7,6 +7,7 @@ The checks read the source with `ast`, so they need no lint tool.
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +96,30 @@ def test_every_allowed_name_is_defined_and_still_unreferenced():
     # An entry for a definition that is gone, or that has since gained a
     # reference, would let a later unreferenced definition of that name in.
     assert sorted(UNREFERENCED_ALLOWED - _unreferenced()) == []
+
+
+def test_every_error_class_is_raised_and_no_other_module_defines_one():
+    # The CLI tells errors apart only by exit code, so each class in
+    # `errors.py` stands for one; a class that nothing raises, or a module's
+    # own exception class, adds a name that no handler tells apart.
+    errors = PACKAGE / "errors.py"
+    classes = {node.name for node in _tree(errors).body if isinstance(node, ast.ClassDef)}
+    exceptions = classes | {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    raised, defined_elsewhere = set(), []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else None)
+            elif isinstance(node, ast.ClassDef) and path != errors:
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                if bases & exceptions:
+                    defined_elsewhere.append(f"{path.name}: {node.name}")
+    assert sorted(classes - {"ToygraspError"} - raised) == []
+    assert defined_elsewhere == []
 
 
 def _defaulted_parameters(path: Path):
